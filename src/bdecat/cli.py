@@ -141,9 +141,6 @@ def cmd_cfd_from_cfk(args) -> int:
 
 
 def cmd_satellite(args) -> int:
-    from bdecat.satellite import satellite_polynomial
-    from bdecat.grothendieck import normalize_symmetric
-
     pc = serialize.pattern_from_json(serialize.load_file(args.cfa))
     cfk = serialize.cfk_from_json(serialize.load_file(args.cfk))
     if args.winding is not None:
@@ -152,9 +149,8 @@ def cmd_satellite(args) -> int:
     q, p = decompose(pc)
     cfd = build_cfd(cfk)
     delta_k = verify_a1(cfd, cfk)
-    lhs = satellite_polynomial(pc, cfk)
+    lhs = check_satellite_formula(pc, cfk, cfd)
     rhs = normalize_symmetric(q * substitute(delta_k, pc.winding))
-    check_satellite_formula(pc, cfk)
     if args.json:
         print(serialize.dumps({
             "Q": serialize.laurent_to_json(q),

@@ -9,16 +9,26 @@ where m(alpha, p) is the average multiplicity of the two intervals adjacent
 to the point p.  The central element lambda = (1; 0) generates the kernel of
 the projection to homology.
 
+All arithmetic is on integers: an element stores 4j (as LaurentHalf stores
+t^(1/2) exponents doubled) and linkings are summed as 2L; only `.j`,
+`linking` and `multiplicity` return rationals.  Every element is checked
+against the quarter-integer constraint 4j = #(odd jumps of alpha) mod 4.
+
 Refinement data for the middle summand consists of the base pair set
 s0 = {1..k} and, for every k-element pair set t, the group element
 psi(t) = gr'(a(rho^t)) where rho^t is the chord set joining the minus
 endpoint of pair i to the minus endpoint of the i-th element of t.  The Z/2
 grading is m = f o gr, where f is the homomorphism sending lambda and every
-refined pair-chord grading g_i to 1.
+refined pair-chord grading g_i to 1; under the default refinement it is
+computed once per algebra element and circle.  The class of g_i is the
+indicator of the intervals [lo_i, hi_i), so alpha = sum h_i g_i is read off
+the jumps c_p = alpha_p - alpha_{p-1}: h_i = c_{lo_i}, and alpha lies in the
+span exactly when c_{hi_i} = -h_i for every pair.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,83 +49,104 @@ class NotInGZ(ValueError):
     """spin^c component is not a span of matched-pair chord classes."""
 
 
+class NotIntegral(ValueError):
+    """A grading quantity that must be an integer is not."""
+
+
 def chord_vector(n: int, chord: ReebChord) -> tuple[int, ...]:
     """The interval vector of a single chord: +1 on intervals start..end-1."""
-    v = [0] * (n - 1)
-    for i in range(chord.start, chord.end):
-        v[i - 1] += 1
-    return tuple(v)
+    return tuple(1 if chord.start <= i < chord.end else 0 for i in range(1, n))
 
 
 def multiplicity(alpha: tuple[int, ...], p: int) -> Fraction:
     """Average multiplicity of alpha on the two intervals adjacent to point p."""
-    n1 = len(alpha)  # 4k - 1 intervals
-
-    def get(i):
-        return alpha[i - 1] if 1 <= i <= n1 else 0
-
-    return Fraction(get(p - 1) + get(p), 2)
+    padded = (0,) + tuple(alpha) + (0,)
+    return Fraction(padded[p - 1] + padded[p], 2)
 
 
 def boundary(alpha: tuple[int, ...]) -> dict[int, int]:
     """d alpha as a 0-chain on points: interval p contributes a_{p+1} - a_p."""
-    n1 = len(alpha)
-    out = {}
-    for q in range(1, n1 + 2):
-        left = alpha[q - 2] if 2 <= q <= n1 + 1 else 0
-        right = alpha[q - 1] if 1 <= q <= n1 else 0
-        c = left - right
-        if c:
-            out[q] = c
-    return out
+    padded = (0,) + tuple(alpha) + (0,)
+    return {q: padded[q - 1] - padded[q] for q in range(1, len(padded))
+            if padded[q - 1] != padded[q]}
+
+
+def _odd_jumps(alpha: tuple[int, ...]) -> int:
+    """The number of points where alpha has half-integer multiplicity."""
+    count = prev = 0
+    for a in alpha:
+        count += (a - prev) & 1
+        prev = a
+    return count + (prev & 1)
+
+
+def _link2(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """2 L(alpha, beta): sum over points of (d alpha)_q (beta_{q-1} + beta_q)."""
+    if len(alpha) != len(beta):
+        raise ValueError("interval vectors of different ambient circles")
+    total = a_prev = b_prev = 0
+    for a, b in zip(alpha, beta):
+        total += (a_prev - a) * (b_prev + b)
+        a_prev, b_prev = a, b
+    return total + a_prev * b_prev
 
 
 def linking(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
     """L(alpha, beta) = m(beta, d alpha)."""
-    if len(alpha) != len(beta):
-        raise ValueError("interval vectors of different ambient circles")
-    return sum((c * multiplicity(beta, q) for q, c in boundary(alpha).items()),
-               Fraction(0))
+    return Fraction(_link2(alpha, beta), 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradingElement:
-    j: Fraction
+    """(j; alpha) in G'(4k), stored as the integer j4 = 4j and the vector alpha."""
+
+    j4: int
     alpha: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "j", Fraction(self.j))
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        half_pts = sum(1 for p in range(1, len(self.alpha) + 2)
-                       if multiplicity(self.alpha, p).denominator == 2)
-        if (self.j - Fraction(half_pts, 4)).denominator != 1:
+    def __init__(self, j, alpha):
+        self._set(4 * Fraction(j), tuple(alpha))
+
+    @classmethod
+    def from_j4(cls, j4: int, alpha: tuple[int, ...]) -> "GradingElement":
+        x = object.__new__(cls)
+        x._set(j4, alpha)
+        return x
+
+    def _set(self, j4, alpha: tuple[int, ...]) -> None:
+        if (j4 - _odd_jumps(alpha)) % 4:
             raise ValueError(
-                f"Maslov component {self.j} violates the quarter-integer "
-                f"constraint for alpha={self.alpha}")
+                f"Maslov component {Fraction(j4) / 4} violates the "
+                f"quarter-integer constraint for alpha={alpha}")
+        object.__setattr__(self, "j4", int(j4))
+        object.__setattr__(self, "alpha", alpha)
+
+    @property
+    def j(self) -> Fraction:
+        return Fraction(self.j4, 4)
 
     def __str__(self):
         return f"({self.j}; {','.join(map(str, self.alpha))})"
 
 
 def identity_grading(n: int) -> GradingElement:
-    return GradingElement(Fraction(0), (0,) * (n - 1))
+    return GradingElement.from_j4(0, (0,) * (n - 1))
 
 
 def lam(n: int) -> GradingElement:
     """The central element lambda = (1; 0)."""
-    return GradingElement(Fraction(1), (0,) * (n - 1))
+    return GradingElement.from_j4(4, (0,) * (n - 1))
 
 
 def gmul(x: GradingElement, y: GradingElement) -> GradingElement:
     if len(x.alpha) != len(y.alpha):
         raise ValueError("ambient mismatch")
     alpha = tuple(a + b for a, b in zip(x.alpha, y.alpha))
-    return GradingElement(x.j + y.j + linking(x.alpha, y.alpha), alpha)
+    return GradingElement.from_j4(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
 
 
 def ginv(x: GradingElement) -> GradingElement:
     alpha = tuple(-a for a in x.alpha)
-    return GradingElement(-x.j + linking(x.alpha, x.alpha), alpha)
+    return GradingElement.from_j4(-x.j4 + 2 * _link2(x.alpha, x.alpha), alpha)
 
 
 def gpow(x: GradingElement, n: int) -> GradingElement:
@@ -128,13 +159,12 @@ def gpow(x: GradingElement, n: int) -> GradingElement:
 
 def gr_prime_generator(g: StrandsGenerator) -> GradingElement:
     """gr'(a) = (inv(a) - m([a], S); [a])."""
-    alpha = [0] * (g.n - 1)
+    padded = [0] * (g.n + 1)
     for s, t in g.strands:
         for i in range(s, t):
-            alpha[i - 1] += 1
-    alpha = tuple(alpha)
-    iota = g.inversions() - sum((multiplicity(alpha, s) for s in g.S), Fraction(0))
-    return GradingElement(iota, alpha)
+            padded[i] += 1
+    j4 = 4 * g.inversions() - 2 * sum(padded[s - 1] + padded[s] for s in g.S)
+    return GradingElement.from_j4(j4, tuple(padded[1:-1]))
 
 
 def gr_prime(x: AlgebraElement) -> GradingElement:
@@ -151,7 +181,7 @@ def reverse_grading(x: GradingElement) -> GradingElement:
     Points relabel by p -> 4k+1-p, and every interval reverses orientation,
     so the multiplicity vector is reversed and negated; j is unchanged.
     """
-    return GradingElement(x.j, tuple(-a for a in reversed(x.alpha)))
+    return GradingElement.from_j4(x.j4, tuple(-a for a in reversed(x.alpha)))
 
 
 @dataclass(frozen=True)
@@ -166,38 +196,20 @@ class RefinementData:
         return self.psi[key]
 
 
-def _refinement_chords(pmc: PointedMatchedCircle, t: frozenset[int]) -> list[ReebChord]:
-    ordered = sorted(t)
-    chords = []
-    for i, ti in enumerate(ordered, start=1):
-        if i != ti:
-            chords.append(ReebChord(pmc.minus_point(i), pmc.minus_point(ti)))
-    return chords
-
-
-def _gr_of_chords(pmc: PointedMatchedCircle, chords) -> GradingElement:
-    """gr' of the chords-only strands diagram (homngeneity makes completions agree)."""
-    if not chords:
-        return identity_grading(pmc.num_points)
-    strands = sorted((c.start, c.end) for c in chords)
-    S = tuple(s for s, _ in strands)
-    phi = tuple(t for _, t in strands)
-    g = StrandsGenerator(pmc.num_points, S, tuple(sorted(phi)), phi)
-    return gr_prime_generator(g)
-
-
 @lru_cache(maxsize=None)
 def default_refinement(pmc: PointedMatchedCircle) -> RefinementData:
-    """s0 = {1..k}; psi(t) = gr'(a(rho^t)) for each k-element pair set t."""
-    import itertools
-
+    """s0 = {1..k}; psi(t) = gr'(a(rho^t)) for each k-element pair set t,
+    taken on the chords alone (homogeneity makes all completions agree)."""
     k = pmc.genus
-    base = frozenset(range(1, k + 1))
     psi = {}
     for t in itertools.combinations(range(1, 2 * k + 1), k):
-        t = frozenset(t)
-        psi[t] = _gr_of_chords(pmc, _refinement_chords(pmc, t))
-    return RefinementData(base, psi)
+        strands = sorted((pmc.minus_point(i), pmc.minus_point(ti))
+                         for i, ti in enumerate(t, start=1) if i != ti)
+        S = tuple(s for s, _ in strands)
+        phi = tuple(e for _, e in strands)
+        g = StrandsGenerator(pmc.num_points, S, tuple(sorted(phi)), phi)
+        psi[frozenset(t)] = gr_prime_generator(g)
+    return RefinementData(frozenset(range(1, k + 1)), psi)
 
 
 def reverse_refinement(pmc: PointedMatchedCircle, ref: RefinementData) -> RefinementData:
@@ -215,52 +227,26 @@ def refine(x: GradingElement, t1, t2, ref: RefinementData) -> GradingElement:
 
 @lru_cache(maxsize=None)
 def _pair_chord_data(pmc: PointedMatchedCircle):
-    """Interval vectors of the matched-pair chords and the deltas L(rho_i, rho_j)."""
+    """Pair-chord endpoints (lo_i, hi_i) and integer linkings L(rho_i, rho_j)."""
     n = pmc.num_points
-    k2 = 2 * pmc.genus
-    vectors = []
-    for i in range(1, k2 + 1):
-        lo, hi = pmc.points_of_pair(i)
-        vectors.append(chord_vector(n, ReebChord(lo, hi)))
-    delta = [[linking(vectors[i], vectors[j]) for j in range(k2)] for i in range(k2)]
-    for row in delta:
-        for v in row:
-            assert v.denominator == 1, "pair-chord linkings must be integers"
-    return tuple(vectors), tuple(tuple(int(v) for v in row) for row in delta)
+    ends = tuple(pmc.points_of_pair(i) for i in range(1, 2 * pmc.genus + 1))
+    vectors = [chord_vector(n, ReebChord(lo, hi)) for lo, hi in ends]
+    link2 = [[_link2(u, v) for v in vectors] for u in vectors]
+    if any(v % 2 for row in link2 for v in row):
+        raise NotIntegral(f"pair-chord linkings {link2} must be integers")
+    return ends, tuple(tuple(v // 2 for v in row) for row in link2)
 
 
 def h_coordinates(pmc: PointedMatchedCircle, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """Write alpha as an integer combination of the pair-chord classes."""
-    vectors, _ = _pair_chord_data(pmc)
-    cols = len(vectors)
-    rows = len(alpha)
-    # Exact Gaussian elimination on the (rows x cols) system.
-    mat = [[Fraction(vectors[j][i]) for j in range(cols)] + [Fraction(alpha[i])]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [v / mat[r][c] for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if mat[i][cols] != 0:
-            raise NotInGZ(f"alpha={alpha} is not in the span of pair chords")
-    h = [0] * cols
-    for idx, c in enumerate(pivots):
-        val = mat[idx][cols]
-        if val.denominator != 1:
-            raise NotInGZ(f"alpha={alpha} needs fractional coefficients")
-        h[c] = int(val)
-    return tuple(h)
+    if len(alpha) != pmc.num_points - 1:
+        raise ValueError(f"alpha={alpha} does not live on {pmc.num_points} points")
+    ends, _ = _pair_chord_data(pmc)
+    padded = (0,) + tuple(alpha) + (0,)
+    h = tuple(padded[lo] - padded[lo - 1] for lo, _ in ends)
+    if any(padded[hi] - padded[hi - 1] != -c for c, (_, hi) in zip(h, ends)):
+        raise NotInGZ(f"alpha={alpha} is not in the span of pair chords")
+    return h
 
 
 def f_s(x: GradingElement, pmc: PointedMatchedCircle, s0=None) -> int:
@@ -269,26 +255,37 @@ def f_s(x: GradingElement, pmc: PointedMatchedCircle, s0=None) -> int:
     f(j; h) = j - (1/2) sum_{i in s} h_i + (1/2) sum_{i not in s} h_i
               + sum_{i<j} h_i h_j delta_{ij},  reduced mod 2.
     """
-    if s0 is None:
-        s0 = frozenset(range(1, pmc.genus + 1))
+    s0 = frozenset(range(1, pmc.genus + 1)) if s0 is None else s0
     h = h_coordinates(pmc, x.alpha)
     _, delta = _pair_chord_data(pmc)
-    total = Fraction(x.j)
-    for i, hi in enumerate(h, start=1):
-        total += Fraction(hi, 2) * (1 if i not in s0 else -1)
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            total += h[i] * h[j] * delta[i][j]
-    assert total.denominator == 1, f"f_s({x}) is not an integer"
-    return int(total) % 2
+    total4 = x.j4
+    for i, hi in enumerate(h):
+        total4 += -2 * hi if i + 1 in s0 else 2 * hi
+        total4 += 4 * hi * sum(h[j] * delta[i][j] for j in range(i + 1, len(h)))
+    if total4 % 4:
+        raise NotIntegral(f"f_s({x}) is not an integer")
+    return (total4 // 4) % 2
+
+
+@lru_cache(maxsize=None)
+def _m_table(pmc: PointedMatchedCircle) -> dict[AlgebraElement, int]:
+    """m under the default refinement of every element computed so far."""
+    return {}
 
 
 def m_of(x: AlgebraElement, pmc: PointedMatchedCircle,
          ref: RefinementData | None = None) -> int:
-    """m(a) = f(gr(a)) for a homogeneous middle-summand element."""
-    if ref is None:
-        ref = default_refinement(pmc)
-    s, t = left_right_pairs(pmc, x)
-    if len(s) != pmc.genus or len(t) != pmc.genus:
-        raise NotMiddleSummand(f"idempotent weights {len(s)}, {len(t)}")
-    return f_s(refine(gr_prime(x), s, t, ref), pmc, ref.base)
+    """m(a) = f(gr(a)) for a homogeneous middle-summand element.
+
+    Under the default refinement each element is computed once per circle;
+    an element that raises is never stored, so it raises on every call.
+    """
+    default = default_refinement(pmc)
+    table = _m_table(pmc) if ref is None or ref is default else {}
+    if x not in table:
+        ref = ref or default
+        s, t = left_right_pairs(pmc, x)
+        if len(s) != pmc.genus or len(t) != pmc.genus:
+            raise NotMiddleSummand(f"idempotent weights {len(s)}, {len(t)}")
+        table[x] = f_s(refine(gr_prime(x), s, t, ref), pmc, ref.base)
+    return table[x]

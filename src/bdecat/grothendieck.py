@@ -200,17 +200,22 @@ def basis_class(genus: int, s, poly: LaurentHalf | None = None) -> ExteriorClass
     return ExteriorClass(genus, {frozenset(s): poly or LaurentHalf.one()})
 
 
+def _signed_monomial(gen) -> tuple[int, int]:
+    """(doubled exponent, sign) of one generator's term (-1)^m t^a."""
+    if gen.m is None:
+        raise MissingGrading(f"generator {gen.name} has no Z/2 grading")
+    return _to_doubled(gen.a if gen.a is not None else 0), -1 if gen.m % 2 else 1
+
+
 def class_of(module) -> ExteriorClass:
     """[M] = sum over generators of (-1)^m t^a a_{idempotent}."""
-    genus = module.pmc.genus
-    out = ExteriorClass(genus, {})
+    acc: dict[frozenset, dict[int, int]] = {}
     for gen in module.generators.values():
-        if gen.m is None:
-            raise MissingGrading(f"generator {gen.name} has no Z/2 grading")
-        a = gen.a if gen.a is not None else Fraction(0)
-        sign = -1 if gen.m % 2 else 1
-        out = out + basis_class(genus, gen.idempotent, LaurentHalf.monomial(a, sign))
-    return out
+        e, sign = _signed_monomial(gen)
+        coeffs = acc.setdefault(gen.idempotent, {})
+        coeffs[e] = coeffs.get(e, 0) + sign
+    return ExteriorClass(module.pmc.genus,
+                         {s: LaurentHalf.from_dict(d) for s, d in acc.items()})
 
 
 def pair(x: ExteriorClass, y: ExteriorClass) -> LaurentHalf:
@@ -226,10 +231,8 @@ def pair(x: ExteriorClass, y: ExteriorClass) -> LaurentHalf:
 
 def euler_of_complex(complex_) -> LaurentHalf:
     """chi = sum over generators of (-1)^m t^a."""
-    total = LaurentHalf.zero()
+    acc: dict[int, int] = {}
     for gen in complex_.generators.values():
-        if gen.m is None:
-            raise MissingGrading(f"generator {gen.name} has no Z/2 grading")
-        a = gen.a if gen.a is not None else Fraction(0)
-        total = total + LaurentHalf.monomial(a, -1 if gen.m % 2 else 1)
-    return total
+        e, sign = _signed_monomial(gen)
+        acc[e] = acc.get(e, 0) + sign
+    return LaurentHalf.from_dict(acc)

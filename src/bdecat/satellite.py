@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfk2cfd import CFKComplex, IOTA0, IOTA1, build_cfd, verify_a1
-from .dmodules import AInfModule
+from .dmodules import AInfModule, TypeDStructure
 from .grothendieck import (LaurentHalf, NormalizedPolynomial, class_of,
                            normalize_symmetric, pair, substitute)
 
@@ -39,18 +39,26 @@ def decompose(pc: PatternClass) -> tuple[LaurentHalf, LaurentHalf]:
     return cls.coefficient(IOTA0), cls.coefficient(IOTA1)
 
 
-def satellite_polynomial(pc: PatternClass, cfk: CFKComplex) -> NormalizedPolynomial:
-    """[CFA(pattern)] . [CFD(complement), winding], symmetrized."""
-    cfd = build_cfd(cfk)
+def satellite_polynomial(pc: PatternClass, cfk: CFKComplex,
+                         cfd: TypeDStructure | None = None) -> NormalizedPolynomial:
+    """[CFA(pattern)] . [CFD(complement), winding], symmetrized.
+
+    cfd, when given, is build_cfd(cfk) already built and checked.
+    """
+    if cfd is None:
+        cfd = build_cfd(cfk)
     raw = pair(class_of(pc.cfa), substitute(class_of(cfd), pc.winding))
     return normalize_symmetric(raw)
 
 
-def check_satellite_formula(pc: PatternClass, cfk: CFKComplex) -> NormalizedPolynomial:
+def check_satellite_formula(pc: PatternClass, cfk: CFKComplex,
+                            cfd: TypeDStructure | None = None) -> NormalizedPolynomial:
     """Assert Delta_{U_C}(t) * Delta_K(t^k) equals the pairing; return it."""
-    lhs = satellite_polynomial(pc, cfk)
+    if cfd is None:
+        cfd = build_cfd(cfk)
+    lhs = satellite_polynomial(pc, cfk, cfd)
     q, _ = decompose(pc)
-    delta_k = verify_a1(build_cfd(cfk), cfk)
+    delta_k = verify_a1(cfd, cfk)
     rhs = normalize_symmetric(q * substitute(delta_k, pc.winding))
     if lhs != rhs:
         raise FormulaMismatch(f"pairing {lhs} != Q(t)*Delta(t^k) {rhs}")

@@ -12,29 +12,25 @@ import random
 import time
 
 from . import strands
-from .grading import (GradingElement, default_refinement, f_s, gmul, gpow,
-                      gr_prime, h_coordinates, lam, m_of, multiplicity, refine,
-                      _pair_chord_data)
+from .grading import (GradingElement, NotInGZ, _odd_jumps, _pair_chord_data,
+                      default_refinement, f_s, gmul, gpow, gr_prime, lam, m_of)
 from .pmc import split_pmc, torus_pmc
 from .strands import basis_of_AZ, differential, multiply
 
 
 def _random_gz_element(pmc, rng) -> GradingElement:
-    from fractions import Fraction
-
-    vectors, _ = _pair_chord_data(pmc)
-    n1 = pmc.num_points - 1
-    alpha = [0] * n1
-    for vec in vectors:
+    ends, _ = _pair_chord_data(pmc)
+    alpha = [0] * (pmc.num_points - 1)
+    for lo, hi in ends:
         c = rng.randint(-2, 2)
-        alpha = [a + c * v for a, v in zip(alpha, vec)]
+        for i in range(lo, hi):
+            alpha[i - 1] += c
     alpha = tuple(alpha)
-    half_pts = sum(1 for p in range(1, n1 + 2)
-                   if multiplicity(alpha, p).denominator == 2)
-    # j must equal (#half-integer points)/4 mod 1, and lands in (1/2)Z
-    frac = Fraction(half_pts, 4) % 1
-    assert frac in (Fraction(0), Fraction(1, 2)), "alpha not in G(Z)"
-    return GradingElement(frac + rng.randint(-3, 3), alpha)
+    # 4j must equal the number of half-integer points mod 4, and j lands in (1/2)Z
+    half_pts = _odd_jumps(alpha)
+    if half_pts % 2:
+        raise NotInGZ(f"alpha={alpha} is not in G(Z)")
+    return GradingElement.from_j4(half_pts % 4 + 4 * rng.randint(-3, 3), alpha)
 
 
 def run_selfcheck(verbose: bool = True, seed: int = 0,

@@ -1,5 +1,9 @@
 import json
 
+import bdecat.cfk2cfd as cfk2cfd
+import bdecat.cli as cli
+import bdecat.satellite as satellite
+from bdecat import serialize
 from bdecat.cli import run
 from tests.conftest import fixture_path
 
@@ -112,3 +116,30 @@ def test_exit_codes_deterministic(capsys):
     second = invoke(capsys, "satellite", fixture_path("cfa_core"),
                     fixture_path("cfk_figure8"), "--json")
     assert first == second
+
+
+def test_satellite_builds_the_cfd_once(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_cfd(cfk):
+        builds.append(cfk)
+        return cfk2cfd.build_cfd(cfk)
+
+    monkeypatch.setattr(cli, "build_cfd", counting_build_cfd)
+    monkeypatch.setattr(satellite, "build_cfd", counting_build_cfd)
+    code, out, _ = invoke(capsys, "satellite", fixture_path("cfa_trefoil_pattern"),
+                          fixture_path("cfk_figure8"), "--json")
+    assert code == 0
+    assert len(builds) == 1
+    poly = [["-2", -1], ["-1", 4], ["0", -5], ["1", 4], ["2", -1]]
+    assert out == serialize.dumps({
+        "Delta_K": [["-1", -1], ["0", 3], ["1", -1]],
+        "P": [],
+        "Q": [["-1", 1], ["0", -1], ["1", 1]],
+        "normalization": "symmetric representative with q(1) >= 0",
+        "pairing": poly,
+        "satellite": poly,
+        "symmetric": True,
+        "verdict": "OK",
+        "winding": 1,
+    })

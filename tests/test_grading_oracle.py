@@ -1,0 +1,99 @@
+"""The integer grading core against the Fraction reference in grading_oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bdecat import grading
+from bdecat.grading import (GradingElement, NotHomogeneous, NotInGZ,
+                            NotMiddleSummand, f_s, ginv, gmul, gr_prime,
+                            h_coordinates, m_of)
+from bdecat.pmc import split_pmc
+from bdecat.selfcheck import _random_gz_element
+from bdecat.strands import basis_of_AZ, element, idempotent, left_right_pairs
+from tests import grading_oracle as oracle
+
+
+def _as_pair(x: GradingElement):
+    return (x.j, x.alpha)
+
+
+@pytest.fixture(scope="module")
+def split3():
+    return split_pmc(3)
+
+
+def test_gr_prime_and_m_match_oracle_on_every_basis_element(torus, split2):
+    for pmc in (torus, split2):
+        for el in basis_of_AZ(pmc, 0):
+            assert _as_pair(gr_prime(el)) == oracle.gr_prime(el)
+            assert m_of(el, pmc) == oracle.m_of(el, pmc)
+
+
+def test_h_coordinates_match_oracle_in_and_out_of_span(torus, split2, split3):
+    for pmc in (torus, split2, split3):
+        rng = random.Random(pmc.num_points)
+        vectors = oracle.pair_chord_vectors(pmc)
+        n1 = pmc.num_points - 1
+        inside = outside = 0
+        for trial in range(400):
+            if trial % 2:
+                h = [rng.randint(-3, 3) for _ in vectors]
+                alpha = tuple(sum(c * v[p] for c, v in zip(h, vectors))
+                              for p in range(n1))
+            else:
+                alpha = tuple(rng.randint(-2, 2) for _ in range(n1))
+            try:
+                want = oracle.h_coordinates(pmc, alpha)
+            except NotInGZ:
+                outside += 1
+                with pytest.raises(NotInGZ):
+                    h_coordinates(pmc, alpha)
+            else:
+                inside += 1
+                assert h_coordinates(pmc, alpha) == want
+        assert inside >= 200 and outside >= 150
+
+
+def test_group_law_and_f_match_oracle_on_gz_pairs(torus, split2, split3):
+    for pmc in (torus, split2, split3):
+        rng = random.Random(7 * pmc.num_points)
+        for _ in range(300):
+            x = _random_gz_element(pmc, rng)
+            y = _random_gz_element(pmc, rng)
+            assert _as_pair(gmul(x, y)) == oracle.gmul(_as_pair(x), _as_pair(y))
+            assert _as_pair(ginv(x)) == oracle.ginv(_as_pair(x))
+            assert f_s(x, pmc) == oracle.f_s(_as_pair(x), pmc)
+
+
+def test_group_law_matches_oracle_off_gz():
+    rng = random.Random(3)
+    for _ in range(300):
+        alphas = [tuple(rng.randint(-3, 3) for _ in range(7)) for _ in range(2)]
+        x, y = (GradingElement(Fraction(grading._odd_jumps(a), 4)
+                               + rng.randint(-2, 2), a) for a in alphas)
+        assert _as_pair(gmul(x, y)) == oracle.gmul(_as_pair(x), _as_pair(y))
+        assert _as_pair(ginv(x)) == oracle.ginv(_as_pair(x))
+        assert grading.linking(*alphas) == oracle.linking(*alphas)
+
+
+def test_m_table_reads_what_a_direct_computation_gives(torus, split2):
+    for pmc in (torus, split2):
+        fresh = grading.RefinementData(grading.default_refinement(pmc).base,
+                                       dict(grading.default_refinement(pmc).psi))
+        for el in basis_of_AZ(pmc, 0):
+            assert m_of(el, pmc) == m_of(el, pmc, fresh)
+
+
+def test_m_raises_on_every_call_for_rejected_elements(torus):
+    top = element([idempotent(4, {1, 2})])
+    basis = basis_of_AZ(torus, 0)
+    mixed = next(a + b for a in basis for b in basis
+                 if a != b and left_right_pairs(torus, a) == left_right_pairs(torus, b)
+                 and gr_prime(a) != gr_prime(b))
+    for _ in range(2):
+        with pytest.raises(NotMiddleSummand):
+            m_of(top, torus)
+        with pytest.raises(NotHomogeneous):
+            m_of(mixed, torus)
