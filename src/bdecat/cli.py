@@ -19,7 +19,8 @@ from .dmodules import box_tensor, check_ainf, check_type_d, is_bounded
 from .grading import default_refinement, gr_prime, m_of
 from .grothendieck import class_of, euler_of_complex, normalize_symmetric, pair, substitute
 from .pmc import NAMED_PMCS, PointedMatchedCircle
-from .satellite import FormulaMismatch, check_satellite_formula, decompose
+from .satellite import (FormulaMismatch, PatternClass, check_satellite_formula,
+                        decompose)
 from .strands import basis_of_AZ, left_right_pairs
 from .torus import check_bigrading
 
@@ -29,7 +30,7 @@ VERIFY_FAIL = (Mismatch, A2NonZero, FormulaMismatch, TheoremViolation)
 def _load_pmc(spec: str) -> PointedMatchedCircle:
     if spec in NAMED_PMCS:
         return NAMED_PMCS[spec]()
-    return serialize.pmc_from_json(serialize.load_file(spec))
+    return serialize.read(spec, "pmc")[1]
 
 
 def cmd_algebra(args) -> int:
@@ -66,18 +67,8 @@ def cmd_algebra(args) -> int:
     return 0
 
 
-def _load_module(path: str):
-    data = serialize.load_file(path)
-    kind = serialize.sniff_kind(data)
-    if kind == "typed":
-        return "typed", serialize.type_d_from_json(data)
-    if kind == "pattern":
-        return "ainf", serialize.pattern_from_json(data).cfa
-    raise serialize.FixtureError(f"{path}: expected a module fixture")
-
-
 def cmd_k0(args) -> int:
-    kind, module = _load_module(args.module)
+    kind, module = serialize.read(args.module, "typed", "ainf")
     if kind == "typed":
         check_type_d(module)
     else:
@@ -92,8 +83,8 @@ def cmd_k0(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    pc = serialize.pattern_from_json(serialize.load_file(args.cfa))
-    N = serialize.type_d_from_json(serialize.load_file(args.cfd))
+    _, pc = serialize.read(args.cfa, "pattern")
+    _, N = serialize.read(args.cfd, "typed")
     check_ainf(pc.cfa)
     check_type_d(N)
     w = args.weight if args.weight is not None else 1
@@ -119,7 +110,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_cfd_from_cfk(args) -> int:
-    cfk = serialize.cfk_from_json(serialize.load_file(args.cfk))
+    _, cfk = serialize.read(args.cfk, "cfk")
     cfd = build_cfd(cfk)
     delta_a1 = verify_a1(cfd, cfk)
     verify_a2_zero(cfd)
@@ -141,10 +132,10 @@ def cmd_cfd_from_cfk(args) -> int:
 
 
 def cmd_satellite(args) -> int:
-    pc = serialize.pattern_from_json(serialize.load_file(args.cfa))
-    cfk = serialize.cfk_from_json(serialize.load_file(args.cfk))
+    _, pc = serialize.read(args.cfa, "pattern")
+    _, cfk = serialize.read(args.cfk, "cfk")
     if args.winding is not None:
-        pc.winding = args.winding
+        pc = PatternClass(pc.cfa, args.winding)
     check_ainf(pc.cfa)
     q, p = decompose(pc)
     cfd = build_cfd(cfk)
@@ -177,7 +168,7 @@ def cmd_satellite(args) -> int:
 
 
 def cmd_diagram_kernel(args) -> int:
-    d = serialize.diagram_from_json(serialize.load_file(args.diagram))
+    _, d = serialize.read(args.diagram, "diagram")
     hk = verify_cfdker(d)
     cls = cfd_class_from_determinants(d)
     enum = enumerated_class(d)
@@ -235,9 +226,7 @@ def cmd_check(args) -> int:
         print("check: need a fixture file, --selftest, or --sign-report",
               file=sys.stderr)
         return 2
-    data = serialize.load_file(args.fixture)
-    kind = args.kind or serialize.sniff_kind(data)
-    obj = serialize.KIND_LOADERS[kind](data)
+    kind, obj = serialize.read(args.fixture, *([args.kind] if args.kind else []))
     if kind == "typed":
         check_type_d(obj)
         if obj.pmc == NAMED_PMCS["torus"]() and args.framing is not None:
@@ -256,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bdecat",
         description="decategorified bordered Heegaard Floer invariants")
-    ap.add_argument("--parallel", action="store_true",
-                    help="accepted for compatibility; evaluation is sequential")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="basis and gradings of A(Z, i)")

@@ -213,6 +213,8 @@ class BorderedDiagram:
 
     def __post_init__(self):
         k = self.pmc.genus
+        if self.genus < k:
+            raise ValueError(f"genus {self.genus} is below the boundary genus {k}")
         if self.alpha_circles != self.genus - k:
             raise ValueError(
                 f"need g - k = {self.genus - k} alpha-circles, "
@@ -369,13 +371,11 @@ def _swapped_matrix(d: BorderedDiagram) -> list[list[int]]:
 def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
     """Rank defect, |H_1(Y, dY)|, and the top wedge of ker(H_1(F) -> H_1(Y))."""
     g, k = d.genus, d.k
-    mprime = _swapped_matrix(d)
-    top = [row[:] for row in mprime[: g - k]]
-    rank = sum(1 for v in smith_normal_form(top) if v) if top else 0
-    b1 = (g - k) - rank
+    reduced, pivots = column_echelon(_swapped_matrix(d), g - k)
+    # one pivot per independent row of the top block, so its rank
+    b1 = (g - k) - len(pivots)
     if b1 > 0:
         return HomologyKernel(b1, None, ExteriorClass(k, {}))
-    reduced, pivots = column_echelon(mprime, g - k)
     free_cols = [c for c in range(g) if c not in pivots]
     order = 1
     for r, c in enumerate(pivots):

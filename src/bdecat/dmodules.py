@@ -38,10 +38,6 @@ class AInfRelationFails(ValueError):
     pass
 
 
-class BothUnbounded(ValueError):
-    pass
-
-
 class PmcMismatch(ValueError):
     pass
 

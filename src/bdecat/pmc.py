@@ -14,7 +14,6 @@ be connected of genus k.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -26,9 +25,8 @@ class DisconnectedSurgery(ValueError):
     """Oriented surgery on the matched pairs yields more than one circle."""
 
 
-def max_points() -> int:
-    """Size guard for combinatorial enumeration, settable via environment."""
-    return int(os.environ.get("BDECAT_MAX_POINTS", "12"))
+# Size guard for the combinatorial enumerations: genus 3 at most.
+MAX_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,8 @@ def validate(pmc: PointedMatchedCircle) -> None:
     n = len(pmc.matching)
     if n == 0 or n % 4 != 0:
         raise MalformedMatching(f"need 4k points, got {n}")
-    if n > max_points():
-        raise MalformedMatching(
-            f"{n} points exceeds BDECAT_MAX_POINTS={max_points()}")
+    if n > MAX_POINTS:
+        raise MalformedMatching(f"{n} points exceeds the {MAX_POINTS}-point cap")
     k2 = n // 2
     counts = {}
     for v in pmc.matching:
@@ -126,10 +123,6 @@ def validate(pmc: PointedMatchedCircle) -> None:
             arc = succ(arc)
     if circles != 1:
         raise DisconnectedSurgery(f"surgery yields {circles} circles")
-
-
-def genus(pmc: PointedMatchedCircle) -> int:
-    return pmc.genus
 
 
 def reverse(pmc: PointedMatchedCircle) -> PointedMatchedCircle:

@@ -19,8 +19,9 @@ from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
 from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
 from .grothendieck import ExteriorClass, LaurentHalf
-from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord, torus_pmc
+from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
+from .torus import torus_algebra
 
 
 class FixtureError(ValueError):
@@ -60,23 +61,25 @@ def pmc_to_json(pmc: PointedMatchedCircle) -> dict:
     return {"matching": list(pmc.matching)}
 
 
-_CHORD_EXPR = re.compile(r"rho\(([0-9,; ]+)\)")
-_TORUS_NAMES = ("iota0", "iota1", "rho1", "rho2", "rho3",
-                "rho12", "rho23", "rho123")
+_CHORD_EXPR = re.compile(r"rho\((.*)\)")
+_CHORD = re.compile(r" *([0-9]+) *, *([0-9]+) *")
 
 
 def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
-                      left: frozenset[int], right: frozenset[int]):
-    """Resolve a coefficient expression between two idempotents."""
+                      left: frozenset[int], right: frozenset[int] | None = None):
+    """Resolve a coefficient expression between two idempotents.
+
+    With right None the expression must fix the right idempotent from left,
+    as each input of an A-infinity operation does along its chain.
+    """
+    if not isinstance(expr, str):
+        raise FixtureError(f"coefficient must be a string, got {expr!r}")
     expr = expr.strip()
     if expr == "1":
-        if left != right:
-            raise FixtureError("'1' coefficient needs equal idempotents")
-        return strands.pair_idempotent(pmc, left)
-    if expr in _TORUS_NAMES:
-        if pmc != torus_pmc():
+        el = strands.pair_idempotent(pmc, left)
+    elif expr in torus_algebra().elements:
+        if pmc != torus_algebra().pmc:
             raise FixtureError(f"named element {expr} needs the torus pmc")
-        from .torus import torus_algebra
         el = torus_algebra().elements[expr]
     else:
         m = _CHORD_EXPR.fullmatch(expr)
@@ -84,11 +87,19 @@ def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
             raise FixtureError(f"cannot parse coefficient {expr!r}")
         chords = []
         for part in m.group(1).split(";"):
-            nums = [int(v) for v in part.replace(" ", "").split(",") if v]
-            if len(nums) != 2:
+            ends = _CHORD.fullmatch(part)
+            if not ends:
                 raise FixtureError(f"bad chord {part!r} in {expr!r}")
-            chords.append(ReebChord(nums[0], nums[1]))
+            chords.append(ReebChord(int(ends[1]), int(ends[2])))
         el = strands.a_of(pmc, chords, 0)
+    if right is None:
+        rights = {frozenset(pmc.pair_of(p) for p in g.T)
+                  for g in el.terms
+                  if frozenset(pmc.pair_of(p) for p in g.S) == left}
+        if len(rights) != 1:
+            raise FixtureError(
+                f"operation input {expr!r} incompatible with idempotent chain")
+        right = next(iter(rights))
     pinched = strands.pinch(pmc, left, el, right)
     if not pinched:
         raise FixtureError(
@@ -99,8 +110,7 @@ def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
 def dump_coefficient(pmc: PointedMatchedCircle, coeff) -> str:
     if all(g.is_idempotent() for g in coeff.terms):
         return "1"
-    if pmc == torus_pmc():
-        from .torus import torus_algebra
+    if pmc == torus_algebra().pmc:
         name = torus_algebra().name_of(coeff)
         if name is not None:
             return name
@@ -111,11 +121,18 @@ def dump_coefficient(pmc: PointedMatchedCircle, coeff) -> str:
     return f"rho({spec})"
 
 
+def _name(value) -> str:
+    """Generator names are strings, so dumps can sort them."""
+    if not isinstance(value, str):
+        raise FixtureError(f"generator name must be a string, got {value!r}")
+    return value
+
+
 def _generators_from_json(items):
     gens = []
     for item in items:
         a = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
-        gens.append(ModuleGenerator(item["name"], frozenset(item["idem"]),
+        gens.append(ModuleGenerator(_name(item["name"]), frozenset(item["idem"]),
                                     int(item["m"]), a))
     return gens
 
@@ -163,42 +180,11 @@ def ainf_from_json(data) -> AInfModule:
         algs = []
         left = by_name[x].idempotent
         for expr in entry.get("algs", []):
-            el = _op_input(pmc, expr, left)
+            el = parse_coefficient(pmc, expr, left)
             algs.append(el)
             _, left = strands.left_right_pairs(pmc, el)
         ops.append((x, algs, y))
     return AInfModule(pmc, gens, ops)
-
-
-def _op_input(pmc, expr, left):
-    """Resolve an operation input whose left idempotent the chain determines."""
-    expr = expr.strip()
-    if expr in _TORUS_NAMES:
-        if pmc != torus_pmc():
-            raise FixtureError(f"named element {expr} needs the torus pmc")
-        from .torus import torus_algebra
-        el = torus_algebra().elements[expr]
-    else:
-        m = _CHORD_EXPR.fullmatch(expr)
-        if not m:
-            raise FixtureError(f"cannot parse operation input {expr!r}")
-        chords = []
-        for part in m.group(1).split(";"):
-            nums = [int(v) for v in part.replace(" ", "").split(",") if v]
-            chords.append(ReebChord(nums[0], nums[1]))
-        el = strands.a_of(pmc, chords, 0)
-        rights = {frozenset(pmc.pair_of(p) for p in g.T)
-                  for g in el.terms
-                  if frozenset(pmc.pair_of(p) for p in g.S) == left}
-        if len(rights) != 1:
-            raise FixtureError(
-                f"operation input {expr!r} incompatible with idempotent chain")
-        el = strands.pinch(pmc, left, el, next(iter(rights)))
-    s, _ = strands.left_right_pairs(pmc, el)
-    if s != left:
-        raise FixtureError(f"operation input {expr!r} has left idempotent "
-                           f"{set(s)}, expected {set(left)}")
-    return el
 
 
 def ainf_to_json(M: AInfModule) -> dict:
@@ -226,7 +212,7 @@ def pattern_to_json(pc: PatternClass) -> dict:
 
 
 def cfk_from_json(data) -> CFKComplex:
-    gens = [CFKGenerator(g["name"], int(g["maslov"]), int(g["alexander"]))
+    gens = [CFKGenerator(_name(g["name"]), int(g["maslov"]), int(g["alexander"]))
             for g in data["generators"]]
     def arrows(key):
         return [Arrow(a["src"], a["dst"], int(a["length"]))
@@ -310,3 +296,31 @@ def sniff_kind(data) -> str:
         if "matching" in data:
             return "pmc"
     raise FixtureError("cannot determine fixture kind")
+
+
+# An A-infinity module file has the pattern format without the winding.
+_FORMAT_OF_KIND = {"ainf": "pattern"}
+
+
+def read(path: str, *kinds: str):
+    """Load the fixture at path as (kind, object); kinds are the accepted
+    kinds, all of them when none are given.
+
+    A file of another kind, or one whose shape the loader cannot walk,
+    raises FixtureError naming the file.
+    """
+    data = load_file(path)
+    try:
+        found = sniff_kind(data)
+    except FixtureError as exc:
+        raise FixtureError(f"{path}: {exc}") from None
+    kind = next((k for k in kinds if _FORMAT_OF_KIND.get(k, k) == found),
+                None) if kinds else found
+    if kind is None:
+        raise FixtureError(
+            f"{path}: expected a {' or '.join(kinds)} fixture, found {found}")
+    try:
+        return kind, KIND_LOADERS[kind](data)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise FixtureError(f"{path}: malformed {kind} fixture "
+                           f"({type(exc).__name__}: {exc})") from exc

@@ -17,9 +17,7 @@ def fixture_path(name: str) -> str:
 
 
 def load_fixture(name: str):
-    data = serialize.load_file(fixture_path(name))
-    kind = serialize.sniff_kind(data)
-    return serialize.KIND_LOADERS[kind](data)
+    return serialize.read(fixture_path(name))[1]
 
 
 @pytest.fixture(scope="session")

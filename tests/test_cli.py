@@ -99,6 +99,15 @@ def test_verification_failure_exit_code(capsys, tmp_path):
     assert "verification failed" in err
 
 
+def _fixture_with(tmp_path, name, edit):
+    """A copy of a shipped fixture with edit applied to its parsed JSON."""
+    data = serialize.load_file(fixture_path(name))
+    data = edit(data) or data
+    path = tmp_path / f"{name}_edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     code, _, err = invoke(capsys, "k0", str(tmp_path / "missing.json"))
     assert code == 2
@@ -108,6 +117,34 @@ def test_input_error_exit_codes(capsys, tmp_path):
     assert code == 2
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 2
+
+    triangle, trefoil = fixture_path("typed_triangle"), fixture_path("cfk_trefoil_right")
+    cases = [
+        ["pair", triangle, triangle],
+        ["check", _fixture_with(tmp_path, "cfa_with_ops",
+                                lambda d: d["ops"][0].update(algs=["rho(1)"]))],
+        ["check", "--kind", "cfk", _fixture_with(tmp_path, "cfk_unknot",
+                                                 lambda d: [d])],
+        ["cfd-from-cfk", _fixture_with(tmp_path, "cfk_figure8",
+                                       lambda d: d.update(generators=5))],
+        ["k0", _fixture_with(tmp_path, "typed_triangle",
+                             lambda d: d["generators"][0].update(idem=5))],
+        ["k0", _fixture_with(tmp_path, "cfa_core",
+                             lambda d: d["generators"][0].update(m=None))],
+        ["satellite", fixture_path("cfa_core"), trefoil, "--winding", "-1"],
+        # generator "b" renamed to the integer 3 everywhere
+        ["cfd-from-cfk", "--json", _fixture_with(
+            tmp_path, "cfk_trefoil_right",
+            lambda d: json.loads(json.dumps(d).replace('"b"', "3")))],
+        # a bordered diagram of genus below its boundary's
+        ["diagram-kernel", _fixture_with(
+            tmp_path, "diag_solid_torus",
+            lambda d: d.update(genus=0, alpha_circles=-1, points=[]))],
+    ]
+    for argv in cases:
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_exit_codes_deterministic(capsys):

@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdecat.pmc import (DisconnectedSurgery, MalformedMatching,
-                        PointedMatchedCircle, genus, reverse, split_pmc,
-                        torus_pmc, validate)
+                        PointedMatchedCircle, reverse, split_pmc, torus_pmc,
+                        validate)
 
 
 def test_torus_is_valid():
     pmc = torus_pmc()
     assert pmc.matching == (1, 2, 1, 2)
-    assert genus(pmc) == 1
+    assert pmc.genus == 1
 
 
 def test_split_genus2_is_valid():
     pmc = split_pmc(2)
     assert pmc.matching == (1, 2, 1, 2, 3, 4, 3, 4)
-    assert genus(pmc) == 2
+    assert pmc.genus == 2
 
 
 def test_split_genus3():
-    assert genus(split_pmc(3)) == 3
+    assert split_pmc(3).genus == 3
 
 
 def test_nested_matching_disconnects():
@@ -90,12 +90,10 @@ def test_reverse_is_involution_and_preserves_validity(rnd):
 
 def test_pair_count_matches_genus():
     for pmc in (torus_pmc(), split_pmc(2), split_pmc(3)):
-        assert len(set(pmc.matching)) == 2 * genus(pmc)
+        assert len(set(pmc.matching)) == 2 * pmc.genus
 
 
-def test_max_points_guard(monkeypatch):
-    monkeypatch.setenv("BDECAT_MAX_POINTS", "8")
+def test_max_points_guard():
     with pytest.raises(MalformedMatching):
-        split_pmc(3)
-    monkeypatch.setenv("BDECAT_MAX_POINTS", "12")
+        split_pmc(4)
     split_pmc(3)

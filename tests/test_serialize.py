@@ -64,6 +64,24 @@ def test_coefficient_expressions(torus):
         ser.parse_coefficient(torus, "rho(2,3)", left, right)
     with pytest.raises(ser.FixtureError):
         ser.parse_coefficient(torus, "sigma(1,2)", left, right)
+    # an operation input: the chain fixes the right idempotent
+    assert ser.parse_coefficient(torus, "rho(1,2)", left) == named
+    assert ser.parse_coefficient(torus, "rho1", left) == named
+    for bad in ("rho(1)", "rho(1,,2)", "rho(1,2,3)", "rho()", None):
+        with pytest.raises(ser.FixtureError):
+            ser.parse_coefficient(torus, bad, left, right)
+        with pytest.raises(ser.FixtureError):
+            ser.parse_coefficient(torus, bad, left)
+
+
+def test_read_checks_the_kind():
+    triangle = fixture_path("typed_triangle")
+    assert ser.read(triangle, "typed", "ainf")[0] == "typed"
+    kind, module = ser.read(fixture_path("cfa_core"), "typed", "ainf")
+    assert kind == "ainf" and module.ops == []
+    with pytest.raises(ser.FixtureError,
+                       match="typed_triangle.json: expected a pattern fixture, found typed"):
+        ser.read(triangle, "pattern")
 
 
 def test_sniff_kind():
