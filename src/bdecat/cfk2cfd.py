@@ -28,7 +28,6 @@ the arrow's direction on the (U, A) plot of the input complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dmodules import ModuleGenerator, TypeDStructure, check_type_d
 from .grothendieck import (LaurentHalf, class_of, normalize_symmetric)
@@ -105,11 +104,11 @@ class CFKComplex:
         return untouched[0]
 
     def euler(self) -> LaurentHalf:
-        total = LaurentHalf.zero()
+        acc: dict[int, int] = {}
         for g in self.generators:
-            total = total + LaurentHalf.monomial(
-                g.alexander, -1 if g.maslov % 2 else 1)
-        return total
+            e = 2 * g.alexander
+            acc[e] = acc.get(e, 0) + (-1 if g.maslov % 2 else 1)
+        return LaurentHalf.from_dict(acc)
 
 
 IOTA0 = frozenset({1})
@@ -124,8 +123,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     gens: list[ModuleGenerator] = []
     delta: list[tuple] = []
     for g in cfk.generators:
-        gens.append(ModuleGenerator(g.name, IOTA0, g.maslov % 2,
-                                    Fraction(g.alexander)))
+        gens.append(ModuleGenerator.from_a2(g.name, IOTA0, g.maslov,
+                                            2 * g.alexander))
 
     def require(cond, msg):
         if not cond:
@@ -140,9 +139,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         v = []
         for j in range(1, ar.length + 1):
             name = f"v[{ar.src}>{ar.dst}]{j}"
-            gens.append(ModuleGenerator(
-                name, IOTA1, (x.maslov + 1) % 2,
-                Fraction(x.alexander) + Fraction(1, 2) - j))
+            gens.append(ModuleGenerator.from_a2(
+                name, IOTA1, x.maslov + 1, 2 * x.alexander + 1 - 2 * j))
             v.append(name)
         delta.append((ar.src, rho["rho1"], v[0]))
         for j in range(ar.length - 1):
@@ -158,9 +156,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         h = []
         for j in range(1, ar.length + 1):
             name = f"h[{ar.src}>{ar.dst}]{j}"
-            gens.append(ModuleGenerator(
-                name, IOTA1, (x.maslov + 1) % 2,
-                Fraction(x.alexander) - Fraction(1, 2) + j))
+            gens.append(ModuleGenerator.from_a2(
+                name, IOTA1, x.maslov + 1, 2 * x.alexander - 1 + 2 * j))
             h.append(name)
         delta.append((ar.src, rho["rho3"], h[0]))
         for j in range(ar.length - 1):
@@ -178,9 +175,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         u = []
         for j in range(1, 2 * cfk.tau + 1):
             name = f"u{j}"
-            gens.append(ModuleGenerator(
-                name, IOTA1, (xv.maslov + 1) % 2,
-                Fraction(xv.alexander) + Fraction(1, 2) - j))
+            gens.append(ModuleGenerator.from_a2(
+                name, IOTA1, xv.maslov + 1, 2 * xv.alexander + 1 - 2 * j))
             u.append(name)
         delta.append((cfk.xi_v, rho["rho1"], u[0]))
         for j in range(2 * cfk.tau - 1):
@@ -190,9 +186,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         u = []
         for j in range(1, -2 * cfk.tau + 1):
             name = f"u{j}"
-            gens.append(ModuleGenerator(
-                name, IOTA1, xv.maslov % 2,
-                Fraction(xv.alexander) - Fraction(1, 2) + j))
+            gens.append(ModuleGenerator.from_a2(
+                name, IOTA1, xv.maslov, 2 * xv.alexander - 1 + 2 * j))
             u.append(name)
         delta.append((cfk.xi_v, rho["rho123"], u[0]))
         for j in range(-2 * cfk.tau - 1):
@@ -216,15 +211,8 @@ def verify_a1(cfd: TypeDStructure, cfk: CFKComplex) -> LaurentHalf:
 
 
 def verify_a2_zero(cfd: TypeDStructure) -> None:
-    """The a2 component vanishes with per-exponent m balance among iota1."""
+    """The a2 component vanishes: exponent by exponent, the iota1 generators
+    with even m balance those with odd m."""
     component = class_of(cfd).coefficient(IOTA1)
     if component:
         raise A2NonZero(f"a2 component is {component}")
-    census: dict[Fraction, list[int]] = {}
-    for g in cfd.generators.values():
-        if g.idempotent == IOTA1:
-            census.setdefault(g.a, [0, 0])[g.m] += 1
-    for a, (even, odd) in sorted(census.items()):
-        if even != odd:
-            raise A2NonZero(
-                f"iota1 generators at a={a}: {even} with m=0, {odd} with m=1")

@@ -22,7 +22,7 @@ from .pmc import NAMED_PMCS, PointedMatchedCircle
 from .satellite import (FormulaMismatch, PatternClass, check_satellite_formula,
                         decompose)
 from .strands import basis_of_AZ, left_right_pairs
-from .torus import check_bigrading
+from .torus import check_bigrading, check_cfa_weights
 
 VERIFY_FAIL = (Mismatch, A2NonZero, FormulaMismatch, TheoremViolation)
 
@@ -229,10 +229,12 @@ def cmd_check(args) -> int:
     kind, obj = serialize.read(args.fixture, *([args.kind] if args.kind else []))
     if kind == "typed":
         check_type_d(obj)
-        if obj.pmc == NAMED_PMCS["torus"]() and args.framing is not None:
+        if obj.pmc == NAMED_PMCS["torus"]():
             check_bigrading(obj, args.framing)
     elif kind in ("ainf", "pattern"):
         check_ainf(obj.cfa if kind == "pattern" else obj)
+        if kind == "pattern" and obj.cfa.pmc == NAMED_PMCS["torus"]():
+            check_cfa_weights(obj.cfa, obj.winding)
     elif kind == "cfk":
         build_cfd(obj)
     elif kind == "diagram":
@@ -293,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture", nargs="?")
     p.add_argument("--kind", choices=sorted(serialize.KIND_LOADERS))
     p.add_argument("--framing", type=int, default=0,
-                   help="framing for torus bigrading checks")
+                   help="framing at which every torus type D fixture has its "
+                        "bigrading checked")
     p.add_argument("--selftest", action="store_true",
                    help="exhaustive algebra checks on the torus and split genus-2 circles")
     p.add_argument("--sign-report", action="store_true",

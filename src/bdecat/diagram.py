@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .grothendieck import ExteriorClass, LaurentHalf, basis_class
+from .grothendieck import ExteriorClass, class_from_terms
 from .pmc import PointedMatchedCircle
 
 
@@ -319,21 +319,16 @@ def deleted_matrix(d: BorderedDiagram, s) -> list[list[int]]:
 
 def cfd_class_from_determinants(d: BorderedDiagram) -> ExteriorClass:
     """Coefficient of a_s is det of M(H) with the s arc rows deleted."""
-    out = ExteriorClass(d.k, {})
-    for s in itertools.combinations(range(1, 2 * d.k + 1), d.k):
-        c = det_int(deleted_matrix(d, set(s)))
-        if c:
-            out = out + basis_class(d.k, s, LaurentHalf.monomial(0, c))
-    return out
+    return class_from_terms(d.k, (
+        (s, 0, det_int(deleted_matrix(d, set(s))))
+        for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
 
 
 def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
     """[CFD(H)]: signed generator count per unoccupied arc set."""
-    out = ExteriorClass(d.k, {})
-    for g in enumerate_generators(d):
-        unoccupied = frozenset(range(1, 2 * d.k + 1)) - g.occupied
-        out = out + basis_class(d.k, unoccupied, LaurentHalf.monomial(0, g.sign))
-    return out
+    arcs = frozenset(range(1, 2 * d.k + 1))
+    return class_from_terms(d.k, ((arcs - g.occupied, 0, g.sign)
+                                  for g in enumerate_generators(d)))
 
 
 def duality_sign(d: BorderedDiagram, s) -> int:
@@ -384,10 +379,9 @@ def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
     if len(free_cols) == k:
         a_block = [[reduced[g - k + r][c] for c in free_cols]
                    for r in range(2 * k)]
-        for s in itertools.combinations(range(1, 2 * k + 1), k):
-            minor = det_int([a_block[i - 1] for i in s])
-            if minor:
-                wedge = wedge + basis_class(k, s, LaurentHalf.monomial(0, minor))
+        wedge = class_from_terms(k, (
+            (s, 0, det_int([a_block[i - 1] for i in s]))
+            for s in itertools.combinations(range(1, 2 * k + 1), k)))
     return HomologyKernel(0, order, wedge)
 
 

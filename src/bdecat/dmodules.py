@@ -3,10 +3,10 @@
 Both module types are finitely generated over the idempotent ring of a
 pointed matched circle.  Generators carry a k-element idempotent subset (the
 middle summand), a Z/2 grading m, and an optional half-integer Alexander
-grading a.  A type D structure records delta as a list of coefficient
-triples (src, algebra element, dst); an A-infinity module records the finite
-list of nonzero operations m_i(x, a_1, ..., a_{i-1}) = y with every a_j a
-basis element of A(Z, 0).
+grading a, stored as the integer a2 = 2a.  A type D structure records delta
+as a list of coefficient triples (src, algebra element, dst); an A-infinity
+module records the finite list of nonzero operations
+m_i(x, a_1, ..., a_{i-1}) = y with every a_j a basis element of A(Z, 0).
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -46,18 +46,37 @@ class Unbounded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuleGenerator:
+    """Generator (name, idempotent, m, a) stored with a2 = 2a, as GradingElement
+    stores 4j; `a` is the half-integer view at the JSON and test boundary."""
+
     name: str
     idempotent: frozenset[int]
     m: int
-    a: Fraction | None = None
+    a2: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "idempotent", frozenset(self.idempotent))
-        object.__setattr__(self, "m", self.m % 2)
-        if self.a is not None:
-            object.__setattr__(self, "a", Fraction(self.a))
+    def __init__(self, name, idempotent, m, a=None):
+        a2 = None if a is None else 2 * a
+        if a2 is not None and getattr(a2, "denominator", None) != 1:
+            raise ValueError(f"{name}: Alexander grading {a} is not a half-integer")
+        self._set(name, idempotent, m, a2)
+
+    @classmethod
+    def from_a2(cls, name, idempotent, m, a2: int | None) -> "ModuleGenerator":
+        g = object.__new__(cls)
+        g._set(name, idempotent, m, a2)
+        return g
+
+    def _set(self, name, idempotent, m, a2) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "idempotent", frozenset(idempotent))
+        object.__setattr__(self, "m", m % 2)
+        object.__setattr__(self, "a2", None if a2 is None else int(a2))
+
+    @property
+    def a(self) -> Fraction | None:
+        return None if self.a2 is None else Fraction(self.a2, 2)
 
 
 def _check_generators(pmc, generators):
@@ -178,7 +197,7 @@ class ChainComplex:
             raise ValueError(f"differential does not square to zero: {sorted(sq)}")
 
 
-def check_type_d(N: TypeDStructure, check_gradings: bool = True) -> None:
+def check_type_d(N: TypeDStructure) -> None:
     """Verify the structure equation and the coefficient grading relation."""
     dmap = N.delta_map()
     residual: dict[tuple[str, str], AlgebraElement] = {}
@@ -200,14 +219,13 @@ def check_type_d(N: TypeDStructure, check_gradings: bool = True) -> None:
             raise StructureEquationFails(
                 f"residual {elem} from {src} to {dst}")
 
-    if check_gradings:
-        for src, coeff, dst in N.delta:
-            mc = m_of(coeff, N.pmc)
-            ms, md = N.generators[src].m, N.generators[dst].m
-            if (ms - mc - md - 1) % 2 != 0:
-                raise GradingIncompatible(
-                    f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
-                    f"{(mc + md + 1) % 2}")
+    for src, coeff, dst in N.delta:
+        mc = m_of(coeff, N.pmc)
+        ms, md = N.generators[src].m, N.generators[dst].m
+        if (ms - mc - md - 1) % 2 != 0:
+            raise GradingIncompatible(
+                f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
+                f"{(mc + md + 1) % 2}")
 
 
 def is_bounded(N: TypeDStructure) -> bool:
@@ -319,14 +337,11 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
     for xm in M.generators.values():
         for yn in N.generators.values():
             if xm.idempotent == yn.idempotent:
-                a = None
-                if xm.a is not None or yn.a is not None:
-                    a = (xm.a or Fraction(0)) + weight * (yn.a or Fraction(0))
-                gens[(xm.name, yn.name)] = ModuleGenerator(
-                    name=f"{xm.name}*{yn.name}",
-                    idempotent=xm.idempotent,
-                    m=(xm.m + yn.m) % 2,
-                    a=a)
+                a2 = None
+                if xm.a2 is not None or yn.a2 is not None:
+                    a2 = (xm.a2 or 0) + weight * (yn.a2 or 0)
+                gens[(xm.name, yn.name)] = ModuleGenerator.from_a2(
+                    f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2)
 
     dmap = N.delta_map()
     diff: set[tuple] = set()

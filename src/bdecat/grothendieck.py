@@ -18,10 +18,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 
-class MissingGrading(ValueError):
-    """A generator lacks the Z/2 grading needed for its sign."""
-
-
 class GenusMismatch(ValueError):
     pass
 
@@ -200,22 +196,25 @@ def basis_class(genus: int, s, poly: LaurentHalf | None = None) -> ExteriorClass
     return ExteriorClass(genus, {frozenset(s): poly or LaurentHalf.one()})
 
 
+def class_from_terms(genus: int, terms) -> ExteriorClass:
+    """Sum (subset, doubled exponent, coefficient) terms into one class."""
+    acc: dict[frozenset, dict[int, int]] = {}
+    for s, e, c in terms:
+        coeffs = acc.setdefault(frozenset(s), {})
+        coeffs[e] = coeffs.get(e, 0) + c
+    return ExteriorClass(genus, {s: LaurentHalf.from_dict(d) for s, d in acc.items()})
+
+
 def _signed_monomial(gen) -> tuple[int, int]:
     """(doubled exponent, sign) of one generator's term (-1)^m t^a."""
-    if gen.m is None:
-        raise MissingGrading(f"generator {gen.name} has no Z/2 grading")
-    return _to_doubled(gen.a if gen.a is not None else 0), -1 if gen.m % 2 else 1
+    return gen.a2 or 0, -1 if gen.m % 2 else 1
 
 
 def class_of(module) -> ExteriorClass:
     """[M] = sum over generators of (-1)^m t^a a_{idempotent}."""
-    acc: dict[frozenset, dict[int, int]] = {}
-    for gen in module.generators.values():
-        e, sign = _signed_monomial(gen)
-        coeffs = acc.setdefault(gen.idempotent, {})
-        coeffs[e] = coeffs.get(e, 0) + sign
-    return ExteriorClass(module.pmc.genus,
-                         {s: LaurentHalf.from_dict(d) for s, d in acc.items()})
+    return class_from_terms(module.pmc.genus,
+                            ((gen.idempotent, *_signed_monomial(gen))
+                             for gen in module.generators.values()))
 
 
 def pair(x: ExteriorClass, y: ExteriorClass) -> LaurentHalf:

@@ -306,8 +306,8 @@ def read(path: str, *kinds: str):
     """Load the fixture at path as (kind, object); kinds are the accepted
     kinds, all of them when none are given.
 
-    A file of another kind, or one whose shape the loader cannot walk,
-    raises FixtureError naming the file.
+    A file of another kind, one whose shape the loader cannot walk, or one
+    whose values the loader rejects raises FixtureError naming the file.
     """
     data = load_file(path)
     try:
@@ -324,3 +324,5 @@ def read(path: str, *kinds: str):
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FixtureError(f"{path}: malformed {kind} fixture "
                            f"({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc

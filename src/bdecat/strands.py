@@ -112,11 +112,6 @@ class AlgebraElement:
             return "0"
         return " + ".join(str(g) for g in sorted(self.terms))
 
-    def strand_count(self) -> int | None:
-        for g in self.terms:
-            return len(g.S)
-        return None
-
 
 def zero(n: int) -> AlgebraElement:
     return AlgebraElement(n, frozenset())

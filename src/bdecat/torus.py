@@ -130,6 +130,7 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
     and m(x) = m(rho_I) + m(y) + 1 mod 2.
     """
     alg = torus_algebra()
+    drop2 = {name: int(2 * alexander_weight_cfd(r, n)) for name, r in INTERVALS.items()}
     for src, coeff, dst in N.delta:
         name = coefficient_name(coeff)
         gs, gd = N.generators[src], N.generators[dst]
@@ -137,26 +138,24 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
         if gs.m != want_m:
             raise BigradingViolation(
                 f"({src}, {name}, {dst}): m({src})={gs.m}, expected {want_m}")
-        if gs.a is None or gd.a is None:
+        if gs.a2 is None or gd.a2 is None:
             continue
-        want_da = alexander_weight_cfd(INTERVALS[name], n)
-        if gs.a - gd.a != want_da:
+        if gs.a2 - gd.a2 != drop2[name]:
             raise BigradingViolation(
-                f"({src}, {name}, {dst}): a drop {gs.a - gd.a}, expected {want_da}")
+                f"({src}, {name}, {dst}): a drop {gs.a - gd.a}, "
+                f"expected {Fraction(drop2[name], 2)}")
 
 
 def check_cfa_weights(M: AInfModule, p: int) -> None:
     """Hat-flavor operations never cross the second basepoint, so d = 0 and
     a(y) = a(x) + sum of -p (r2 + r3) over the inputs."""
-    alg = torus_algebra()
+    shift2 = {name: int(2 * alexander_weight_cfa(r, 0, p)) for name, r in INTERVALS.items()}
     for x, ids, y in M.ops:
         gx, gy = M.generators[x], M.generators[y]
-        if gx.a is None or gy.a is None:
+        if gx.a2 is None or gy.a2 is None:
             continue
-        total = Fraction(0)
-        for idx in ids:
-            name = coefficient_name(M.basis.elements[idx])
-            total += alexander_weight_cfa(INTERVALS[name], 0, p)
-        if gy.a != gx.a + total:
+        want2 = gx.a2 + sum(shift2[coefficient_name(M.basis.elements[idx])]
+                            for idx in ids)
+        if gy.a2 != want2:
             raise BigradingViolation(
-                f"op ({x}; ...; {y}): a({y})={gy.a}, expected {gx.a + total}")
+                f"op ({x}; ...; {y}): a({y})={gy.a}, expected {Fraction(want2, 2)}")

@@ -147,6 +147,34 @@ def test_input_error_exit_codes(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_loader_errors_name_the_file(capsys, tmp_path):
+    cfd = _fixture_with(tmp_path, "typed_triangle",
+                        lambda d: d["delta"][0].update(coeff="rho(1)"))
+    code, _, err = invoke(capsys, "pair", fixture_path("cfa_core"), cfd)
+    assert code == 2
+    assert err.startswith(f"error: {cfd}: bad chord '1'"), err
+
+
+def test_check_validates_pattern_alexander_weights(capsys, tmp_path):
+    bad = _fixture_with(tmp_path, "cfa_with_ops",
+                        lambda d: d["generators"][1].update(a="3/2"))
+    code, _, err = invoke(capsys, "check", bad)
+    assert code == 2
+    assert "a(u)=0, expected 1" in err
+
+
+def test_check_typed_bigrading_at_the_given_framing(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "cfd-from-cfk", fixture_path("cfk_trefoil_right"),
+                          "--json")
+    assert code == 0
+    cfd = tmp_path / "cfd.json"
+    cfd.write_text(out)
+    code, out, _ = invoke(capsys, "check", str(cfd), "--framing", "0")
+    assert code == 0 and "valid typed fixture" in out
+    code, _, err = invoke(capsys, "check", str(cfd), "--framing", "1")
+    assert code == 2 and "a drop" in err
+
+
 def test_exit_codes_deterministic(capsys):
     first = invoke(capsys, "satellite", fixture_path("cfa_core"),
                    fixture_path("cfk_figure8"), "--json")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,16 @@ def triangle():
 def test_triangle_passes(triangle):
     check_type_d(triangle)
     assert is_bounded(triangle)
+
+
+def test_alexander_grading_is_stored_doubled():
+    g = ModuleGenerator("x", {1}, 0, Fraction(-3, 2))
+    assert g.a2 == -3 and g.a == Fraction(-3, 2)
+    assert g == ModuleGenerator.from_a2("x", {1}, 0, -3)
+    assert ModuleGenerator("y", {1}, 1).a is None
+    for bad in (Fraction(1, 3), 0.5, "1/2"):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            ModuleGenerator("x", {1}, 0, bad)
 
 
 def test_rho12_self_loop_is_a_valid_unbounded_structure(talg, torus):
