@@ -36,10 +36,6 @@ class TheoremViolation(AssertionError):
     pass
 
 
-class BadIndex(IndexError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
 
@@ -422,18 +418,6 @@ def verify_cfdker(d: BorderedDiagram) -> HomologyKernel:
         f"[CFD] = {cls} is not +-{hk.order} * kernel wedge {hk.kernel_wedge}")
 
 
-def arc_slide_rows(matrix: list[list[int]], i: int, j: int,
-                   num_circles: int, subtract: bool = False) -> list[list[int]]:
-    """Row operation of sliding arc i over arc j: add row g-k+j to row g-k+i."""
-    rows = [row[:] for row in matrix]
-    ri, rj = num_circles + i - 1, num_circles + j - 1
-    if i == j or not (0 <= ri < len(rows) and 0 <= rj < len(rows)):
-        raise BadIndex(f"bad arc indices {i}, {j}")
-    sign = -1 if subtract else 1
-    rows[ri] = [a + sign * b for a, b in zip(rows[ri], rows[rj])]
-    return rows
-
-
 def az_sign_report(pmc: PointedMatchedCircle) -> dict:
     """Optional cross-check of the intersection-sign grading against m.
 
@@ -446,40 +430,31 @@ def az_sign_report(pmc: PointedMatchedCircle) -> dict:
     asserting a convention the combinatorial data cannot pin.
     """
     from .grading import m_of
-    from .strands import basis_of_AZ, differential, multiply
+    from .strands import AZBasis
 
-    basis = basis_of_AZ(pmc, 0)
-    sign = {el: (-1) ** m_of(el, pmc) for el in basis}
-    idempotents = {el for el in basis
-                   if all(g.is_idempotent() for g in el.terms)}
-    idempotents_positive = all(sign[el] == 1 for el in idempotents)
+    basis = AZBasis(pmc, 0)
+    els, products = basis.elements, basis.products
+    m = [m_of(el, pmc) for el in els]
+    idempotents = {i for i, el in enumerate(els) if all(g.is_idempotent() for g in el.terms)}
+    idempotents_positive = all(m[i] == 0 for i in idempotents)
+    differentials = {a: d for a, d in enumerate(basis.differentials) if d}
+    # (-1)^m is read on every summand of a product or a differential
+    failures = [("product", str(els[a]), str(els[b])) for (a, b), ab in products.items()
+                if any(m[r] != (m[a] + m[b]) % 2 for r in ab)]
+    failures += [("differential", str(els[a])) for a, d in differentials.items()
+                 if any(m[r] == m[a] for r in d)]
 
-    products = [(a, b, multiply(a, b)) for a in basis for b in basis
-                if multiply(a, b)]
-    differentials = [(a, differential(a)) for a in basis if differential(a)]
-    failures = []
-    for a, b, ab in products:
-        if (-1) ** m_of(ab, pmc) != sign[a] * sign[b]:
-            failures.append(("product", str(a), str(b)))
-    for a, d in differentials:
-        if (-1) ** m_of(d, pmc) != -sign[a]:
-            failures.append(("differential", str(a)))
-
-    # fixed-point closure of the elements whose sign the relations pin down
+    # fixed-point closure of the elements whose sign the relations pin down:
+    # a relation whose result is one basis element fixes its one unknown sign
     determined = set(idempotents)
-    single_products = [(a, b, ab) for a, b, ab in products if ab in sign]
-    single_diffs = [(a, d) for a, d in differentials if d in sign]
+    relations = [(a, b, ab[0]) for (a, b), ab in products.items() if len(ab) == 1]
+    relations += [(a, d[0]) for a, d in differentials.items() if len(d) == 1]
     changed = True
     while changed:
         changed = False
-        for a, b, ab in single_products:
-            known = sum(x in determined for x in (a, b, ab))
-            if known == 2:
-                determined.update({a, b, ab})
-                changed = True
-        for a, d in single_diffs:
-            if (a in determined) != (d in determined):
-                determined.update({a, d})
+        for rel in relations:
+            if sum(x in determined for x in rel) == len(rel) - 1:
+                determined.update(rel)
                 changed = True
     return {
         "basis_size": len(basis),

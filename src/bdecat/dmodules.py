@@ -281,33 +281,25 @@ def _candidate_tuples(M: AInfModule, length: int):
     for a, b in itertools.product(recorded, repeat=2):
         joint = a + b
         for start in range(max(0, len(joint) - length + 1)):
-            if start + length <= len(joint):
-                seen.add(joint[start:start + length])
+            seen.add(joint[start:start + length])
     yield from seen
 
 
 def check_ainf(M: AInfModule) -> None:
-    """Verify the A-infinity relations through max arity plus one."""
-    basis = M.basis
-    products: dict[tuple[int, int], tuple[int, ...]] = {}
-    differentials: dict[int, tuple[int, ...]] = {}
-    for i, el in enumerate(basis.elements):
-        d = differential(el)
-        differentials[i] = basis.decompose(d) if d else ()
-    for i, j in itertools.product(range(len(basis)), repeat=2):
-        p = multiply(basis.elements[i], basis.elements[j])
-        products[(i, j)] = basis.decompose(p) if p else ()
+    """Verify the A-infinity relations through arity max(2A - 1, A + 1).
 
-    max_n = M.max_arity() + 1
-    for n in range(1, max_n + 1):
+    A is the largest recorded arity: a composite m_i(m_j) with i, j <= A
+    reaches arity 2A - 1, and A + 1 covers the unit and product terms.
+    """
+    products, differentials = M.basis.products, M.basis.differentials
+    arity = M.max_arity()
+    for n in range(1, max(2 * arity - 1, arity + 1) + 1):
         for x in M.generators:
             for ids in _candidate_tuples(M, n - 1):
-                ids = tuple(ids)
                 total: set[str] = set()
                 # m_i(m_j(x, a_1..a_{j-1}), a_j..a_{n-1})
                 for j in range(1, n + 1):
-                    inner = M.eval_m(x, ids[:j - 1])
-                    for y in inner:
+                    for y in M.eval_m(x, ids[:j - 1]):
                         total ^= M.eval_m(y, ids[j - 1:])
                 # differentials of single inputs
                 for pos in range(n - 1):
@@ -315,9 +307,8 @@ def check_ainf(M: AInfModule) -> None:
                         total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 1:])
                 # products of adjacent inputs
                 for pos in range(n - 2):
-                    for rep in products[(ids[pos], ids[pos + 1])]:
-                        total ^= M.eval_m(
-                            x, ids[:pos] + (rep,) + ids[pos + 2:])
+                    for rep in products.get((ids[pos], ids[pos + 1]), ()):
+                        total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 2:])
                 if total:
                     raise AInfRelationFails(
                         f"arity {n} at x={x}, inputs {ids}: residual {sorted(total)}")

@@ -175,15 +175,6 @@ def gr_prime(x: AlgebraElement) -> GradingElement:
     return next(iter(grades))
 
 
-def reverse_grading(x: GradingElement) -> GradingElement:
-    """R(j; alpha): the map induced by the orientation-reversing identity.
-
-    Points relabel by p -> 4k+1-p, and every interval reverses orientation,
-    so the multiplicity vector is reversed and negated; j is unchanged.
-    """
-    return GradingElement.from_j4(x.j4, tuple(-a for a in reversed(x.alpha)))
-
-
 @dataclass(frozen=True)
 class RefinementData:
     base: frozenset[int]
@@ -210,14 +201,6 @@ def default_refinement(pmc: PointedMatchedCircle) -> RefinementData:
         g = StrandsGenerator(pmc.num_points, S, tuple(sorted(phi)), phi)
         psi[frozenset(t)] = gr_prime_generator(g)
     return RefinementData(frozenset(range(1, k + 1)), psi)
-
-
-def reverse_refinement(pmc: PointedMatchedCircle, ref: RefinementData) -> RefinementData:
-    """psi_{-Z}(t) = R(psi_Z([2k] \\ t))^{-1}, base [2k] \\ s0."""
-    k = pmc.genus
-    all_pairs = frozenset(range(1, 2 * k + 1))
-    psi = {all_pairs - t: ginv(reverse_grading(g)) for t, g in ref.psi.items()}
-    return RefinementData(all_pairs - ref.base, psi)
 
 
 def refine(x: GradingElement, t1, t2, ref: RefinementData) -> GradingElement:

@@ -193,7 +193,7 @@ class ExteriorClass:
 
 
 def basis_class(genus: int, s, poly: LaurentHalf | None = None) -> ExteriorClass:
-    return ExteriorClass(genus, {frozenset(s): poly or LaurentHalf.one()})
+    return ExteriorClass(genus, {frozenset(s): LaurentHalf.one() if poly is None else poly})
 
 
 def class_from_terms(genus: int, terms) -> ExteriorClass:

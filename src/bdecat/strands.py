@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .pmc import PointedMatchedCircle, ReebChord
 
@@ -180,14 +181,6 @@ def idempotent(n: int, S) -> StrandsGenerator:
     return StrandsGenerator(n, S, S, S)
 
 
-def generators_of_ank(n: int, k: int):
-    """Every generator of A(n, k): sources, targets, and upward bijections."""
-    for S in itertools.combinations(range(1, n + 1), k):
-        for images in itertools.permutations(range(1, n + 1), k):
-            if all(t >= s for s, t in zip(S, images)):
-                yield StrandsGenerator(n, S, tuple(sorted(images)), images)
-
-
 def _check_chords(rho) -> tuple[ReebChord, ...]:
     rho = tuple(sorted(rho))
     starts = [c.start for c in rho]
@@ -333,7 +326,8 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
 
 
 class AZBasis:
-    """Indexed basis of A(Z, i) with signature-based decomposition."""
+    """Indexed basis of A(Z, i) with signature-based decomposition, and its
+    product and differential tables by index, each built once on first use."""
 
     def __init__(self, pmc: PointedMatchedCircle, i: int = 0):
         self.pmc = pmc
@@ -362,3 +356,15 @@ class AZBasis:
             remaining -= el
             indices ^= {idx}
         return tuple(sorted(indices))
+
+    @cached_property
+    def products(self) -> MappingProxyType:
+        """(i, j) -> decompose(e_i e_j) for every pair with a nonzero product."""
+        pairs = itertools.product(enumerate(self.elements), repeat=2)
+        return MappingProxyType({(i, j): p for (i, a), (j, b) in pairs
+                                 if (p := self.decompose(multiply(a, b)))})
+
+    @cached_property
+    def differentials(self) -> tuple[tuple[int, ...], ...]:
+        """decompose(d e_i) for every index i; () where d e_i = 0."""
+        return tuple(self.decompose(differential(el)) for el in self.elements)

@@ -22,7 +22,7 @@ from . import strands
 from .dmodules import AInfModule, TypeDStructure
 from .grading import m_of
 from .pmc import ReebChord, torus_pmc
-from .strands import AlgebraElement, multiply
+from .strands import AlgebraElement, AZBasis
 
 
 class BigradingViolation(ValueError):
@@ -74,19 +74,19 @@ class TorusAlgebra:
         self._verify_table()
 
     def _verify_table(self):
-        names = [n for n in self.elements if n.startswith("rho")]
-        for a in names:
-            for b in names:
-                prod = multiply(self.elements[a], self.elements[b])
-                expected = _NONZERO_PRODUCTS.get((a, b))
-                got = self.names.get(prod) if prod else None
-                if got != expected:
-                    raise AssertionError(
-                        f"{a}*{b}: expected {expected}, strands gave {got}")
-        unit = self.elements["iota0"] + self.elements["iota1"]
-        for name, el in self.elements.items():
-            if multiply(unit, el) != el or multiply(el, unit) != el:
-                raise AssertionError(f"iota0+iota1 is not a unit on {name}")
+        """Read the named products off the strands table of A(Z, 0)."""
+        basis = AZBasis(self.pmc, 0)
+        names = {basis.decompose(el): name for name, el in self.elements.items()}
+        table = {(names[(i,)], names[(j,)]): names.get(p, p)
+                 for (i, j), p in basis.products.items()}
+        rho = {ab: c for ab, c in table.items() if "iota" not in ab[0] + ab[1]}
+        if rho != _NONZERO_PRODUCTS:
+            raise AssertionError(f"expected {_NONZERO_PRODUCTS}, strands gave {rho}")
+        for x in self.elements:
+            # iota0 + iota1 fixes x when exactly one of the two does
+            if {table.get((u, x)) for u in ("iota0", "iota1")} != {x, None} or \
+                    {table.get((x, u)) for u in ("iota0", "iota1")} != {x, None}:
+                raise AssertionError(f"iota0+iota1 is not a unit on {x}")
 
     def name_of(self, el: AlgebraElement) -> str | None:
         return self.names.get(el)

@@ -87,6 +87,24 @@ def test_check_fixture(capsys):
     assert "valid cfk fixture" in out
 
 
+def test_sign_report_values(capsys):
+    expected = {"torus": (8, 18, 0, 6), "split2": (238, 1917, 70, 232)}
+    for pmc, (size, products, differentials, gauge) in expected.items():
+        code, out, _ = invoke(capsys, "check", "--sign-report", "--pmc", pmc, "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "basis_size": size, "idempotents_positive": True,
+            "product_relations_checked": products,
+            "differential_relations_checked": differentials,
+            "relation_failures": [], "gauge_elements": gauge}
+
+
+def test_selftest_json_verdict(capsys):
+    code, out, _ = invoke(capsys, "check", "--selftest", "--json")
+    assert code == 0
+    assert json.loads(out) == {"failures": [], "verdict": "OK"}
+
+
 def test_verification_failure_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad_diagram.json"
     bad.write_text(json.dumps({

@@ -3,8 +3,7 @@ import random
 
 import pytest  # noqa: F401  (fixtures)
 
-from bdecat.diagram import (BadIndex, BorderedDiagram, DiagramPoint,
-                            TheoremViolation, arc_slide_rows,
+from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             cfd_class_from_determinants, column_echelon,
                             det_int, duality_sign, enumerate_generators,
                             enumerated_class, h1_rel_order_oracle,
@@ -12,6 +11,7 @@ from bdecat.diagram import (BadIndex, BorderedDiagram, DiagramPoint,
                             smith_normal_form, verify_cfdker)
 from bdecat.pmc import split_pmc, torus_pmc
 from tests.conftest import DIAGRAM_NAMES, load_fixture
+from tests.helpers import BadIndex, arc_slide_rows
 
 
 def arc(i, beta, sign=1, pid=0):

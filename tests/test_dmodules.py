@@ -148,6 +148,26 @@ def test_check_ainf_rejects_broken_square(talg, torus):
         check_ainf(M)
 
 
+def _chained_m3(talg, torus, ops):
+    """A torus module on x, y, z at idempotent {2} with m3 ops (rho2, rho1)."""
+    gens = [ModuleGenerator(g, {2}, 0, 0) for g in "xyz"]
+    rho = [talg.elements["rho2"], talg.elements["rho1"]]
+    return AInfModule(torus, gens, [(x, rho, y) for x, y in ops])
+
+
+def test_check_ainf_reaches_arity_2a_minus_1(talg, torus):
+    # m3(m3(x; rho2, rho1); rho2, rho1) = z is an arity-5 composite of two
+    # arity-3 operations; nothing cancels it, so the relation fails there
+    M = _chained_m3(talg, torus, [("x", "y"), ("y", "z")])
+    assert M.max_arity() == 3
+    with pytest.raises(AInfRelationFails, match=r"arity 5 .*residual \['z'\]"):
+        check_ainf(M)
+
+
+def test_check_ainf_accepts_a_single_m3(talg, torus):
+    check_ainf(_chained_m3(talg, torus, [("x", "y")]))
+
+
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):
     with pytest.raises(ValueError):
         AInfModule(torus, [ModuleGenerator("u", {1}, 0, 0)],

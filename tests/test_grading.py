@@ -8,12 +8,12 @@ from bdecat.grading import (GradingElement, NotInGZ, NotMiddleSummand,
                             boundary, chord_vector, default_refinement, f_s,
                             ginv, gmul, gpow, gr_prime, gr_prime_generator,
                             h_coordinates, identity_grading, lam, linking,
-                            m_of, multiplicity, refine, reverse_grading,
-                            reverse_refinement)
+                            m_of, multiplicity, refine)
 from bdecat.pmc import ReebChord
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import (a_of, basis_of_AZ, element, idempotent,
                             left_right_pairs, multiply, differential)
+from tests.helpers import reverse_refinement
 
 HALF = Fraction(1, 2)
 

@@ -93,6 +93,12 @@ def test_pair_orthonormality():
     assert pair(a1 + a12, a1) == LaurentHalf.one()
 
 
+def test_basis_class_with_zero_polynomial_is_zero():
+    cls = basis_class(1, {1}, LaurentHalf.zero())
+    assert not cls and str(cls) == "0"
+    assert basis_class(1, {1}).coefficient({1}) == LaurentHalf.one()
+
+
 def test_pair_genus_mismatch():
     with pytest.raises(GenusMismatch):
         pair(basis_class(1, {1}), basis_class(2, {1}))

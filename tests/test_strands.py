@@ -6,8 +6,9 @@ from bdecat.pmc import ReebChord
 from bdecat.strands import (AZBasis, EndpointClash,
                             StrandsGenerator, a0, a_of, basis_of_AZ,
                             chord_signature, differential, element,
-                            generators_of_ank, idempotent, left_right_pairs,
-                            multiply, pair_idempotent, zero)
+                            idempotent, left_right_pairs, multiply,
+                            pair_idempotent, zero)
+from tests.helpers import generators_of_ank
 
 
 def gen(n, strands):
@@ -116,15 +117,14 @@ def test_top_summand_contains_top_idempotent(torus, split2):
 def test_basis_closed_under_operations(torus, split2):
     for pmc in (torus, split2):
         basis = AZBasis(pmc, 0)
-        for el in basis.elements:
-            d = differential(el)
-            if d:
-                basis.decompose(d)  # raises if not in the span
-        for a in basis.elements:
-            for b in basis.elements:
-                p = multiply(a, b)
-                if p:
-                    basis.decompose(p)
+        for i, el in enumerate(basis.elements):
+            # decompose raises if the element is not in the span
+            assert basis.differentials[i] == basis.decompose(differential(el))
+        for i, a in enumerate(basis.elements):
+            for j, b in enumerate(basis.elements):
+                p = basis.decompose(multiply(a, b))
+                assert basis.products.get((i, j), ()) == p
+                assert ((i, j) in basis.products) == bool(p)
 
 
 def test_unique_idempotent_pair_per_basis_element(torus, split2):
