@@ -232,7 +232,9 @@ def cmd_check(args) -> int:
         if obj.pmc == NAMED_PMCS["torus"]():
             check_bigrading(obj, args.framing)
     elif kind in ("ainf", "pattern"):
-        check_ainf(obj.cfa if kind == "pattern" else obj)
+        for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
+            print(f"note: arity {n} A-infinity relations checked on {checked} of "
+                  f"{chained} idempotent-chained input tuples", file=sys.stderr)
         if kind == "pattern" and obj.cfa.pmc == NAMED_PMCS["torus"]():
             check_cfa_weights(obj.cfa, obj.winding)
     elif kind == "cfk":

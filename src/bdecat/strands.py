@@ -326,8 +326,9 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
 
 
 class AZBasis:
-    """Indexed basis of A(Z, i) with signature-based decomposition, and its
-    product and differential tables by index, each built once on first use."""
+    """Indexed basis of A(Z, i) with signature-based decomposition, the
+    idempotents of each element, and the product and differential tables by
+    index, each built once on first use."""
 
     def __init__(self, pmc: PointedMatchedCircle, i: int = 0):
         self.pmc = pmc
@@ -358,11 +359,32 @@ class AZBasis:
         return tuple(sorted(indices))
 
     @cached_property
+    def idempotents(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+        """The (left, right) pair sets of each element, by `left_right_pairs`."""
+        return tuple(left_right_pairs(self.pmc, el) for el in self.elements)
+
+    @cached_property
+    def by_left(self) -> MappingProxyType:
+        """Left pair set s -> the ascending indices of the elements in I(s) A."""
+        buckets: dict[frozenset[int], list[int]] = {}
+        for j, (s, _) in enumerate(self.idempotents):
+            buckets.setdefault(s, []).append(j)
+        return MappingProxyType({s: tuple(js) for s, js in buckets.items()})
+
+    @cached_property
     def products(self) -> MappingProxyType:
-        """(i, j) -> decompose(e_i e_j) for every pair with a nonzero product."""
-        pairs = itertools.product(enumerate(self.elements), repeat=2)
-        return MappingProxyType({(i, j): p for (i, a), (j, b) in pairs
-                                 if (p := self.decompose(multiply(a, b)))})
+        """(i, j) -> decompose(e_i e_j) for every pair with a nonzero product.
+
+        e_i e_j = 0 unless the right idempotent of e_i is the left idempotent
+        of e_j, so only those j are multiplied; i and j ascend as over all
+        pairs."""
+        els, by_left = self.elements, self.by_left
+        table = {}
+        for i, (a, (_, t)) in enumerate(zip(els, self.idempotents)):
+            for j in by_left.get(t, ()):
+                if p := self.decompose(multiply(a, els[j])):
+                    table[(i, j)] = p
+        return MappingProxyType(table)
 
     @cached_property
     def differentials(self) -> tuple[tuple[int, ...], ...]:

@@ -2,6 +2,7 @@ import json
 
 import bdecat.cfk2cfd as cfk2cfd
 import bdecat.cli as cli
+import bdecat.dmodules as dmodules
 import bdecat.satellite as satellite
 from bdecat import serialize
 from bdecat.cli import run
@@ -103,6 +104,19 @@ def test_selftest_json_verdict(capsys):
     code, out, _ = invoke(capsys, "check", "--selftest", "--json")
     assert code == 0
     assert json.loads(out) == {"failures": [], "verdict": "OK"}
+
+
+def test_check_notes_each_arity_checked_in_part(capsys, monkeypatch):
+    path = fixture_path("cfa_with_ops")
+    assert invoke(capsys, "check", path) == (0, f"{path}: valid pattern fixture\n", "")
+    monkeypatch.setattr(dmodules, "CANDIDATE_BOUND", 3)
+    code, out, err = invoke(capsys, "check", path)
+    assert (code, out) == (0, f"{path}: valid pattern fixture\n")
+    # u at {1} and w at {2} have 5 + 3 inputs at arity 2, and w's 3 are all
+    # listed; 19 + 11 at arity 3, where no window of the one op m2(w, rho2) chains
+    assert err.splitlines() == [
+        "note: arity 2 A-infinity relations checked on 3 of 8 idempotent-chained input tuples",
+        "note: arity 3 A-infinity relations checked on 0 of 30 idempotent-chained input tuples"]
 
 
 def test_verification_failure_exit_code(capsys, tmp_path):

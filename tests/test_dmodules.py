@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from bdecat import dmodules
 from bdecat.dmodules import (AInfModule, AInfRelationFails, ChainComplex,
                              GradingIncompatible, ModuleGenerator,
                              StructureEquationFails, TypeDStructure, Unbounded,
                              box_tensor, check_ainf, check_type_d, delta_k,
                              is_bounded)
 from bdecat.grothendieck import class_of, euler_of_complex, pair, substitute
+from bdecat.strands import AZBasis
 from tests.conftest import load_fixture, random_ainf, random_type_d
 
 
@@ -166,6 +168,46 @@ def test_check_ainf_reaches_arity_2a_minus_1(talg, torus):
 
 def test_check_ainf_accepts_a_single_m3(talg, torus):
     check_ainf(_chained_m3(talg, torus, [("x", "y")]))
+
+
+def test_check_ainf_reports_the_arities_it_checks_in_part(talg, torus, monkeypatch):
+    M = _chained_m3(talg, torus, [("x", "y")])
+    assert check_ainf(M) == []
+    monkeypatch.setattr(dmodules, "CANDIDATE_BOUND", 20)
+    partial = check_ainf(M)
+    # from {1}, 2 elements end at {1} and 3 at {2}; from {2}, 1 ends at {1}
+    # and 2 at {2}: 1, 3, 11, 41, 153 chains from {2}, where x, y, z sit
+    assert [(n, chained) for n, _, chained in partial] == [(4, 3 * 41), (5, 3 * 153)]
+    assert all(0 < checked < chained for _, checked, chained in partial)
+
+
+def _split2_m3(split2):
+    """x at {1, 2} with m3(x; a, b) = y, a and b the first non-idempotent
+    elements chaining from {1, 2}."""
+    basis = AZBasis(split2, 0)
+    moving = [i for i, el in enumerate(basis.elements)
+              if not all(g.is_idempotent() for g in el.terms)]
+    a = next(i for i in moving if basis.idempotents[i][0] == frozenset({1, 2}))
+    b = next(i for i in moving if basis.idempotents[i][0] == basis.idempotents[a][1])
+    gens = [ModuleGenerator("x", {1, 2}, 0, 0),
+            ModuleGenerator("y", basis.idempotents[b][1], 1, 0)]
+    return AInfModule(split2, gens, [("x", [basis.elements[a], basis.elements[b]], "y")])
+
+
+def test_candidate_tuples_walk_the_idempotent_buckets(split2):
+    M = _split2_m3(split2)
+    basis, start = M.basis, frozenset({1, 2})
+    # every chain from {1, 2} up to 100 000 of them, of 238^L tuples in all
+    for length, count in ((0, 1), (1, 103), (2, 2929), (3, 57079)):
+        tuples = list(dmodules._candidate_tuples(M, "x", length))
+        assert len(tuples) == count == dmodules._chain_count(basis, start, length)
+        assert tuples == sorted(set(tuples))
+        assert all(dmodules._is_chain(basis, start, ids) for ids in tuples)
+    # above the bound, the chained windows of the recorded op and its square
+    assert dmodules._chain_count(basis, start, 4) == 949473
+    (_, (a, b), _), = M.ops
+    assert list(dmodules._candidate_tuples(M, "x", 4)) == (
+        [(a, b, a, b)] if basis.idempotents[b][1] == start else [])
 
 
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):

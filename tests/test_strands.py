@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bdecat import strands
 from bdecat.pmc import ReebChord
 from bdecat.strands import (AZBasis, EndpointClash,
                             StrandsGenerator, a0, a_of, basis_of_AZ,
@@ -125,6 +126,38 @@ def test_basis_closed_under_operations(torus, split2):
                 p = basis.decompose(multiply(a, b))
                 assert basis.products.get((i, j), ()) == p
                 assert ((i, j) in basis.products) == bool(p)
+
+
+def test_basis_idempotents_are_left_right_pairs(torus, split2):
+    for pmc in (torus, split2):
+        basis = AZBasis(pmc, 0)
+        assert len(basis.idempotents) == len(basis)
+        for i, el in enumerate(basis.elements):
+            assert basis.idempotents[i] == left_right_pairs(pmc, el)
+            assert i in basis.by_left[basis.idempotents[i][0]]
+        assert all(list(js) == sorted(js) for js in basis.by_left.values())
+
+
+def test_bucketed_products_equal_the_all_pairs_build_in_order(torus, split2):
+    for pmc in (torus, split2):
+        basis = AZBasis(pmc, 0)
+        reference = [((i, j), p)
+                     for (i, a), (j, b) in itertools.product(enumerate(basis.elements), repeat=2)
+                     if (p := basis.decompose(multiply(a, b)))]
+        assert list(basis.products.items()) == reference
+
+
+def test_split2_table_multiplies_only_composable_pairs(split2, monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(strands, "multiply", counting)
+    basis = AZBasis(split2, 0)
+    assert len(basis.products) == 1917
+    assert len(calls) == 5286  # of 238 ** 2 = 56 644 pairs
 
 
 def test_unique_idempotent_pair_per_basis_element(torus, split2):
