@@ -203,11 +203,12 @@ def test_candidate_tuples_walk_the_idempotent_buckets(split2):
         assert len(tuples) == count == dmodules._chain_count(basis, start, length)
         assert tuples == sorted(set(tuples))
         assert all(dmodules._is_chain(basis, start, ids) for ids in tuples)
-    # above the bound, the chained windows of the recorded op and its square
+    # above the bound, the chained windows of the recorded op and its square;
+    # (a, b) leads from {1, 2} back to {1, 2}, so (a, b, a, b) is one
     assert dmodules._chain_count(basis, start, 4) == 949473
     (_, (a, b), _), = M.ops
-    assert list(dmodules._candidate_tuples(M, "x", 4)) == (
-        [(a, b, a, b)] if basis.idempotents[b][1] == start else [])
+    assert basis.idempotents[b][1] == start
+    assert list(dmodules._candidate_tuples(M, "x", 4)) == [(a, b, a, b)]
 
 
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):
