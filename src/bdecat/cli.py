@@ -21,7 +21,7 @@ from .grothendieck import class_of, euler_of_complex, normalize_symmetric, pair,
 from .pmc import NAMED_PMCS, PointedMatchedCircle
 from .satellite import (FormulaMismatch, PatternClass, check_satellite_formula,
                         decompose)
-from .strands import basis_of_AZ, left_right_pairs
+from .strands import az_basis
 from .torus import check_bigrading, check_cfa_weights
 
 VERIFY_FAIL = (Mismatch, A2NonZero, FormulaMismatch, TheoremViolation)
@@ -33,13 +33,19 @@ def _load_pmc(spec: str) -> PointedMatchedCircle:
     return serialize.read(spec, "pmc")[1]
 
 
+def _check_ainf(args, module) -> None:
+    """check_ainf; `run` prints a note per arity checked in part, after any failure."""
+    for n, checked, chained in check_ainf(module):
+        args.notes.append(f"note: arity {n} A-infinity relations checked on "
+                          f"{checked} of {chained} idempotent-chained input tuples")
+
+
 def cmd_algebra(args) -> int:
     pmc = _load_pmc(args.pmc)
-    basis = basis_of_AZ(pmc, args.summand)
+    basis = az_basis(pmc, args.summand)
     ref = default_refinement(pmc) if args.summand == 0 else None
     rows = []
-    for el in basis:
-        s, t = left_right_pairs(pmc, el)
+    for el, (s, t) in zip(basis.elements, basis.idempotents):
         row = {
             "element": str(el),
             "left": sorted(s),
@@ -72,7 +78,7 @@ def cmd_k0(args) -> int:
     if kind == "typed":
         check_type_d(module)
     else:
-        check_ainf(module)
+        _check_ainf(args, module)
     cls = class_of(module)
     if args.json:
         print(serialize.dumps({"kind": kind,
@@ -85,7 +91,7 @@ def cmd_k0(args) -> int:
 def cmd_pair(args) -> int:
     _, pc = serialize.read(args.cfa, "pattern")
     _, N = serialize.read(args.cfd, "typed")
-    check_ainf(pc.cfa)
+    _check_ainf(args, pc.cfa)
     check_type_d(N)
     w = args.weight if args.weight is not None else 1
     product = pair(class_of(pc.cfa), substitute(class_of(N), w))
@@ -123,8 +129,8 @@ def cmd_cfd_from_cfk(args) -> int:
     else:
         print(f"CFD has {len(cfd.generators)} generators "
               f"({sum(1 for g in cfd.generators.values() if g.idempotent == frozenset({1}))} iota0)")
-        for src, coeff, dst in cfd.delta:
-            print(f"  {src} --{serialize.dump_coefficient(cfd.pmc, coeff)}--> {dst}")
+        for src, ids, dst in cfd.delta:
+            print(f"  {src} --{serialize.dump_coefficient(cfd.basis, ids)}--> {dst}")
         print(f"[CFD] = {class_of(cfd)}")
         print(f"a1 component = Delta_K(t) = {delta_a1}   (a2 component = 0)")
         print(f"bounded: {is_bounded(cfd)}")
@@ -136,7 +142,7 @@ def cmd_satellite(args) -> int:
     _, cfk = serialize.read(args.cfk, "cfk")
     if args.winding is not None:
         pc = PatternClass(pc.cfa, args.winding)
-    check_ainf(pc.cfa)
+    _check_ainf(args, pc.cfa)
     q, p = decompose(pc)
     cfd = build_cfd(cfk)
     delta_k = verify_a1(cfd, cfk)
@@ -232,9 +238,7 @@ def cmd_check(args) -> int:
         if obj.pmc == NAMED_PMCS["torus"]():
             check_bigrading(obj, args.framing)
     elif kind in ("ainf", "pattern"):
-        for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
-            print(f"note: arity {n} A-infinity relations checked on {checked} of "
-                  f"{chained} idempotent-chained input tuples", file=sys.stderr)
+        _check_ainf(args, obj.cfa if kind == "pattern" else obj)
         if kind == "pattern" and obj.cfa.pmc == NAMED_PMCS["torus"]():
             check_cfa_weights(obj.cfa, obj.winding)
     elif kind == "cfk":
@@ -316,6 +320,7 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.notes = []
     try:
         return args.func(args)
     except VERIFY_FAIL as exc:
@@ -324,6 +329,9 @@ def run(argv) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for note in args.notes:
+            print(note, file=sys.stderr)
 
 
 def main() -> None:

@@ -430,13 +430,12 @@ def az_sign_report(pmc: PointedMatchedCircle) -> dict:
     asserting a convention the combinatorial data cannot pin.
     """
     from .grading import m_of
-    from .strands import AZBasis
+    from .strands import az_basis
 
-    basis = AZBasis(pmc, 0)
+    basis = az_basis(pmc)
     els, products = basis.elements, basis.products
     m = [m_of(el, pmc) for el in els]
-    idempotents = {i for i, el in enumerate(els) if all(g.is_idempotent() for g in el.terms)}
-    idempotents_positive = all(m[i] == 0 for i in idempotents)
+    idempotents_positive = all(m[i] == 0 for i in basis.idempotent_indices)
     differentials = {a: d for a, d in enumerate(basis.differentials) if d}
     # (-1)^m is read on every summand of a product or a differential
     failures = [("product", str(els[a]), str(els[b])) for (a, b), ab in products.items()
@@ -446,7 +445,7 @@ def az_sign_report(pmc: PointedMatchedCircle) -> dict:
 
     # fixed-point closure of the elements whose sign the relations pin down:
     # a relation whose result is one basis element fixes its one unknown sign
-    determined = set(idempotents)
+    determined = set(basis.idempotent_indices)
     relations = [(a, b, ab[0]) for (a, b), ab in products.items() if len(ab) == 1]
     relations += [(a, d[0]) for a, d in differentials.items() if len(d) == 1]
     changed = True

@@ -3,10 +3,11 @@
 Both module types are finitely generated over the idempotent ring of a
 pointed matched circle.  Generators carry a k-element idempotent subset (the
 middle summand), a Z/2 grading m, and an optional half-integer Alexander
-grading a, stored as the integer a2 = 2a.  A type D structure records delta
-as a list of coefficient triples (src, algebra element, dst); an A-infinity
-module records the finite list of nonzero operations
-m_i(x, a_1, ..., a_{i-1}) = y with every a_j a basis element of A(Z, 0).
+grading a, stored as the integer a2 = 2a.  Coefficients are indices into
+the basis `az_basis(pmc)` of A(Z, 0): a type D structure records delta as
+triples (src, index tuple, dst), the indices summing to the coefficient; an
+A-infinity module records its nonzero operations m_i(x, a_1, ..., a_{i-1}) = y
+with every a_j one index.  The checkers read that basis's tables by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -20,10 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import strands
 from .grading import m_of
 from .pmc import PointedMatchedCircle
-from .strands import AlgebraElement, AZBasis, multiply, differential, pinch
+from .strands import AZBasis, az_basis
 
 
 class StructureEquationFails(ValueError):
@@ -42,11 +42,7 @@ class PmcMismatch(ValueError):
     pass
 
 
-class Unbounded(ValueError):
-    pass
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ModuleGenerator:
     """Generator (name, idempotent, m, a) stored with a2 = 2a, as GradingElement
     stores 4j; `a` is the half-integer view at the JSON and test boundary."""
@@ -95,24 +91,28 @@ def _check_generators(pmc, generators):
 
 class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
-        """delta entries are (src_name, AlgebraElement, dst_name)."""
+        """delta entries are (src_name, AlgebraElement, dst_name); each is
+        stored as (src_name, basis indices of the coefficient, dst_name)."""
         self.pmc = pmc
         self.generators = _check_generators(pmc, generators)
+        self.basis = az_basis(pmc)
+        idempotents = self.basis.idempotents
+        ids_of = {}  # most structures repeat a few coefficients
         self.delta = []
         for src, coeff, dst in delta:
-            gs, gd = self.generators[src], self.generators[dst]
             if not coeff:
                 raise ValueError(f"zero coefficient on {src}->{dst}")
-            pinched = pinch(pmc, gs.idempotent, coeff, gd.idempotent)
-            if pinched != coeff:
+            ids = ids_of.get(coeff) or ids_of.setdefault(coeff, self.basis.decompose(coeff))
+            pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
+            if any(idempotents[i] != pair for i in ids):
                 raise ValueError(
                     f"coefficient on {src}->{dst} not compatible with idempotents")
-            self.delta.append((src, coeff, dst))
+            self.delta.append((src, ids, dst))
 
-    def delta_map(self) -> dict[str, list[tuple[AlgebraElement, str]]]:
+    def delta_map(self) -> dict[str, list[tuple[tuple[int, ...], str]]]:
         out: dict[str, list] = {name: [] for name in self.generators}
-        for src, coeff, dst in self.delta:
-            out[src].append((coeff, dst))
+        for src, ids, dst in self.delta:
+            out[src].append((ids, dst))
         return out
 
 
@@ -121,55 +121,47 @@ class AInfModule:
         """ops entries are (x_name, [AlgebraElement, ...], y_name) for m_i."""
         self.pmc = pmc
         self.generators = _check_generators(pmc, generators)
-        self.basis = AZBasis(pmc, 0)
+        self.basis = basis = az_basis(pmc)
         self.ops = []
         for x, algs, y in ops:
             gx, gy = self.generators[x], self.generators[y]
             ids = []
             left = gx.idempotent
             for a in algs:
-                s, t = strands.left_right_pairs(pmc, a)
-                if s != left:
-                    raise ValueError(f"op ({x}; ...) breaks idempotent chain")
-                decomp = self.basis.decompose(a)
+                decomp = basis.decompose(a)
                 if len(decomp) != 1:
                     raise ValueError("operation inputs must be single basis elements")
-                if all(g.is_idempotent() for g in a.terms):
+                s, t = basis.idempotents[decomp[0]]
+                if s != left:
+                    raise ValueError(f"op ({x}; ...) breaks idempotent chain")
+                if decomp[0] in basis.idempotent_indices:
                     raise ValueError("idempotent inputs are implicit, not stored")
                 ids.append(decomp[0])
                 left = t
             if left != gy.idempotent:
                 raise ValueError(f"op ({x}; ...; {y}) output idempotent mismatch")
             self.ops.append((x, tuple(ids), y))
-        self._table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
+        table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
         for x, ids, y in self.ops:
-            key = (x, ids)
-            self._table.setdefault(key, set())
-            self._table[key] ^= {y}
+            table.setdefault((x, ids), set()).symmetric_difference_update({y})
+        self._table = {key: frozenset(ys) for key, ys in table.items()}
 
     def max_arity(self) -> int:
         return max((len(ids) + 1 for _, ids, _ in self.ops), default=1)
 
-    def _is_idempotent_index(self, idx: int) -> frozenset[int] | None:
-        el = self.basis.elements[idx]
-        if all(g.is_idempotent() for g in el.terms):
-            s, _ = strands.left_right_pairs(self.pmc, el)
-            return s
-        return None
-
-    def eval_m(self, x: str, input_indices: tuple[int, ...]) -> set[str]:
+    def eval_m(self, x: str, input_indices: tuple[int, ...]) -> frozenset[str]:
         """m_{1+len(inputs)}(x, ...) as an F2 set of generator names.
 
         Unitality is built in: m_2(x, I(o(x))) = x, and higher operations
         with an idempotent input vanish.
         """
-        idem_positions = [self._is_idempotent_index(i) for i in input_indices]
-        if any(s is not None for s in idem_positions):
-            if len(input_indices) == 1:
-                s = idem_positions[0]
-                return {x} if s == self.generators[x].idempotent else set()
-            return set()
-        return set(self._table.get((x, input_indices), set()))
+        units = self.basis.idempotent_indices
+        if units.isdisjoint(input_indices):
+            return self._table.get((x, input_indices), frozenset())
+        if len(input_indices) == 1 and \
+                self.basis.idempotents[input_indices[0]][0] == self.generators[x].idempotent:
+            return frozenset((x,))
+        return frozenset()
 
 
 @dataclass
@@ -198,74 +190,51 @@ class ChainComplex:
 
 
 def check_type_d(N: TypeDStructure) -> None:
-    """Verify the structure equation and the coefficient grading relation."""
+    """Verify the structure equation, summed from the basis tables into one
+    F2 set of (src, dst, index), and the coefficient grading relation."""
+    basis = N.basis
+    products, differentials = basis.products, basis.differentials
     dmap = N.delta_map()
-    residual: dict[tuple[str, str], AlgebraElement] = {}
+    residual: set[tuple[str, str, int]] = set()
+    for src, ids, dst in N.delta:
+        for i in ids:
+            residual.symmetric_difference_update((src, dst, r) for r in differentials[i])
+            for ids2, dst2 in dmap[dst]:
+                for j in ids2:
+                    residual.symmetric_difference_update(
+                        (src, dst2, r) for r in products.get((i, j), ()))
+    if residual:
+        src, dst, r = min(residual)
+        raise StructureEquationFails(
+            f"residual with term {basis.elements[r]} from {src} to {dst}")
 
-    def add(key, elem):
-        cur = residual.get(key)
-        residual[key] = elem if cur is None else cur + elem
-
-    for src, coeff, dst in N.delta:
-        d = differential(coeff)
-        if d:
-            add((src, dst), d)
-        for coeff2, dst2 in dmap[dst]:
-            prod = multiply(coeff, coeff2)
-            if prod:
-                add((src, dst2), prod)
-    for (src, dst), elem in residual.items():
-        if elem:
-            raise StructureEquationFails(
-                f"residual {elem} from {src} to {dst}")
-
-    for src, coeff, dst in N.delta:
-        mc = m_of(coeff, N.pmc)
+    for src, ids, dst in N.delta:
         ms, md = N.generators[src].m, N.generators[dst].m
-        if (ms - mc - md - 1) % 2 != 0:
-            raise GradingIncompatible(
-                f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
-                f"{(mc + md + 1) % 2}")
+        for i in ids:
+            mc = m_of(basis.elements[i], N.pmc)
+            if (ms - mc - md - 1) % 2 != 0:
+                raise GradingIncompatible(
+                    f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
+                    f"{(mc + md + 1) % 2}")
 
 
 def is_bounded(N: TypeDStructure) -> bool:
-    """True iff the coefficient digraph is acyclic."""
-    adj: dict[str, set[str]] = {name: set() for name in N.generators}
+    """True iff the coefficient digraph is acyclic: Kahn's algorithm removes
+    generators with no incoming edge until none is left or a cycle is."""
+    adj: dict[str, list[str]] = {name: [] for name in N.generators}
+    indegree = dict.fromkeys(adj, 0)
     for src, _, dst in N.delta:
-        adj[src].add(dst)
-    state: dict[str, int] = {}
-
-    def visit(v) -> bool:
-        state[v] = 1
-        for w in adj[v]:
-            s = state.get(w, 0)
-            if s == 1 or (s == 0 and not visit(w)):
-                return False
-        state[v] = 2
-        return True
-
-    return all(visit(v) for v in N.generators if state.get(v, 0) == 0)
-
-
-def delta_k(N: TypeDStructure, x: str, k: int) -> set[tuple]:
-    """The k-fold iterate of delta as an F2 set of (g_1, ..., g_k, name) keys.
-
-    Keys spell algebra factors as strands generators, so cancellation is a
-    symmetric difference.  delta_0 is the identity.
-    """
-    if k > len(N.generators) and not is_bounded(N):
-        raise Unbounded(
-            f"iterating delta {k} times on an unbounded structure")
-    current: set[tuple] = {((), x)}
-    dmap = N.delta_map()
-    for _ in range(k):
-        nxt: set[tuple] = set()
-        for prefix, y in current:
-            for coeff, z in dmap[y]:
-                for g in coeff.terms:
-                    nxt ^= {(prefix + (g,), z)}
-        current = nxt
-    return current
+        adj[src].append(dst)
+        indegree[dst] += 1
+    ready = [v for v, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for w in adj[ready.pop()]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return removed == len(adj)
 
 
 CANDIDATE_BOUND = 100_000
@@ -405,8 +374,8 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
                 break
             nxt: set[tuple] = set()
             for ids, yend in chains:
-                for coeff, z in dmap[yend]:
-                    for b in M.basis.decompose(coeff):
+                for step, z in dmap[yend]:
+                    for b in step:
                         nxt ^= {(ids + (b,), z)}
             chains = nxt
 

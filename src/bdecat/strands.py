@@ -328,7 +328,7 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
 class AZBasis:
     """Indexed basis of A(Z, i) with signature-based decomposition, the
     idempotents of each element, and the product and differential tables by
-    index, each built once on first use."""
+    index, each built once on first use.  Modules store coefficients as indices."""
 
     def __init__(self, pmc: PointedMatchedCircle, i: int = 0):
         self.pmc = pmc
@@ -353,7 +353,7 @@ class AZBasis:
                 raise ValueError(f"term {g} is not in A(Z, {self.i})")
             el = self.elements[idx].terms
             if not el <= remaining:
-                raise ValueError(f"element is not in the span of A(Z, {self.i})")
+                raise ValueError(f"{x} is not in the span of A(Z, {self.i})")
             remaining -= el
             indices ^= {idx}
         return tuple(sorted(indices))
@@ -362,6 +362,12 @@ class AZBasis:
     def idempotents(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
         """The (left, right) pair sets of each element, by `left_right_pairs`."""
         return tuple(left_right_pairs(self.pmc, el) for el in self.elements)
+
+    @cached_property
+    def idempotent_indices(self) -> frozenset[int]:
+        """The indices of the idempotents I(s), the elements with no moving strand."""
+        return frozenset(i for i, el in enumerate(self.elements)
+                         if all(g.is_idempotent() for g in el.terms))
 
     @cached_property
     def by_left(self) -> MappingProxyType:
@@ -390,3 +396,9 @@ class AZBasis:
     def differentials(self) -> tuple[tuple[int, ...], ...]:
         """decompose(d e_i) for every index i; () where d e_i = 0."""
         return tuple(self.decompose(differential(el)) for el in self.elements)
+
+
+@lru_cache(maxsize=None)
+def az_basis(pmc: PointedMatchedCircle, i: int = 0) -> AZBasis:
+    """The AZBasis of A(Z, i) that modules share: one set of tables per circle."""
+    return AZBasis(pmc, i)

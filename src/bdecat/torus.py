@@ -22,7 +22,7 @@ from . import strands
 from .dmodules import AInfModule, TypeDStructure
 from .grading import m_of
 from .pmc import ReebChord, torus_pmc
-from .strands import AlgebraElement, AZBasis
+from .strands import AlgebraElement, az_basis
 
 
 class BigradingViolation(ValueError):
@@ -58,7 +58,7 @@ _NONZERO_PRODUCTS = {
 
 
 class TorusAlgebra:
-    """The eight named elements of A(Z(T^2), 0) with their m gradings."""
+    """The eight named elements of A(Z(T^2), 0), their m, and each basis index's name."""
 
     def __init__(self):
         self.pmc = torus_pmc()
@@ -68,17 +68,18 @@ class TorusAlgebra:
         }
         for name, chords in ELEMENT_CHORDS.items():
             self.elements[name] = strands.a_of(self.pmc, chords, 0)
-        self.names: dict[AlgebraElement, str] = {v: k for k, v in self.elements.items()}
+        self.basis = az_basis(self.pmc)
+        by_index = {self.basis.decompose(el): name for name, el in self.elements.items()}
+        self.names: tuple[str, ...] = tuple(by_index[(i,)] for i in range(len(self.basis)))
         self.m: dict[str, int] = {name: m_of(el, self.pmc)
                                   for name, el in self.elements.items()}
         self._verify_table()
 
     def _verify_table(self):
         """Read the named products off the strands table of A(Z, 0)."""
-        basis = AZBasis(self.pmc, 0)
-        names = {basis.decompose(el): name for name, el in self.elements.items()}
-        table = {(names[(i,)], names[(j,)]): names.get(p, p)
-                 for (i, j), p in basis.products.items()}
+        names = self.names
+        table = {(names[i], names[j]): names[p[0]] if len(p) == 1 else p
+                 for (i, j), p in self.basis.products.items()}
         rho = {ab: c for ab, c in table.items() if "iota" not in ab[0] + ab[1]}
         if rho != _NONZERO_PRODUCTS:
             raise AssertionError(f"expected {_NONZERO_PRODUCTS}, strands gave {rho}")
@@ -87,9 +88,6 @@ class TorusAlgebra:
             if {table.get((u, x)) for u in ("iota0", "iota1")} != {x, None} or \
                     {table.get((x, u)) for u in ("iota0", "iota1")} != {x, None}:
                 raise AssertionError(f"iota0+iota1 is not a unit on {x}")
-
-    def name_of(self, el: AlgebraElement) -> str | None:
-        return self.names.get(el)
 
 
 @lru_cache(maxsize=1)
@@ -115,12 +113,11 @@ def alexander_weight_cfa(r: tuple[int, int, int], d: int, p: int) -> Fraction:
     return d - p * Fraction(-r1 + r2 + r3, 2)
 
 
-def coefficient_name(coeff: AlgebraElement) -> str:
-    """Name a torus-algebra coefficient; raises for foreign elements."""
-    name = torus_algebra().name_of(coeff)
-    if name is None:
-        raise BigradingViolation(f"coefficient {coeff} is not a torus element")
-    return name
+def coefficient_name(module, ids: tuple[int, ...]) -> str:
+    """Name a module's coefficient, given as basis indices, if it is a torus element."""
+    if module.pmc != torus_algebra().pmc or len(ids) != 1:
+        raise BigradingViolation(f"coefficient with basis indices {ids} is not a torus element")
+    return torus_algebra().names[ids[0]]
 
 
 def check_bigrading(N: TypeDStructure, n: int) -> None:
@@ -131,8 +128,8 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
     """
     alg = torus_algebra()
     drop2 = {name: int(2 * alexander_weight_cfd(r, n)) for name, r in INTERVALS.items()}
-    for src, coeff, dst in N.delta:
-        name = coefficient_name(coeff)
+    for src, ids, dst in N.delta:
+        name = coefficient_name(N, ids)
         gs, gd = N.generators[src], N.generators[dst]
         want_m = (alg.m[name] + gd.m + 1) % 2
         if gs.m != want_m:
@@ -154,8 +151,7 @@ def check_cfa_weights(M: AInfModule, p: int) -> None:
         gx, gy = M.generators[x], M.generators[y]
         if gx.a2 is None or gy.a2 is None:
             continue
-        want2 = gx.a2 + sum(shift2[coefficient_name(M.basis.elements[idx])]
-                            for idx in ids)
+        want2 = gx.a2 + sum(shift2[coefficient_name(M, (idx,))] for idx in ids)
         if gy.a2 != want2:
             raise BigradingViolation(
                 f"op ({x}; ...; {y}): a({y})={gy.a}, expected {Fraction(want2, 2)}")

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: an A(n, k) generator enumeration, the
-orientation reversal of gradings and refinement data, and arc-slide row
-operations on intersection matrices."""
+orientation reversal of gradings and refinement data, arc-slide row
+operations on intersection matrices, and iterated type D deltas."""
 
 from __future__ import annotations
 
 import itertools
 
+from bdecat.dmodules import TypeDStructure, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.pmc import PointedMatchedCircle
 from bdecat.strands import StrandsGenerator
@@ -50,3 +51,29 @@ def arc_slide_rows(matrix: list[list[int]], i: int, j: int,
     sign = -1 if subtract else 1
     rows[ri] = [a + sign * b for a, b in zip(rows[ri], rows[rj])]
     return rows
+
+
+class Unbounded(ValueError):
+    pass
+
+
+def delta_k(N: TypeDStructure, x: str, k: int) -> set[tuple]:
+    """The k-fold iterate of delta as an F2 set of (basis indices, name) keys.
+
+    A key spells its algebra factors as A(Z, 0) basis indices, one per
+    factor, so cancellation is a symmetric difference.  delta_0 is the
+    identity.
+    """
+    if k > len(N.generators) and not is_bounded(N):
+        raise Unbounded(
+            f"iterating delta {k} times on an unbounded structure")
+    current: set[tuple] = {((), x)}
+    dmap = N.delta_map()
+    for _ in range(k):
+        nxt: set[tuple] = set()
+        for prefix, y in current:
+            for ids, z in dmap[y]:
+                for i in ids:
+                    nxt ^= {(prefix + (i,), z)}
+        current = nxt
+    return current

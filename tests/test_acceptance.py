@@ -17,7 +17,7 @@ from bdecat.diagram import (cfd_class_from_determinants, duality_sign,
                             enumerated_class, h1_rel_order_oracle,
                             homology_kernel, verify_cfdker)
 from bdecat.dmodules import (AInfModule, ModuleGenerator, TypeDStructure,
-                             box_tensor, check_type_d, delta_k, is_bounded)
+                             box_tensor, check_type_d, is_bounded)
 from bdecat.grading import default_refinement, f_s, gmul, lam, m_of
 from bdecat.grothendieck import (LaurentHalf, class_of, euler_of_complex,
                                  normalize_symmetric, pair, substitute)
@@ -27,6 +27,7 @@ from bdecat.strands import basis_of_AZ, differential, multiply
 from bdecat.torus import check_bigrading, torus_algebra
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES,
                             load_fixture, random_ainf, random_type_d)
+from tests.helpers import delta_k
 from tests.test_diagram import random_diagram
 
 PMCS = [("torus", torus_pmc()), ("split2", split_pmc(2))]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import bdecat.cfk2cfd as cfk2cfd
 import bdecat.cli as cli
 import bdecat.dmodules as dmodules
@@ -240,3 +242,32 @@ def test_satellite_builds_the_cfd_once(capsys, monkeypatch):
         "verdict": "OK",
         "winding": 1,
     })
+
+
+PARTIAL_NOTES = [
+    "note: arity 2 A-infinity relations checked on 3 of 8 idempotent-chained input tuples",
+    "note: arity 3 A-infinity relations checked on 0 of 30 idempotent-chained input tuples"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["k0", fixture_path("cfa_with_ops")],
+    ["pair", fixture_path("cfa_with_ops"), fixture_path("typed_triangle"), "--box"],
+    ["satellite", fixture_path("cfa_with_ops"), fixture_path("cfk_trefoil_right"), "--json"],
+])
+def test_every_ainf_check_notes_each_arity_checked_in_part(capsys, monkeypatch, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(dmodules, "CANDIDATE_BOUND", 3)
+    assert invoke(capsys, *argv) == (code, out, "\n".join(PARTIAL_NOTES) + "\n")
+
+
+def test_notes_follow_a_verification_failure(capsys, monkeypatch):
+    """stderr of a failed check still starts with the failure."""
+    def mismatch(*args):
+        raise satellite.FormulaMismatch("forced")
+    monkeypatch.setattr(cli, "check_satellite_formula", mismatch)
+    monkeypatch.setattr(dmodules, "CANDIDATE_BOUND", 3)
+    code, out, err = invoke(capsys, "satellite", fixture_path("cfa_with_ops"),
+                            fixture_path("cfk_trefoil_right"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["verification failed: forced"] + PARTIAL_NOTES

@@ -1,17 +1,21 @@
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from bdecat import dmodules
+from bdecat import dmodules, serialize, strands
+from bdecat.cfk2cfd import build_cfd
 from bdecat.dmodules import (AInfModule, AInfRelationFails, ChainComplex,
                              GradingIncompatible, ModuleGenerator,
-                             StructureEquationFails, TypeDStructure, Unbounded,
-                             box_tensor, check_ainf, check_type_d, delta_k,
-                             is_bounded)
+                             StructureEquationFails, TypeDStructure,
+                             box_tensor, check_ainf, check_type_d, is_bounded)
 from bdecat.grothendieck import class_of, euler_of_complex, pair, substitute
-from bdecat.strands import AZBasis
-from tests.conftest import load_fixture, random_ainf, random_type_d
+from bdecat.strands import AZBasis, element, idempotent
+from tests.conftest import (CFK_NAMES, FIXTURES, load_fixture, random_ainf,
+                            random_type_d)
+from tests.helpers import Unbounded, delta_k
 
 
 @pytest.fixture()
@@ -73,8 +77,8 @@ def test_delta_k_iterates(triangle, talg):
     assert len(second) == 1
     (chain, end), = second
     assert end == "x3" and len(chain) == 2
-    assert chain[0] in talg.elements["rho2"].terms
-    assert chain[1] in talg.elements["rho1"].terms
+    assert talg.names[chain[0]] == "rho2"
+    assert talg.names[chain[1]] == "rho1"
     # delta_n vanishes at the generator count on bounded structures
     assert not delta_k(triangle, "x1", len(triangle.generators))
 
@@ -116,6 +120,7 @@ def test_induced_differential_on_a_tensor_n_squares_to_zero(triangle, torus):
                                 multiply_generators)
 
     dmap = triangle.delta_map()
+    elements = triangle.basis.elements
 
     def differential(keys):
         """F2 derivative of a set of (strands generator, module name) keys."""
@@ -123,8 +128,8 @@ def test_induced_differential_on_a_tensor_n_squares_to_zero(triangle, torus):
         for g, x in keys:
             for dg in differential_generator(g):
                 out ^= {(dg, x)}
-            for coeff, y in dmap[x]:
-                for b in coeff.terms:
+            for ids, y in dmap[x]:
+                for b in (b for i in ids for b in elements[i].terms):
                     prod = multiply_generators(g, b)
                     if prod is not None:
                         out ^= {(prod, y)}
@@ -262,3 +267,65 @@ def test_pmc_mismatch(split2, triangle):
     M = AInfModule(split2, [ModuleGenerator("u", {1, 3}, 0, 0)], [])
     with pytest.raises(PmcMismatch):
         box_tensor(M, triangle)
+
+
+def test_a_coefficient_outside_a_z0_is_rejected(torus):
+    # one of the two sections I({1}), I({3}) of iota0: it has the idempotents
+    # of x and y, but is no sum of A(Z, 0) basis elements
+    section = element([idempotent(4, {1})])
+    gens = [ModuleGenerator("x", {1}, 0, 0), ModuleGenerator("y", {1}, 1, 0)]
+    with pytest.raises(ValueError, match="not in the span of A"):
+        TypeDStructure(torus, gens, [("x", section, "y")])
+
+
+def _typed_fixtures_and_built_cfds():
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+    typed = [obj for kind, obj in map(serialize.read, paths) if kind == "typed"]
+    assert typed
+    return typed + [build_cfd(load_fixture(name)) for name in CFK_NAMES]
+
+
+def test_check_type_d_multiplies_nothing(monkeypatch):
+    """Products and differentials come from the basis tables, which the
+    first check builds once per algebra; the second multiplies nothing."""
+    structures = _typed_fixtures_and_built_cfds()
+    for N in structures:
+        check_type_d(N)
+    calls = []
+    for name in ("multiply", "differential"):
+        original = getattr(strands, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+        for module in (strands, dmodules):  # also a copy imported by name
+            monkeypatch.setattr(module, name, counting, raising=False)
+    for N in structures:
+        check_type_d(N)
+    assert calls == []
+
+
+def test_eval_m_reads_idempotents_by_index(talg, monkeypatch):
+    M = load_fixture("cfa_with_ops").cfa
+    inputs = [()] + [(i,) for i in range(len(M.basis))] + [ids for _, ids, _ in M.ops]
+    want = {(x, ids): set(M.eval_m(x, ids)) for x in M.generators for ids in inputs}
+    # unitality: m_2(x, iota) = x exactly when iota is the idempotent of x
+    for name, s in (("iota0", {1}), ("iota1", {2})):
+        (i,) = M.basis.decompose(talg.elements[name])
+        for x, gx in M.generators.items():
+            assert want[(x, (i,))] == ({x} if gx.idempotent == s else set())
+
+    def banned(*args):
+        raise AssertionError("eval_m called left_right_pairs")
+    monkeypatch.setattr(strands, "left_right_pairs", banned)
+    assert {(x, ids): set(M.eval_m(x, ids)) for x, ids in want} == want
+    check_ainf(M)
+
+
+def test_is_bounded_on_a_3000_generator_chain(talg, torus):
+    """Deeper than the recursion limit: y0 -rho23-> y1 -rho23-> ... y2999."""
+    gens = [ModuleGenerator(f"y{i}", {2}, i, 0) for i in range(3000)]
+    chain = [(f"y{i}", talg.elements["rho23"], f"y{i + 1}") for i in range(2999)]
+    assert is_bounded(TypeDStructure(torus, gens, chain)) is True
+    closed = chain + [("y2999", talg.elements["rho23"], "y0")]
+    assert is_bounded(TypeDStructure(torus, gens, closed)) is False

@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from bdecat import serialize as ser
 from bdecat.pmc import torus_pmc
+from bdecat.strands import az_basis
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path)
 
@@ -55,9 +57,10 @@ def test_coefficient_expressions(torus):
     named = ser.parse_coefficient(torus, "rho1", left, right)
     chordwise = ser.parse_coefficient(torus, "rho(1,2)", left, right)
     assert named == chordwise
-    assert ser.dump_coefficient(torus, named) == "rho1"
+    basis = az_basis(torus)
+    assert ser.dump_coefficient(basis, basis.decompose(named)) == "rho1"
     one = ser.parse_coefficient(torus, "1", left, left)
-    assert ser.dump_coefficient(torus, one) == "1"
+    assert ser.dump_coefficient(basis, basis.decompose(one)) == "1"
     with pytest.raises(ser.FixtureError):
         ser.parse_coefficient(torus, "1", left, right)
     with pytest.raises(ser.FixtureError):
@@ -99,3 +102,12 @@ def test_all_shipped_fixtures_load():
         data = ser.load_file(os.path.join(FIXTURES, fname))
         kind = ser.sniff_kind(data)
         assert ser.KIND_LOADERS[kind](data) is not None
+
+
+def test_dumps_is_the_indented_sorted_json_text():
+    # 3 000 generators make tens of thousands of encoder chunks, so the
+    # pieces dumps joins end and start mid-structure
+    big = {"generators": [{"name": f"g{i}", "idem": [1, 2], "m": i % 2, "a": f"{i}/2"}
+                          for i in range(3000)], "delta": [], "bounded": True}
+    for data in (big, {}, [], {"b": {"x": []}, "a": [1, {"c": None}]}, "1/2"):
+        assert ser.dumps(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
