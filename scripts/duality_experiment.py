@@ -20,6 +20,9 @@ from bdecat.pmc import split_pmc, torus_pmc
 
 
 def random_diagram(rng, pmc, g):
+    """A genus-g diagram over pmc with random signed intersection points:
+    0 to 2 tries per (alpha, beta) pair, each kept with probability 0.6.
+    The diagram tests import it from here."""
     k = pmc.genus
     pts, pid = [], 0
     curves = [("circle", i) for i in range(1, g - k + 1)]

@@ -16,7 +16,7 @@ from .diagram import (TheoremViolation, cfd_class_from_determinants,
                       enumerated_class, homology_kernel, intersection_matrix,
                       verify_cfdker)
 from .dmodules import box_tensor, check_ainf, check_type_d, is_bounded
-from .grading import default_refinement, gr_prime, m_of
+from .grading import gr_prime, m_table
 from .grothendieck import class_of, euler_of_complex, normalize_symmetric, pair, substitute
 from .pmc import NAMED_PMCS, PointedMatchedCircle
 from .satellite import (FormulaMismatch, PatternClass, check_satellite_formula,
@@ -43,19 +43,18 @@ def _check_ainf(args, module) -> None:
 def cmd_algebra(args) -> int:
     pmc = _load_pmc(args.pmc)
     basis = az_basis(pmc, args.summand)
-    ref = default_refinement(pmc) if args.summand == 0 else None
+    m = m_table(pmc) if args.gradings and args.summand == 0 else None
     rows = []
-    for el, (s, t) in zip(basis.elements, basis.idempotents):
+    for i, (el, (s, t)) in enumerate(zip(basis.elements, basis.idempotents)):
         row = {
             "element": str(el),
             "left": sorted(s),
             "right": sorted(t),
         }
         if args.gradings:
-            g = gr_prime(el)
-            row["gr"] = str(g)
-            if ref is not None:
-                row["m"] = m_of(el, pmc, ref)
+            row["gr"] = str(gr_prime(el))
+            if m is not None:
+                row["m"] = m[i]
         rows.append(row)
     if args.json:
         print(serialize.dumps({"pmc": serialize.pmc_to_json(pmc),

@@ -429,12 +429,12 @@ def az_sign_report(pmc: PointedMatchedCircle) -> dict:
     which relations hold and which elements stay gauge, rather than
     asserting a convention the combinatorial data cannot pin.
     """
-    from .grading import m_of
+    from .grading import m_table
     from .strands import az_basis
 
     basis = az_basis(pmc)
     els, products = basis.elements, basis.products
-    m = [m_of(el, pmc) for el in els]
+    m = m_table(pmc)
     idempotents_positive = all(m[i] == 0 for i in basis.idempotent_indices)
     differentials = {a: d for a, d in enumerate(basis.differentials) if d}
     # (-1)^m is read on every summand of a product or a differential

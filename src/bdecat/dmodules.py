@@ -7,7 +7,9 @@ grading a, stored as the integer a2 = 2a.  Coefficients are indices into
 the basis `az_basis(pmc)` of A(Z, 0): a type D structure records delta as
 triples (src, index tuple, dst), the indices summing to the coefficient; an
 A-infinity module records its nonzero operations m_i(x, a_1, ..., a_{i-1}) = y
-with every a_j one index.  The checkers read that basis's tables by index.
+with every a_j one index.  The constructors take coefficients in that form
+and check each index's idempotents; the checkers read the basis tables and
+`m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -21,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .grading import m_of
+from .grading import m_table
 from .pmc import PointedMatchedCircle
 from .strands import AZBasis, az_basis
 
@@ -45,7 +47,8 @@ class PmcMismatch(ValueError):
 @dataclass(frozen=True, init=False, slots=True)
 class ModuleGenerator:
     """Generator (name, idempotent, m, a) stored with a2 = 2a, as GradingElement
-    stores 4j; `a` is the half-integer view at the JSON and test boundary."""
+    stores 4j; the loaders build it `from_a2`, and `a` is the half-integer
+    view for tests and messages."""
 
     name: str
     idempotent: frozenset[int]
@@ -91,20 +94,18 @@ def _check_generators(pmc, generators):
 
 class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
-        """delta entries are (src_name, AlgebraElement, dst_name); each is
-        stored as (src_name, basis indices of the coefficient, dst_name)."""
+        """delta entries are (src_name, index tuple, dst_name), the indices
+        into `az_basis(pmc)` summing to the coefficient."""
         self.pmc = pmc
         self.generators = _check_generators(pmc, generators)
-        self.basis = az_basis(pmc)
-        idempotents = self.basis.idempotents
-        ids_of = {}  # most structures repeat a few coefficients
+        self.basis = basis = az_basis(pmc)
         self.delta = []
-        for src, coeff, dst in delta:
-            if not coeff:
+        for src, ids, dst in delta:
+            ids = tuple(ids)
+            if not ids:
                 raise ValueError(f"zero coefficient on {src}->{dst}")
-            ids = ids_of.get(coeff) or ids_of.setdefault(coeff, self.basis.decompose(coeff))
             pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
-            if any(idempotents[i] != pair for i in ids):
+            if not all(0 <= i < len(basis) and basis.idempotents[i] == pair for i in ids):
                 raise ValueError(
                     f"coefficient on {src}->{dst} not compatible with idempotents")
             self.delta.append((src, ids, dst))
@@ -118,29 +119,25 @@ class TypeDStructure:
 
 class AInfModule:
     def __init__(self, pmc: PointedMatchedCircle, generators, ops):
-        """ops entries are (x_name, [AlgebraElement, ...], y_name) for m_i."""
+        """ops entries are (x_name, [index, ...], y_name) for m_i, each index
+        one element of `az_basis(pmc)`."""
         self.pmc = pmc
         self.generators = _check_generators(pmc, generators)
         self.basis = basis = az_basis(pmc)
         self.ops = []
-        for x, algs, y in ops:
+        for x, ids, y in ops:
             gx, gy = self.generators[x], self.generators[y]
-            ids = []
+            ids = tuple(ids)
             left = gx.idempotent
-            for a in algs:
-                decomp = basis.decompose(a)
-                if len(decomp) != 1:
-                    raise ValueError("operation inputs must be single basis elements")
-                s, t = basis.idempotents[decomp[0]]
-                if s != left:
+            for i in ids:
+                if not (0 <= i < len(basis) and basis.idempotents[i][0] == left):
                     raise ValueError(f"op ({x}; ...) breaks idempotent chain")
-                if decomp[0] in basis.idempotent_indices:
+                if i in basis.idempotent_indices:
                     raise ValueError("idempotent inputs are implicit, not stored")
-                ids.append(decomp[0])
-                left = t
+                left = basis.idempotents[i][1]
             if left != gy.idempotent:
                 raise ValueError(f"op ({x}; ...; {y}) output idempotent mismatch")
-            self.ops.append((x, tuple(ids), y))
+            self.ops.append((x, ids, y))
         table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
         for x, ids, y in self.ops:
             table.setdefault((x, ids), set()).symmetric_difference_update({y})
@@ -208,10 +205,11 @@ def check_type_d(N: TypeDStructure) -> None:
         raise StructureEquationFails(
             f"residual with term {basis.elements[r]} from {src} to {dst}")
 
+    m = m_table(N.pmc)
     for src, ids, dst in N.delta:
         ms, md = N.generators[src].m, N.generators[dst].m
         for i in ids:
-            mc = m_of(basis.elements[i], N.pmc)
+            mc = m[i]
             if (ms - mc - md - 1) % 2 != 0:
                 raise GradingIncompatible(
                     f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="

@@ -19,11 +19,12 @@ s0 = {1..k} and, for every k-element pair set t, the group element
 psi(t) = gr'(a(rho^t)) where rho^t is the chord set joining the minus
 endpoint of pair i to the minus endpoint of the i-th element of t.  The Z/2
 grading is m = f o gr, where f is the homomorphism sending lambda and every
-refined pair-chord grading g_i to 1; under the default refinement it is
-computed once per algebra element and circle.  The class of g_i is the
-indicator of the intervals [lo_i, hi_i), so alpha = sum h_i g_i is read off
-the jumps c_p = alpha_p - alpha_{p-1}: h_i = c_{lo_i}, and alpha lies in the
-span exactly when c_{hi_i} = -h_i for every pair.
+refined pair-chord grading g_i to 1; `m_table` holds it under the default
+refinement for every basis index of A(Z, 0), computed once per circle.  The
+class of g_i is the indicator of the intervals [lo_i, hi_i), so
+alpha = sum h_i g_i is read off the jumps c_p = alpha_p - alpha_{p-1}:
+h_i = c_{lo_i}, and alpha lies in the span exactly when c_{hi_i} = -h_i for
+every pair.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .pmc import PointedMatchedCircle, ReebChord
-from .strands import AlgebraElement, StrandsGenerator, left_right_pairs
+from .strands import AlgebraElement, StrandsGenerator, az_basis, left_right_pairs
 
 
 class NotMiddleSummand(ValueError):
@@ -250,25 +251,17 @@ def f_s(x: GradingElement, pmc: PointedMatchedCircle, s0=None) -> int:
     return (total4 // 4) % 2
 
 
-@lru_cache(maxsize=None)
-def _m_table(pmc: PointedMatchedCircle) -> dict[AlgebraElement, int]:
-    """m under the default refinement of every element computed so far."""
-    return {}
-
-
 def m_of(x: AlgebraElement, pmc: PointedMatchedCircle,
          ref: RefinementData | None = None) -> int:
-    """m(a) = f(gr(a)) for a homogeneous middle-summand element.
+    """m(a) = f(gr(a)) for a homogeneous middle-summand element."""
+    ref = ref or default_refinement(pmc)
+    s, t = left_right_pairs(pmc, x)
+    if len(s) != pmc.genus or len(t) != pmc.genus:
+        raise NotMiddleSummand(f"idempotent weights {len(s)}, {len(t)}")
+    return f_s(refine(gr_prime(x), s, t, ref), pmc, ref.base)
 
-    Under the default refinement each element is computed once per circle;
-    an element that raises is never stored, so it raises on every call.
-    """
-    default = default_refinement(pmc)
-    table = _m_table(pmc) if ref is None or ref is default else {}
-    if x not in table:
-        ref = ref or default
-        s, t = left_right_pairs(pmc, x)
-        if len(s) != pmc.genus or len(t) != pmc.genus:
-            raise NotMiddleSummand(f"idempotent weights {len(s)}, {len(t)}")
-        table[x] = f_s(refine(gr_prime(x), s, t, ref), pmc, ref.base)
-    return table[x]
+
+@lru_cache(maxsize=None)
+def m_table(pmc: PointedMatchedCircle) -> tuple[int, ...]:
+    """m under the default refinement of each element of `az_basis(pmc)`, by index."""
+    return tuple(m_of(el, pmc) for el in az_basis(pmc).elements)

@@ -21,9 +21,9 @@ from functools import reduce
 
 from . import strands
 from .grading import (GradingElement, NotInGZ, _odd_jumps, _pair_chord_data,
-                      default_refinement, f_s, gmul, gpow, gr_prime, lam, m_of)
+                      f_s, gmul, gpow, gr_prime, lam, m_table)
 from .pmc import ReebChord, split_pmc, torus_pmc
-from .strands import AZBasis
+from .strands import AZBasis, az_basis
 
 HOM_PAIRS = 1000
 
@@ -75,7 +75,7 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
     for name, pmc in (("torus", torus_pmc()), ("split2", split_pmc(2))):
         t0 = time.monotonic()
         k = pmc.genus
-        basis = AZBasis(pmc, 0)
+        basis = az_basis(pmc)
         n = len(basis)
         products, diffs = basis.products, basis.differentials
         prod = products.get
@@ -119,7 +119,7 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
         report(f"{name}: gr'(da) = lambda^-1 gr'(a)", ok)
 
         report(f"{name}: f(lambda) = 1", f_s(lam(pmc.num_points), pmc) == 1)
-        m = [m_of(el, pmc, default_refinement(pmc)) for el in basis.elements]
+        m = m_table(pmc)
         pair_chords = {(ReebChord(*pmc.points_of_pair(i)),) for i in range(1, 2 * k + 1)}
         ok = all(m[i] == 1 for i, el in enumerate(basis.elements)
                  if strands.chord_signature(pmc, min(el.terms))[0] in pair_chords)

@@ -1,28 +1,30 @@
 """JSON fixture formats and the coefficient expression mini-language.
 
-Half-integers travel as strings like "3/2" or "-2"; coefficients of type D
-deltas and A-infinity operations are either "1" (the idempotent of the
-incident generators), a named torus element (rho1, ..., rho123, iota0,
-iota1), or a chord-set expression "rho(1,3)" / "rho(1,2;3,4)" resolved
-through the strands algebra and pinched between the generators' idempotents.
-All dumps are canonical: sorted keys, no floats anywhere.
+Half-integers travel as strings like "3/2" or "-2" and are read and written
+as their doubled integers; integer fields take JSON integers only.
+Coefficients of type D deltas and A-infinity operations are either "1" (the
+idempotent of the incident generators), a named torus element (rho1, ...,
+rho123, iota0, iota1), or a chord-set expression "rho(1,3)" / "rho(1,2;3,4)";
+each resolves by its label to one index of `az_basis(pmc)`, whose
+idempotents are then checked against the generators'.  All dumps are
+canonical: sorted keys, no floats anywhere.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import re
 from fractions import Fraction
 
-from . import strands
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
 from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
 from .grothendieck import ExteriorClass, LaurentHalf
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
-from .strands import AZBasis
+from .strands import AZBasis, az_basis
 from .torus import torus_algebra
 
 
@@ -30,23 +32,33 @@ class FixtureError(ValueError):
     pass
 
 
-def parse_half(value) -> Fraction:
-    if isinstance(value, bool):
-        raise FixtureError(f"not a half-integer: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def _int(value, field: str) -> int:
+    """An integer field: a JSON integer, not a float or a boolean."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FixtureError(f"{field} must be an integer, got {value!r}")
+
+
+_HALF = re.compile(r"(-?[0-9]+)(/2)?")
+
+
+def parse_half(value) -> int:
+    """The doubled integer of a half-integer: an integer, or a string that
+    Fraction reads as one ("3/2", "-2"); the common forms skip Fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return 2 * value
     if isinstance(value, str):
-        try:
-            f = Fraction(value)
-        except ValueError as exc:
-            raise FixtureError(f"not a half-integer: {value!r}") from exc
-        if f.denominator in (1, 2):
-            return f
+        if m := _HALF.fullmatch(value):
+            return int(m[1]) * (1 if m[2] else 2)
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            if (f := Fraction(value)).denominator in (1, 2):
+                return int(2 * f)
     raise FixtureError(f"not a half-integer: {value!r}")
 
 
-def dump_half(f: Fraction) -> str:
-    return str(Fraction(f))
+def dump_half(a2: int) -> str:
+    """The text of the half-integer a2 / 2, as str(Fraction(a2, 2)) writes it."""
+    return f"{a2}/2" if a2 % 2 else str(a2 // 2)
 
 
 def pmc_from_json(data) -> PointedMatchedCircle:
@@ -55,7 +67,8 @@ def pmc_from_json(data) -> PointedMatchedCircle:
             raise FixtureError(f"unknown pmc name {data!r}")
         return NAMED_PMCS[data]()
     if isinstance(data, dict) and "matching" in data:
-        return PointedMatchedCircle(tuple(data["matching"]))
+        return PointedMatchedCircle(
+            tuple(_int(p, "matching entry") for p in data["matching"]))
     raise FixtureError(f"bad pmc field: {data!r}")
 
 
@@ -68,21 +81,24 @@ _CHORD = re.compile(r" *([0-9]+) *, *([0-9]+) *")
 
 
 def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
-                      left: frozenset[int], right: frozenset[int] | None = None):
-    """Resolve a coefficient expression between two idempotents.
+                      left: frozenset[int], right: frozenset[int] | None = None) -> int:
+    """The `az_basis(pmc)` index of a coefficient from the pair set left.
 
-    With right None the expression must fix the right idempotent from left,
-    as each input of an A-infinity operation does along its chain.
+    "1" is I(left), a torus name its element and rho(...) the element
+    a(rho, left) of its chords.  Its right pair set must be right; with
+    right None the expression fixes it, as each input of an A-infinity
+    operation does along its chain.
     """
     if not isinstance(expr, str):
         raise FixtureError(f"coefficient must be a string, got {expr!r}")
     expr = expr.strip()
+    basis, left = az_basis(pmc), frozenset(left)
     if expr == "1":
-        el = strands.pair_idempotent(pmc, left)
-    elif expr in torus_algebra().elements:
+        i = basis.by_label.get(((), left))
+    elif expr in torus_algebra().index:
         if pmc != torus_algebra().pmc:
             raise FixtureError(f"named element {expr} needs the torus pmc")
-        el = torus_algebra().elements[expr]
+        i = torus_algebra().index[expr]
     else:
         m = _CHORD_EXPR.fullmatch(expr)
         if not m:
@@ -93,20 +109,16 @@ def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
             if not ends:
                 raise FixtureError(f"bad chord {part!r} in {expr!r}")
             chords.append(ReebChord(int(ends[1]), int(ends[2])))
-        el = strands.a_of(pmc, chords, 0)
+        i = basis.by_label.get((tuple(sorted(chords)), left))
+    s, t = (None, None) if i is None else basis.idempotents[i]
     if right is None:
-        rights = {frozenset(pmc.pair_of(p) for p in g.T)
-                  for g in el.terms
-                  if frozenset(pmc.pair_of(p) for p in g.S) == left}
-        if len(rights) != 1:
+        if s != left:
             raise FixtureError(
                 f"operation input {expr!r} incompatible with idempotent chain")
-        right = next(iter(rights))
-    pinched = strands.pinch(pmc, left, el, right)
-    if not pinched:
+    elif (s, t) != (left, right):
         raise FixtureError(
             f"coefficient {expr!r} vanishes between {set(left)} and {set(right)}")
-    return pinched
+    return i
 
 
 def dump_coefficient(basis: AZBasis, ids: tuple[int, ...]) -> str:
@@ -133,9 +145,11 @@ def _name(value) -> str:
 def _generators_from_json(items):
     gens = []
     for item in items:
-        a = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
-        gens.append(ModuleGenerator(_name(item["name"]), frozenset(item["idem"]),
-                                    int(item["m"]), a))
+        a2 = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
+        gens.append(ModuleGenerator.from_a2(
+            _name(item["name"]),
+            frozenset(_int(i, "idem entry") for i in item["idem"]),
+            _int(item["m"], "m"), a2))
     return gens
 
 
@@ -143,8 +157,8 @@ def _generators_to_json(gens):
     out = []
     for g in sorted(gens, key=lambda g: g.name):
         item = {"name": g.name, "idem": sorted(g.idempotent), "m": g.m}
-        if g.a is not None:
-            item["a"] = dump_half(g.a)
+        if g.a2 is not None:
+            item["a"] = dump_half(g.a2)
         out.append(item)
     return out
 
@@ -156,10 +170,9 @@ def type_d_from_json(data) -> TypeDStructure:
     delta = []
     for entry in data.get("delta", []):
         src, dst = entry["src"], entry["dst"]
-        coeff = parse_coefficient(pmc, entry["coeff"],
-                                  by_name[src].idempotent,
-                                  by_name[dst].idempotent)
-        delta.append((src, coeff, dst))
+        i = parse_coefficient(pmc, entry["coeff"],
+                              by_name[src].idempotent, by_name[dst].idempotent)
+        delta.append((src, (i,), dst))
     return TypeDStructure(pmc, gens, delta)
 
 
@@ -176,16 +189,16 @@ def ainf_from_json(data) -> AInfModule:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
     by_name = {g.name: g for g in gens}
+    idempotents = az_basis(pmc).idempotents
     ops = []
     for entry in data.get("ops", []):
         x, y = entry["x"], entry["y"]
-        algs = []
+        ids = []
         left = by_name[x].idempotent
         for expr in entry.get("algs", []):
-            el = parse_coefficient(pmc, expr, left)
-            algs.append(el)
-            _, left = strands.left_right_pairs(pmc, el)
-        ops.append((x, algs, y))
+            ids.append(parse_coefficient(pmc, expr, left))
+            left = idempotents[ids[-1]][1]
+        ops.append((x, ids, y))
     return AInfModule(pmc, gens, ops)
 
 
@@ -203,7 +216,7 @@ def ainf_to_json(M: AInfModule) -> dict:
 
 
 def pattern_from_json(data) -> PatternClass:
-    return PatternClass(ainf_from_json(data), int(data.get("winding", 1)))
+    return PatternClass(ainf_from_json(data), _int(data.get("winding", 1), "winding"))
 
 
 def pattern_to_json(pc: PatternClass) -> dict:
@@ -213,13 +226,14 @@ def pattern_to_json(pc: PatternClass) -> dict:
 
 
 def cfk_from_json(data) -> CFKComplex:
-    gens = [CFKGenerator(_name(g["name"]), int(g["maslov"]), int(g["alexander"]))
+    gens = [CFKGenerator(_name(g["name"]), _int(g["maslov"], "maslov"),
+                         _int(g["alexander"], "alexander"))
             for g in data["generators"]]
     def arrows(key):
-        return [Arrow(a["src"], a["dst"], int(a["length"]))
+        return [Arrow(a["src"], a["dst"], _int(a["length"], "length"))
                 for a in data.get(key, [])]
     return CFKComplex(gens, arrows("vertical"), arrows("horizontal"),
-                      int(data.get("tau", 0)))
+                      _int(data.get("tau", 0), "tau"))
 
 
 def cfk_to_json(cfk: CFKComplex) -> dict:
@@ -239,10 +253,10 @@ def diagram_from_json(data) -> BorderedDiagram:
     points = []
     for i, p in enumerate(data.get("points", [])):
         kind, _, idx = p["alpha"].partition(":")
-        points.append(DiagramPoint((kind, int(idx)), int(p["beta"]),
-                                   int(p["sign"]), i))
-    return BorderedDiagram(pmc, int(data["genus"]),
-                           int(data["alpha_circles"]), points)
+        points.append(DiagramPoint((kind, int(idx)), _int(p["beta"], "beta"),
+                                   _int(p["sign"], "sign"), i))
+    return BorderedDiagram(pmc, _int(data["genus"], "genus"),
+                           _int(data["alpha_circles"], "alpha_circles"), points)
 
 
 def diagram_to_json(d: BorderedDiagram) -> dict:
@@ -256,7 +270,7 @@ def diagram_to_json(d: BorderedDiagram) -> dict:
 
 
 def laurent_to_json(p: LaurentHalf) -> list:
-    return [[dump_half(Fraction(e, 2)), c] for e, c in p.coeffs]
+    return [[dump_half(e), c] for e, c in p.coeffs]
 
 
 def class_to_json(cls: ExteriorClass) -> dict:

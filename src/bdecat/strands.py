@@ -32,10 +32,6 @@ class AmbientMismatch(ValueError):
     """Operands live in strands algebras with different point counts."""
 
 
-class EndpointClash(ValueError):
-    """Chord set has a repeated initial or final endpoint."""
-
-
 @dataclass(frozen=True, order=True)
 class StrandsGenerator:
     """A basis element (S, T, phi) of A(n, k).
@@ -181,64 +177,6 @@ def idempotent(n: int, S) -> StrandsGenerator:
     return StrandsGenerator(n, S, S, S)
 
 
-def _check_chords(rho) -> tuple[ReebChord, ...]:
-    rho = tuple(sorted(rho))
-    starts = [c.start for c in rho]
-    ends = [c.end for c in rho]
-    if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
-        raise EndpointClash(f"chords share endpoints: {rho}")
-    return rho
-
-
-def a0(n: int, rho, num_strands: int) -> AlgebraElement:
-    """The summand of a0(rho) in A(n, num_strands).
-
-    Sum over all ways of adding horizontal strands at positions disjoint
-    from every chord endpoint.
-    """
-    rho = _check_chords(rho)
-    blocked = {c.start for c in rho} | {c.end for c in rho}
-    extra = num_strands - len(rho)
-    if extra < 0:
-        return zero(n)
-    free = [p for p in range(1, n + 1) if p not in blocked]
-    acc = set()
-    for H in itertools.combinations(free, extra):
-        strands = sorted([(c.start, c.end) for c in rho] + [(p, p) for p in H])
-        S = tuple(s for s, _ in strands)
-        phi = tuple(t for _, t in strands)
-        T = tuple(sorted(phi))
-        acc.add(StrandsGenerator(n, S, T, phi))
-    return AlgebraElement(n, frozenset(acc))
-
-
-def _section_filter(pmc: PointedMatchedCircle, g: StrandsGenerator) -> bool:
-    """True when both S and T occupy each matched pair at most once."""
-    src = [pmc.pair_of(p) for p in g.S]
-    dst = [pmc.pair_of(p) for p in g.T]
-    return len(set(src)) == len(src) and len(set(dst)) == len(dst)
-
-
-def a_of(pmc: PointedMatchedCircle, rho, i: int) -> AlgebraElement:
-    """I a0(rho) I in the summand A(4k, k+i): the A(Z) element of a chord set."""
-    n = pmc.num_points
-    k = pmc.genus
-    raw = a0(n, rho, k + i)
-    kept = frozenset(g for g in raw.terms if _section_filter(pmc, g))
-    return AlgebraElement(n, kept)
-
-
-def pair_idempotent(pmc: PointedMatchedCircle, pairs) -> AlgebraElement:
-    """I(s) = sum over sections of s of the elementary idempotent I(S)."""
-    pairs = sorted(set(pairs))
-    n = pmc.num_points
-    choices = [pmc.points_of_pair(p) for p in pairs]
-    acc = set()
-    for pick in itertools.product(*choices):
-        acc.add(idempotent(n, pick))
-    return AlgebraElement(n, frozenset(acc))
-
-
 def left_right_pairs(pmc: PointedMatchedCircle, x: AlgebraElement) -> tuple[frozenset[int], frozenset[int]]:
     """The unique (s, t) with I(s) x I(t) = x; raises when x is inhomogeneous."""
     if not x.terms:
@@ -248,16 +186,6 @@ def left_right_pairs(pmc: PointedMatchedCircle, x: AlgebraElement) -> tuple[froz
     if len(ss) != 1 or len(ts) != 1:
         raise ValueError("element is not idempotent-homogeneous")
     return next(iter(ss)), next(iter(ts))
-
-
-def pinch(pmc: PointedMatchedCircle, s, x: AlgebraElement, t) -> AlgebraElement:
-    """I(s) x I(t): keep terms whose pair supports are exactly s and t."""
-    s, t = frozenset(s), frozenset(t)
-    kept = frozenset(
-        g for g in x.terms
-        if frozenset(pmc.pair_of(p) for p in g.S) == s
-        and frozenset(pmc.pair_of(p) for p in g.T) == t)
-    return AlgebraElement(x.n, kept)
 
 
 def chord_signature(pmc: PointedMatchedCircle, g: StrandsGenerator):
@@ -326,9 +254,10 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
 
 
 class AZBasis:
-    """Indexed basis of A(Z, i) with signature-based decomposition, the
-    idempotents of each element, and the product and differential tables by
-    index, each built once on first use.  Modules store coefficients as indices."""
+    """Indexed basis of A(Z, i) with signature-based decomposition, the label
+    and idempotents of each element, and the product and differential tables
+    by index, each built once on first use.  Modules store coefficients as
+    indices."""
 
     def __init__(self, pmc: PointedMatchedCircle, i: int = 0):
         self.pmc = pmc
@@ -362,6 +291,13 @@ class AZBasis:
     def idempotents(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
         """The (left, right) pair sets of each element, by `left_right_pairs`."""
         return tuple(left_right_pairs(self.pmc, el) for el in self.elements)
+
+    @cached_property
+    def by_label(self) -> MappingProxyType:
+        """The label (rho, s) of a(rho, s), the `chord_signature` of any of its
+        terms -> its index."""
+        return MappingProxyType({chord_signature(self.pmc, min(el.terms)): i
+                                 for i, el in enumerate(self.elements)})
 
     @cached_property
     def idempotent_indices(self) -> frozenset[int]:

@@ -18,11 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import strands
 from .dmodules import AInfModule, TypeDStructure
-from .grading import m_of
+from .grading import m_table
 from .pmc import ReebChord, torus_pmc
-from .strands import AlgebraElement, az_basis
+from .strands import az_basis
 
 
 class BigradingViolation(ValueError):
@@ -58,21 +57,19 @@ _NONZERO_PRODUCTS = {
 
 
 class TorusAlgebra:
-    """The eight named elements of A(Z(T^2), 0), their m, and each basis index's name."""
+    """The basis index of each of the eight named elements of A(Z(T^2), 0),
+    read from its label (chords, left pair set), and each index's name."""
 
     def __init__(self):
         self.pmc = torus_pmc()
-        self.elements: dict[str, AlgebraElement] = {
-            "iota0": strands.pair_idempotent(self.pmc, {1}),
-            "iota1": strands.pair_idempotent(self.pmc, {2}),
-        }
-        for name, chords in ELEMENT_CHORDS.items():
-            self.elements[name] = strands.a_of(self.pmc, chords, 0)
         self.basis = az_basis(self.pmc)
-        by_index = {self.basis.decompose(el): name for name, el in self.elements.items()}
-        self.names: tuple[str, ...] = tuple(by_index[(i,)] for i in range(len(self.basis)))
-        self.m: dict[str, int] = {name: m_of(el, self.pmc)
-                                  for name, el in self.elements.items()}
+        labels = {"iota0": ((), frozenset({1})), "iota1": ((), frozenset({2}))}
+        for name, chords in ELEMENT_CHORDS.items():
+            labels[name] = (chords, frozenset({self.pmc.pair_of(chords[0].start)}))
+        self.index: dict[str, int] = {name: self.basis.by_label[label]
+                                      for name, label in labels.items()}
+        by_index = {i: name for name, i in self.index.items()}
+        self.names: tuple[str, ...] = tuple(by_index[i] for i in range(len(self.basis)))
         self._verify_table()
 
     def _verify_table(self):
@@ -83,7 +80,7 @@ class TorusAlgebra:
         rho = {ab: c for ab, c in table.items() if "iota" not in ab[0] + ab[1]}
         if rho != _NONZERO_PRODUCTS:
             raise AssertionError(f"expected {_NONZERO_PRODUCTS}, strands gave {rho}")
-        for x in self.elements:
+        for x in names:
             # iota0 + iota1 fixes x when exactly one of the two does
             if {table.get((u, x)) for u in ("iota0", "iota1")} != {x, None} or \
                     {table.get((x, u)) for u in ("iota0", "iota1")} != {x, None}:
@@ -126,12 +123,12 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
     For a triple (x, rho_I, y): a(x) - a(y) = alexander_weight_cfd([rho_I], n)
     and m(x) = m(rho_I) + m(y) + 1 mod 2.
     """
-    alg = torus_algebra()
+    m = m_table(N.pmc)
     drop2 = {name: int(2 * alexander_weight_cfd(r, n)) for name, r in INTERVALS.items()}
     for src, ids, dst in N.delta:
         name = coefficient_name(N, ids)
         gs, gd = N.generators[src], N.generators[dst]
-        want_m = (alg.m[name] + gd.m + 1) % 2
+        want_m = (m[ids[0]] + gd.m + 1) % 2
         if gs.m != want_m:
             raise BigradingViolation(
                 f"({src}, {name}, {dst}): m({src})={gs.m}, expected {want_m}")

@@ -6,6 +6,7 @@ import pytest
 
 from bdecat import serialize
 from bdecat.dmodules import AInfModule, ModuleGenerator, TypeDStructure
+from bdecat.grading import m_table
 from bdecat.pmc import split_pmc, torus_pmc
 from bdecat.torus import torus_algebra
 
@@ -54,11 +55,11 @@ def edge_choices():
     global _EDGE_CHOICES
     if _EDGE_CHOICES is None:
         alg = torus_algebra()
+        m = m_table(alg.pmc)
         table = {}
-        from bdecat.strands import left_right_pairs
-        for name, el in alg.elements.items():
-            s, t = left_right_pairs(alg.pmc, el)
-            table.setdefault((s, t, alg.m[name]), []).append(el)
+        for i in alg.index.values():
+            s, t = alg.basis.idempotents[i]
+            table.setdefault((s, t, m[i]), []).append((i,))
         _EDGE_CHOICES = table
     return _EDGE_CHOICES
 

@@ -1,6 +1,9 @@
 """Helpers that only the tests use: an A(n, k) generator enumeration, the
-orientation reversal of gradings and refinement data, arc-slide row
-operations on intersection matrices, and iterated type D deltas."""
+chord elements a0(rho) and a(rho) built term by term with the idempotents
+I(s) and the pinch I(s) x I(t) (the reference the coefficient parser is
+tested against), the orientation reversal of gradings and refinement data,
+arc-slide row operations on intersection matrices, and iterated type D
+deltas."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import itertools
 from bdecat.dmodules import TypeDStructure, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.pmc import PointedMatchedCircle
-from bdecat.strands import StrandsGenerator
+from bdecat.strands import AlgebraElement, StrandsGenerator, idempotent, zero
 
 
 def generators_of_ank(n: int, k: int):
@@ -18,6 +21,78 @@ def generators_of_ank(n: int, k: int):
         for images in itertools.permutations(range(1, n + 1), k):
             if all(t >= s for s, t in zip(S, images)):
                 yield StrandsGenerator(n, S, tuple(sorted(images)), images)
+
+
+class EndpointClash(ValueError):
+    """Chord set has a repeated initial or final endpoint."""
+
+
+def a0(n: int, rho, num_strands: int) -> AlgebraElement:
+    """The summand of a0(rho) in A(n, num_strands).
+
+    Sum over all ways of adding horizontal strands at positions disjoint
+    from every chord endpoint.
+    """
+    rho = tuple(sorted(rho))
+    starts = [c.start for c in rho]
+    ends = [c.end for c in rho]
+    if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
+        raise EndpointClash(f"chords share endpoints: {rho}")
+    blocked = set(starts) | set(ends)
+    extra = num_strands - len(rho)
+    if extra < 0:
+        return zero(n)
+    free = [p for p in range(1, n + 1) if p not in blocked]
+    acc = set()
+    for H in itertools.combinations(free, extra):
+        strands = sorted([(c.start, c.end) for c in rho] + [(p, p) for p in H])
+        S = tuple(s for s, _ in strands)
+        phi = tuple(t for _, t in strands)
+        acc.add(StrandsGenerator(n, S, tuple(sorted(phi)), phi))
+    return AlgebraElement(n, frozenset(acc))
+
+
+def _section_filter(pmc: PointedMatchedCircle, g: StrandsGenerator) -> bool:
+    """True when both S and T occupy each matched pair at most once."""
+    src = [pmc.pair_of(p) for p in g.S]
+    dst = [pmc.pair_of(p) for p in g.T]
+    return len(set(src)) == len(src) and len(set(dst)) == len(dst)
+
+
+def a_of(pmc: PointedMatchedCircle, rho, i: int) -> AlgebraElement:
+    """I a0(rho) I in the summand A(4k, k+i): the A(Z) element of a chord set."""
+    raw = a0(pmc.num_points, rho, pmc.genus + i)
+    return AlgebraElement(pmc.num_points,
+                          frozenset(g for g in raw.terms if _section_filter(pmc, g)))
+
+
+def pair_idempotent(pmc: PointedMatchedCircle, pairs) -> AlgebraElement:
+    """I(s) = sum over sections of s of the elementary idempotent I(S)."""
+    choices = [pmc.points_of_pair(p) for p in sorted(set(pairs))]
+    return AlgebraElement(pmc.num_points, frozenset(
+        idempotent(pmc.num_points, pick) for pick in itertools.product(*choices)))
+
+
+def pinch(pmc: PointedMatchedCircle, s, x: AlgebraElement, t) -> AlgebraElement:
+    """I(s) x I(t): keep terms whose pair supports are exactly s and t."""
+    s, t = frozenset(s), frozenset(t)
+    return AlgebraElement(x.n, frozenset(
+        g for g in x.terms
+        if frozenset(pmc.pair_of(p) for p in g.S) == s
+        and frozenset(pmc.pair_of(p) for p in g.T) == t))
+
+
+def pinch_coefficient(pmc: PointedMatchedCircle, el: AlgebraElement, left,
+                      right=None) -> AlgebraElement | None:
+    """I(left) el I(right) when nonzero, else None; with right None the
+    terms of el at left must fix the right pair set."""
+    if right is None:
+        rights = {frozenset(pmc.pair_of(p) for p in g.T) for g in el.terms
+                  if frozenset(pmc.pair_of(p) for p in g.S) == left}
+        if len(rights) != 1:
+            return None
+        right = next(iter(rights))
+    return pinch(pmc, left, el, right) or None
 
 
 def reverse_grading(x: GradingElement) -> GradingElement:

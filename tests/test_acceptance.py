@@ -27,8 +27,8 @@ from bdecat.strands import basis_of_AZ, differential, multiply
 from bdecat.torus import check_bigrading, torus_algebra
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES,
                             load_fixture, random_ainf, random_type_d)
-from tests.helpers import delta_k
-from tests.test_diagram import random_diagram
+from scripts.duality_experiment import random_diagram
+from tests.helpers import a_of, delta_k
 
 PMCS = [("torus", torus_pmc()), ("split2", split_pmc(2))]
 
@@ -71,7 +71,7 @@ def test_criterion_2_grading_homomorphism():
         ref = default_refinement(pmc)
         for i in range(1, 2 * pmc.genus + 1):
             lo, hi = pmc.points_of_pair(i)
-            el = strands.a_of(pmc, [ReebChord(lo, hi)], 0)
+            el = a_of(pmc, [ReebChord(lo, hi)], 0)
             for term in el.terms:
                 assert m_of(strands.element([term]), pmc, ref) == 1
         for _ in range(1000):
@@ -226,9 +226,9 @@ def _triangle_mutations(rng):
         mg = [ModuleGenerator(n, i, m, a) for n, i, m, a in gens]
         by_name = {g.name: g for g in mg}
         for src, cname, dst in delta:
-            coeff = (strands.pair_idempotent(torus_pmc(), by_name[src].idempotent)
-                     if cname == "1" else talg.elements[cname])
-            resolved.append((src, coeff, dst))
+            coeff = (talg.basis.by_label[((), by_name[src].idempotent)]
+                     if cname == "1" else talg.index[cname])
+            resolved.append((src, (coeff,), dst))
         N = TypeDStructure(torus_pmc(), mg, resolved)
         check_type_d(N)
         check_bigrading(N, 0)
@@ -300,7 +300,7 @@ def test_criterion_8_structural_properties():
                         name = {(1, 1): "rho12", (2, 2): "rho23",
                                 (1, 2): "rho1", (2, 1): "rho2"}[
                                     (min(src.idempotent), min(dst.idempotent))]
-                        delta.append((src.name, talg.elements[name], dst.name))
+                        delta.append((src.name, (talg.index[name],), dst.name))
             N = TypeDStructure(torus_pmc(), gens, delta)
         adj = {v: set() for v in N.generators}
         indeg = {v: 0 for v in N.generators}

@@ -271,3 +271,40 @@ def test_notes_follow_a_verification_failure(capsys, monkeypatch):
                             fixture_path("cfk_trefoil_right"))
     assert (code, out) == (1, "")
     assert err.splitlines() == ["verification failed: forced"] + PARTIAL_NOTES
+
+
+def _torus_matching(d):
+    d["pmc"] = {"matching": [1, 2, 1, 2]}  # the torus, spelled out
+    return d["pmc"]["matching"]
+
+
+# field -> (fixture, the container that holds it, its key there)
+INTEGER_FIELDS = {
+    "maslov": ("cfk_trefoil_right", lambda d: d["generators"][0], "maslov"),
+    "alexander": ("cfk_trefoil_right", lambda d: d["generators"][0], "alexander"),
+    "length": ("cfk_trefoil_right", lambda d: d["vertical"][0], "length"),
+    "tau": ("cfk_trefoil_right", lambda d: d, "tau"),
+    "m": ("typed_triangle", lambda d: d["generators"][0], "m"),
+    "idem": ("typed_triangle", lambda d: d["generators"][0]["idem"], 0),
+    "winding": ("cfa_winding2", lambda d: d, "winding"),
+    "genus": ("diag_solid_torus", lambda d: d, "genus"),
+    "alpha_circles": ("diag_solid_torus", lambda d: d, "alpha_circles"),
+    "beta": ("diag_solid_torus", lambda d: d["points"][0], "beta"),
+    "sign": ("diag_solid_torus", lambda d: d["points"][0], "sign"),
+    "matching": ("typed_triangle", _torus_matching, 3),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_reject_floats_and_booleans(capsys, tmp_path, field):
+    """An equal float or a boolean is no integer: int() would read 1.0 and
+    true as 1, and truncate 2.7 to 2."""
+    name, holder, key = INTEGER_FIELDS[field]
+    for bad in (float, bool):
+        def edit(d):
+            h = holder(d)
+            h[key] = bad(h[key])
+        path = _fixture_with(tmp_path, name, edit)
+        code, _, err = invoke(capsys, "check", path)
+        assert code == 2, (field, bad)
+        assert err.startswith(f"error: {path}: {field}") and err.count("\n") == 1, err

@@ -10,6 +10,7 @@ from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             homology_kernel, intersection_matrix,
                             smith_normal_form, verify_cfdker)
 from bdecat.pmc import split_pmc, torus_pmc
+from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
 from tests.helpers import BadIndex, arc_slide_rows
 
@@ -223,20 +224,6 @@ def test_theorem_violation_on_non_realizable_diagram():
                         [arc(1, 1, 1, 0), arc(3, 1, 1, 1), arc(2, 2, 1, 2)])
     with pytest.raises(TheoremViolation):
         verify_cfdker(d)
-
-
-def random_diagram(rng, pmc, g):
-    k = pmc.genus
-    pts, pid = [], 0
-    curves = [("circle", i) for i in range(1, g - k + 1)]
-    curves += [("arc", i) for i in range(1, 2 * k + 1)]
-    for b in range(1, g + 1):
-        for a in curves:
-            for _ in range(rng.randint(0, 2)):
-                if rng.random() < 0.6:
-                    pts.append(DiagramPoint(a, b, rng.choice([1, -1]), pid))
-                    pid += 1
-    return BorderedDiagram(pmc, g, g - k, pts)
 
 
 def test_determinant_enumeration_duality_random():

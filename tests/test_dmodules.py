@@ -1,11 +1,12 @@
 import glob
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from bdecat import dmodules, serialize, strands
+from bdecat import dmodules, grading, serialize, strands
 from bdecat.cfk2cfd import build_cfd
 from bdecat.dmodules import (AInfModule, AInfRelationFails, ChainComplex,
                              GradingIncompatible, ModuleGenerator,
@@ -40,7 +41,7 @@ def test_alexander_grading_is_stored_doubled():
 
 def test_rho12_self_loop_is_a_valid_unbounded_structure(talg, torus):
     N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)],
-                       [("x", talg.elements["rho12"], "x")])
+                       [("x", (talg.index["rho12"],), "x")])
     check_type_d(N)
     assert not is_bounded(N)
 
@@ -48,20 +49,20 @@ def test_rho12_self_loop_is_a_valid_unbounded_structure(talg, torus):
 def test_rho1_self_loop_is_rejected(talg, torus):
     with pytest.raises(ValueError):
         TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)],
-                       [("x", talg.elements["rho1"], "x")])
+                       [("x", (talg.index["rho1"],), "x")])
 
 
 def test_two_cycle_fails_structure_equation(talg, torus):
     gens = [ModuleGenerator("x", {1}, 0, 0), ModuleGenerator("y", {2}, 1, 0)]
-    N = TypeDStructure(torus, gens, [("x", talg.elements["rho1"], "y"),
-                                     ("y", talg.elements["rho2"], "x")])
+    N = TypeDStructure(torus, gens, [("x", (talg.index["rho1"],), "y"),
+                                     ("y", (talg.index["rho2"],), "x")])
     with pytest.raises(StructureEquationFails):
         check_type_d(N)
 
 
 def test_grading_violation_reported(talg, torus):
     gens = [ModuleGenerator("x", {1}, 0, 0), ModuleGenerator("y", {2}, 0, 0)]
-    N = TypeDStructure(torus, gens, [("x", talg.elements["rho1"], "y")])
+    N = TypeDStructure(torus, gens, [("x", (talg.index["rho1"],), "y")])
     with pytest.raises(GradingIncompatible):
         check_type_d(N)
 
@@ -85,7 +86,7 @@ def test_delta_k_iterates(triangle, talg):
 
 def test_delta_k_guards_unbounded(talg, torus):
     N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)],
-                       [("x", talg.elements["rho12"], "x")])
+                       [("x", (talg.index["rho12"],), "x")])
     with pytest.raises(Unbounded):
         delta_k(N, "x", 5)
 
@@ -150,7 +151,7 @@ def test_check_ainf_rejects_broken_square(talg, torus):
     # m2(u, rho12) = u cannot satisfy the n = 3 relation: the composite
     # m2(m2(u, rho12), rho12) = u survives while mu(rho12, rho12) = 0
     M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, 0)],
-                   [("u", [talg.elements["rho12"]], "u")])
+                   [("u", [talg.index["rho12"]], "u")])
     with pytest.raises(AInfRelationFails):
         check_ainf(M)
 
@@ -158,7 +159,7 @@ def test_check_ainf_rejects_broken_square(talg, torus):
 def _chained_m3(talg, torus, ops):
     """A torus module on x, y, z at idempotent {2} with m3 ops (rho2, rho1)."""
     gens = [ModuleGenerator(g, {2}, 0, 0) for g in "xyz"]
-    rho = [talg.elements["rho2"], talg.elements["rho1"]]
+    rho = [talg.index["rho2"], talg.index["rho1"]]
     return AInfModule(torus, gens, [(x, rho, y) for x, y in ops])
 
 
@@ -196,7 +197,7 @@ def _split2_m3(split2):
     b = next(i for i in moving if basis.idempotents[i][0] == basis.idempotents[a][1])
     gens = [ModuleGenerator("x", {1, 2}, 0, 0),
             ModuleGenerator("y", basis.idempotents[b][1], 1, 0)]
-    return AInfModule(split2, gens, [("x", [basis.elements[a], basis.elements[b]], "y")])
+    return AInfModule(split2, gens, [("x", [a, b], "y")])
 
 
 def test_candidate_tuples_walk_the_idempotent_buckets(split2):
@@ -219,7 +220,7 @@ def test_candidate_tuples_walk_the_idempotent_buckets(split2):
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):
     with pytest.raises(ValueError):
         AInfModule(torus, [ModuleGenerator("u", {1}, 0, 0)],
-                   [("u", [talg.elements["iota0"]], "u")])
+                   [("u", [talg.index["iota0"]], "u")])
 
 
 def test_box_tensor_single_generator_pairing(torus):
@@ -271,11 +272,11 @@ def test_pmc_mismatch(split2, triangle):
 
 def test_a_coefficient_outside_a_z0_is_rejected(torus):
     # one of the two sections I({1}), I({3}) of iota0: it has the idempotents
-    # of x and y, but is no sum of A(Z, 0) basis elements
+    # of iota0, but is no sum of A(Z, 0) basis elements, so no index tuple
+    # carries it
     section = element([idempotent(4, {1})])
-    gens = [ModuleGenerator("x", {1}, 0, 0), ModuleGenerator("y", {1}, 1, 0)]
     with pytest.raises(ValueError, match="not in the span of A"):
-        TypeDStructure(torus, gens, [("x", section, "y")])
+        AZBasis(torus, 0).decompose(section)
 
 
 def _typed_fixtures_and_built_cfds():
@@ -311,7 +312,7 @@ def test_eval_m_reads_idempotents_by_index(talg, monkeypatch):
     want = {(x, ids): set(M.eval_m(x, ids)) for x in M.generators for ids in inputs}
     # unitality: m_2(x, iota) = x exactly when iota is the idempotent of x
     for name, s in (("iota0", {1}), ("iota1", {2})):
-        (i,) = M.basis.decompose(talg.elements[name])
+        i = talg.index[name]
         for x, gx in M.generators.items():
             assert want[(x, (i,))] == ({x} if gx.idempotent == s else set())
 
@@ -325,7 +326,58 @@ def test_eval_m_reads_idempotents_by_index(talg, monkeypatch):
 def test_is_bounded_on_a_3000_generator_chain(talg, torus):
     """Deeper than the recursion limit: y0 -rho23-> y1 -rho23-> ... y2999."""
     gens = [ModuleGenerator(f"y{i}", {2}, i, 0) for i in range(3000)]
-    chain = [(f"y{i}", talg.elements["rho23"], f"y{i + 1}") for i in range(2999)]
+    chain = [(f"y{i}", (talg.index["rho23"],), f"y{i + 1}") for i in range(2999)]
     assert is_bounded(TypeDStructure(torus, gens, chain)) is True
-    closed = chain + [("y2999", talg.elements["rho23"], "y0")]
+    closed = chain + [("y2999", (talg.index["rho23"],), "y0")]
     assert is_bounded(TypeDStructure(torus, gens, closed)) is False
+
+
+@pytest.mark.parametrize("ids", [(), (8,), (-1,), ("rho1",)])
+def test_type_d_rejects_bad_index_tuples(talg, torus, ids):
+    """Empty, out of range, or the idempotents of another pair: rho1 runs
+    from iota0 to iota1, the edge from iota0 to iota0."""
+    ids = tuple(talg.index[i] if isinstance(i, str) else i for i in ids)
+    with pytest.raises(ValueError):
+        TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)], [("x", ids, "x")])
+
+
+@pytest.mark.parametrize("ids", [(8,), (-1,), ("rho2",), ("rho1", "rho1")])
+def test_ainf_rejects_bad_index_tuples(talg, torus, ids):
+    """Out of range, or not chaining from x at iota0 to y at iota1."""
+    ids = tuple(talg.index[i] if isinstance(i, str) else i for i in ids)
+    gens = [ModuleGenerator("x", {1}, 0, 0), ModuleGenerator("y", {2}, 1, 0)]
+    with pytest.raises(ValueError):
+        AInfModule(torus, gens, [("x", ids, "y")])
+
+
+def test_a_second_reading_builds_no_element_and_computes_no_m(monkeypatch):
+    """Labels, tables and m_table are built once per algebra: reading and
+    checking every typed fixture and building every CFK fixture's CFD a
+    second time creates no AlgebraElement and calls m_of never."""
+    typed = [p for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+             if serialize.sniff_kind(serialize.load_file(p)) == "typed"]
+    assert typed
+
+    def read_and_check():
+        for path in typed:
+            check_type_d(serialize.read(path, "typed")[1])
+        for name in CFK_NAMES:
+            build_cfd(load_fixture(name))  # checks the structure and its bigrading
+
+    read_and_check()
+    counts = {"AlgebraElement": 0, "m_of": 0}
+    post_init, m_of = strands.AlgebraElement.__post_init__, grading.m_of
+
+    def counting_post_init(self):
+        counts["AlgebraElement"] += 1
+        post_init(self)
+
+    def counting_m_of(*args):
+        counts["m_of"] += 1
+        return m_of(*args)
+    monkeypatch.setattr(strands.AlgebraElement, "__post_init__", counting_post_init)
+    for name, module in list(sys.modules.items()):  # also copies imported by name
+        if name.startswith("bdecat.") and hasattr(module, "m_of"):
+            monkeypatch.setattr(module, "m_of", counting_m_of)
+    read_and_check()
+    assert counts == {"AlgebraElement": 0, "m_of": 0}

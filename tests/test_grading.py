@@ -8,12 +8,12 @@ from bdecat.grading import (GradingElement, NotInGZ, NotMiddleSummand,
                             boundary, chord_vector, default_refinement, f_s,
                             ginv, gmul, gpow, gr_prime, gr_prime_generator,
                             h_coordinates, identity_grading, lam, linking,
-                            m_of, multiplicity, refine)
+                            m_of, m_table, multiplicity, refine)
 from bdecat.pmc import ReebChord
 from bdecat.selfcheck import _random_gz_element
-from bdecat.strands import (a_of, basis_of_AZ, element, idempotent,
+from bdecat.strands import (basis_of_AZ, element, idempotent,
                             left_right_pairs, multiply, differential)
-from tests.helpers import reverse_refinement
+from tests.helpers import a_of, reverse_refinement
 
 HALF = Fraction(1, 2)
 
@@ -182,8 +182,9 @@ def test_fs_rejects_classes_outside_gz(torus):
 
 
 def test_m_values_of_torus_elements(talg):
-    assert talg.m == {"iota0": 0, "iota1": 0, "rho1": 0, "rho2": 1,
-                      "rho3": 0, "rho12": 1, "rho23": 1, "rho123": 1}
+    m = {name: m_table(talg.pmc)[i] for name, i in talg.index.items()}
+    assert m == {"iota0": 0, "iota1": 0, "rho1": 0, "rho2": 1,
+                 "rho3": 0, "rho12": 1, "rho23": 1, "rho123": 1}
 
 
 def test_m_rejects_non_middle_summand(torus):
@@ -217,7 +218,7 @@ def test_identities_on_every_genus2_circle(matching):
     """d^2, closure, f(g_i) = 1, and sampled m multiplicativity hold on all
     21 genus-2 pointed matched circles, not just the split one."""
     from bdecat.pmc import PointedMatchedCircle
-    from bdecat.strands import AZBasis, a_of
+    from bdecat.strands import AZBasis
 
     pmc = PointedMatchedCircle(matching)
     basis = AZBasis(pmc, 0)

@@ -82,8 +82,8 @@ def test_m_table_reads_what_a_direct_computation_gives(torus, split2):
     for pmc in (torus, split2):
         fresh = grading.RefinementData(grading.default_refinement(pmc).base,
                                        dict(grading.default_refinement(pmc).psi))
-        for el in basis_of_AZ(pmc, 0):
-            assert m_of(el, pmc) == m_of(el, pmc, fresh)
+        assert grading.m_table(pmc) == tuple(m_of(el, pmc, fresh)
+                                             for el in basis_of_AZ(pmc, 0))
 
 
 def test_m_raises_on_every_call_for_rejected_elements(torus):

@@ -4,12 +4,11 @@ import pytest
 
 from bdecat import strands
 from bdecat.pmc import ReebChord
-from bdecat.strands import (AZBasis, EndpointClash,
-                            StrandsGenerator, a0, a_of, basis_of_AZ,
+from bdecat.strands import (AZBasis, StrandsGenerator, basis_of_AZ,
                             chord_signature, differential, element,
-                            idempotent, left_right_pairs, multiply,
-                            pair_idempotent, zero)
-from tests.helpers import generators_of_ank
+                            idempotent, left_right_pairs, multiply, zero)
+from tests.helpers import (EndpointClash, a0, a_of, generators_of_ank,
+                           pair_idempotent)
 
 
 def gen(n, strands):

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from bdecat.dmodules import ModuleGenerator, TypeDStructure
+from bdecat.grading import m_table
 from bdecat.strands import multiply
-from bdecat.torus import (BigradingViolation, INTERVALS, alexander_weight_cfa,
-                          alexander_weight_cfd, check_bigrading,
-                          check_cfa_weights, torus_algebra)
+from bdecat.torus import (ELEMENT_CHORDS, BigradingViolation, INTERVALS,
+                          alexander_weight_cfa, alexander_weight_cfd,
+                          check_bigrading, check_cfa_weights, torus_algebra)
 from tests.conftest import load_fixture
+from tests.helpers import a_of, pair_idempotent
 
 H = Fraction(1, 2)
 
@@ -35,28 +37,41 @@ def expected_product(a: str, b: str) -> str | None:
     return EXPECTED_PRODUCTS.get((a, b))
 
 
-def test_full_multiplication_table(talg):
+@pytest.fixture(scope="module")
+def elements(talg):
+    """The eight named elements, built from their chords and idempotents."""
+    els = {"iota0": pair_idempotent(talg.pmc, {1}), "iota1": pair_idempotent(talg.pmc, {2})}
+    els.update((name, a_of(talg.pmc, rho, 0)) for name, rho in ELEMENT_CHORDS.items())
+    return els
+
+
+def test_each_name_indexes_its_element(talg, elements):
+    assert {name: talg.basis.elements[i] for name, i in talg.index.items()} == elements
+    assert [talg.index[name] for name in talg.names] == list(range(8))
+
+
+def test_full_multiplication_table(elements):
     """All 64 products of the eight named elements."""
     checked = 0
-    for a in talg.elements:
-        for b in talg.elements:
-            prod = multiply(talg.elements[a], talg.elements[b])
+    for a in elements:
+        for b in elements:
+            prod = multiply(elements[a], elements[b])
             expected = expected_product(a, b)
             if expected is None:
                 assert not prod, f"{a}*{b} should vanish"
             else:
-                assert prod == talg.elements[expected], f"{a}*{b}"
+                assert prod == elements[expected], f"{a}*{b}"
             checked += 1
     assert checked == 64
 
 
-def test_rho2_rho1_vanishes(talg):
-    assert not multiply(talg.elements["rho2"], talg.elements["rho1"])
+def test_rho2_rho1_vanishes(elements):
+    assert not multiply(elements["rho2"], elements["rho1"])
 
 
-def test_unit_decomposition(talg):
-    unit = talg.elements["iota0"] + talg.elements["iota1"]
-    for el in talg.elements.values():
+def test_unit_decomposition(elements):
+    unit = elements["iota0"] + elements["iota1"]
+    for el in elements.values():
         assert multiply(unit, el) == el
         assert multiply(el, unit) == el
 
@@ -93,21 +108,21 @@ def test_cfa_weight_compatible_with_cfd_weight():
 
 
 def test_m_values_multiplicative(talg):
-    m = talg.m
+    m = {name: m_table(talg.pmc)[i] for name, i in talg.index.items()}
     assert m["rho12"] == (m["rho1"] + m["rho2"]) % 2
     assert m["rho23"] == (m["rho2"] + m["rho3"]) % 2
     assert m["rho123"] == (m["rho1"] + m["rho2"] + m["rho3"]) % 2
 
 
-def test_intervals_table_matches_grading(talg):
+def test_intervals_table_matches_grading(elements):
     from bdecat.grading import gr_prime
-    for name, el in talg.elements.items():
+    for name, el in elements.items():
         assert gr_prime(el).alpha == INTERVALS[name]
 
 
 def test_check_bigrading_accepts_unknot_loop(talg, torus):
     N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)],
-                       [("x", talg.elements["rho12"], "x")])
+                       [("x", (talg.index["rho12"],), "x")])
     check_bigrading(N, 0)
 
 
@@ -120,7 +135,7 @@ def test_check_bigrading_accepts_built_cfd():
 def test_check_bigrading_rejects_shifted_a(talg, torus):
     # a drop 1 across a rho12 arrow whose weight is 0
     gens = [ModuleGenerator("x", {1}, 0, 2), ModuleGenerator("y", {1}, 0, 1)]
-    N = TypeDStructure(torus, gens, [("x", talg.elements["rho12"], "y")])
+    N = TypeDStructure(torus, gens, [("x", (talg.index["rho12"],), "y")])
     with pytest.raises(BigradingViolation):
         check_bigrading(N, 0)
 
@@ -129,7 +144,7 @@ def test_check_bigrading_rejects_wrong_m(talg, torus):
     # rho1 has m = 0, so the edge needs m(x) = m(y) + 1
     gens = [ModuleGenerator("x", {1}, 0, Fraction(1, 2)),
             ModuleGenerator("y", {2}, 0, 0)]
-    N = TypeDStructure(torus, gens, [("x", talg.elements["rho1"], "y")])
+    N = TypeDStructure(torus, gens, [("x", (talg.index["rho1"],), "y")])
     with pytest.raises(BigradingViolation):
         check_bigrading(N, 0)
 
@@ -143,6 +158,6 @@ def test_check_cfa_weights_rejects_bad_a(torus, talg):
     from bdecat.dmodules import AInfModule
     M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, 0),
                            ModuleGenerator("w", {2}, 1, 0)],
-                   [("w", [talg.elements["rho2"]], "u")])
+                   [("w", [talg.index["rho2"]], "u")])
     with pytest.raises(BigradingViolation):
         check_cfa_weights(M, 1)
