@@ -129,22 +129,30 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         if not cond:
             raise CalibrationConflict(msg)
 
+    def chain(prefix, x, y, length, m, a2, inward, first, last):
+        """length iota1 generators prefix1, prefix2, ... at Maslov grading m
+        joining x to y, the first at doubled Alexander grading a2 and each
+        next one 2 lower when inward (the vertical shape of the table) and
+        2 higher otherwise (the horizontal shape)."""
+        step = -2 if inward else 2
+        c = [f"{prefix}{j}" for j in range(1, length + 1)]
+        gens.extend(ModuleGenerator.from_a2(name, IOTA1, m, a2 + step * j)
+                    for j, name in enumerate(c))
+        delta.append((x, rho[first], c[0]))
+        for j in range(length - 1):
+            delta.append((c[j + 1], rho["rho23"], c[j]) if inward
+                         else (c[j], rho["rho23"], c[j + 1]))
+        delta.append((y, rho[last], c[-1]) if inward
+                     else (c[-1], rho[last], y))
+
     for ar in cfk.vertical:
         x, y = cfk.by_name[ar.src], cfk.by_name[ar.dst]
         require(y.alexander == x.alexander - ar.length,
                 f"vertical {ar.src}->{ar.dst}: alexander drop != length")
         require((y.maslov - x.maslov) % 2 == 1,
                 f"vertical {ar.src}->{ar.dst}: maslov parity")
-        v = []
-        for j in range(1, ar.length + 1):
-            name = f"v[{ar.src}>{ar.dst}]{j}"
-            gens.append(ModuleGenerator.from_a2(
-                name, IOTA1, x.maslov + 1, 2 * x.alexander + 1 - 2 * j))
-            v.append(name)
-        delta.append((ar.src, rho["rho1"], v[0]))
-        for j in range(ar.length - 1):
-            delta.append((v[j + 1], rho["rho23"], v[j]))
-        delta.append((ar.dst, rho["rho123"], v[-1]))
+        chain(f"v[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length,
+              x.maslov + 1, 2 * x.alexander - 1, True, "rho1", "rho123")
 
     for ar in cfk.horizontal:
         x, y = cfk.by_name[ar.src], cfk.by_name[ar.dst]
@@ -152,16 +160,8 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
                 f"horizontal {ar.src}->{ar.dst}: alexander rise != length")
         require((y.maslov - x.maslov) % 2 == 1,
                 f"horizontal {ar.src}->{ar.dst}: maslov parity")
-        h = []
-        for j in range(1, ar.length + 1):
-            name = f"h[{ar.src}>{ar.dst}]{j}"
-            gens.append(ModuleGenerator.from_a2(
-                name, IOTA1, x.maslov + 1, 2 * x.alexander - 1 + 2 * j))
-            h.append(name)
-        delta.append((ar.src, rho["rho3"], h[0]))
-        for j in range(ar.length - 1):
-            delta.append((h[j], rho["rho23"], h[j + 1]))
-        delta.append((h[-1], rho["rho2"], ar.dst))
+        chain(f"h[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length,
+              x.maslov + 1, 2 * x.alexander + 1, False, "rho3", "rho2")
 
     xv, xh = cfk.by_name[cfk.xi_v], cfk.by_name[cfk.xi_h]
     require(xh.alexander == xv.alexander - 2 * cfk.tau,
@@ -171,27 +171,11 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     if cfk.tau == 0:
         delta.append((cfk.xi_v, rho["rho12"], cfk.xi_h))
     elif cfk.tau > 0:
-        u = []
-        for j in range(1, 2 * cfk.tau + 1):
-            name = f"u{j}"
-            gens.append(ModuleGenerator.from_a2(
-                name, IOTA1, xv.maslov + 1, 2 * xv.alexander + 1 - 2 * j))
-            u.append(name)
-        delta.append((cfk.xi_v, rho["rho1"], u[0]))
-        for j in range(2 * cfk.tau - 1):
-            delta.append((u[j + 1], rho["rho23"], u[j]))
-        delta.append((cfk.xi_h, rho["rho3"], u[-1]))
+        chain("u", cfk.xi_v, cfk.xi_h, 2 * cfk.tau,
+              xv.maslov + 1, 2 * xv.alexander - 1, True, "rho1", "rho3")
     else:
-        u = []
-        for j in range(1, -2 * cfk.tau + 1):
-            name = f"u{j}"
-            gens.append(ModuleGenerator.from_a2(
-                name, IOTA1, xv.maslov, 2 * xv.alexander - 1 + 2 * j))
-            u.append(name)
-        delta.append((cfk.xi_v, rho["rho123"], u[0]))
-        for j in range(-2 * cfk.tau - 1):
-            delta.append((u[j], rho["rho23"], u[j + 1]))
-        delta.append((u[-1], rho["rho2"], cfk.xi_h))
+        chain("u", cfk.xi_v, cfk.xi_h, -2 * cfk.tau,
+              xv.maslov, 2 * xv.alexander + 1, False, "rho123", "rho2")
 
     N = TypeDStructure(torus_pmc(), gens, delta)
     check_type_d(N)

@@ -7,20 +7,19 @@ did not hold), 2 input or usage error.  All numeric output is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import serialize
 from .cfk2cfd import A2NonZero, Mismatch, build_cfd, verify_a1, verify_a2_zero
 from .diagram import (TheoremViolation, cfd_class_from_determinants,
-                      enumerated_class, homology_kernel, intersection_matrix,
-                      verify_cfdker)
+                      intersection_matrix, verify_cfdker)
 from .dmodules import box_tensor, check_ainf, check_type_d, is_bounded
 from .grading import gr_prime, m_table
-from .grothendieck import class_of, euler_of_complex, normalize_symmetric, pair, substitute
+from .grothendieck import class_of, euler_of_complex, pair, substitute
 from .pmc import NAMED_PMCS, PointedMatchedCircle
-from .satellite import (FormulaMismatch, PatternClass, check_satellite_formula,
-                        decompose)
+from .satellite import FormulaMismatch, PatternClass, check_satellite_formula
 from .strands import az_basis
 from .torus import check_bigrading, check_cfa_weights
 
@@ -33,11 +32,19 @@ def _load_pmc(spec: str) -> PointedMatchedCircle:
     return serialize.read(spec, "pmc")[1]
 
 
-def _check_ainf(args, module) -> None:
-    """check_ainf; `run` prints a note per arity checked in part, after any failure."""
-    for n, checked, chained in check_ainf(module):
-        args.notes.append(f"note: arity {n} A-infinity relations checked on "
-                          f"{checked} of {chained} idempotent-chained input tuples")
+def _read(args, path: str, *kinds: str):
+    """serialize.read, then the structure check of the module it returns:
+    check_type_d on a type D structure, check_ainf on an A-infinity module
+    or pattern.  `run` prints a note per arity checked in part, after any
+    failure."""
+    kind, obj = serialize.read(path, *kinds)
+    if kind == "typed":
+        check_type_d(obj)
+    elif kind in ("ainf", "pattern"):
+        for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
+            args.notes.append(f"note: arity {n} A-infinity relations checked on "
+                              f"{checked} of {chained} idempotent-chained input tuples")
+    return kind, obj
 
 
 def cmd_algebra(args) -> int:
@@ -73,11 +80,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_k0(args) -> int:
-    kind, module = serialize.read(args.module, "typed", "ainf")
-    if kind == "typed":
-        check_type_d(module)
-    else:
-        _check_ainf(args, module)
+    kind, module = _read(args, args.module, "typed", "ainf")
     cls = class_of(module)
     if args.json:
         print(serialize.dumps({"kind": kind,
@@ -88,11 +91,9 @@ def cmd_k0(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    _, pc = serialize.read(args.cfa, "pattern")
-    _, N = serialize.read(args.cfd, "typed")
-    _check_ainf(args, pc.cfa)
-    check_type_d(N)
-    w = args.weight if args.weight is not None else 1
+    _, pc = _read(args, args.cfa, "pattern")
+    _, N = _read(args, args.cfd, "typed")
+    w = args.weight
     product = pair(class_of(pc.cfa), substitute(class_of(N), w))
     report = {"pairing": serialize.laurent_to_json(product),
               "weight": w,
@@ -115,7 +116,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_cfd_from_cfk(args) -> int:
-    _, cfk = serialize.read(args.cfk, "cfk")
+    _, cfk = _read(args, args.cfk, "cfk")
     cfd = build_cfd(cfk)
     delta_a1 = verify_a1(cfd, cfk)
     verify_a2_zero(cfd)
@@ -137,33 +138,28 @@ def cmd_cfd_from_cfk(args) -> int:
 
 
 def cmd_satellite(args) -> int:
-    _, pc = serialize.read(args.cfa, "pattern")
-    _, cfk = serialize.read(args.cfk, "cfk")
+    _, pc = _read(args, args.cfa, "pattern")
+    _, cfk = _read(args, args.cfk, "cfk")
     if args.winding is not None:
         pc = PatternClass(pc.cfa, args.winding)
-    _check_ainf(args, pc.cfa)
-    q, p = decompose(pc)
-    cfd = build_cfd(cfk)
-    delta_k = verify_a1(cfd, cfk)
-    lhs = check_satellite_formula(pc, cfk, cfd)
-    rhs = normalize_symmetric(q * substitute(delta_k, pc.winding))
+    res = check_satellite_formula(pc, cfk)
     if args.json:
         print(serialize.dumps({
-            "Q": serialize.laurent_to_json(q),
-            "P": serialize.laurent_to_json(p),
-            "Delta_K": serialize.laurent_to_json(delta_k),
+            "Q": serialize.laurent_to_json(res.q),
+            "P": serialize.laurent_to_json(res.p),
+            "Delta_K": serialize.laurent_to_json(res.delta_k),
             "winding": pc.winding,
-            "pairing": serialize.laurent_to_json(lhs.poly),
-            "satellite": serialize.laurent_to_json(rhs.poly),
-            "symmetric": lhs.symmetric,
+            "pairing": serialize.laurent_to_json(res.pairing.poly),
+            "satellite": serialize.laurent_to_json(res.satellite.poly),
+            "symmetric": res.pairing.symmetric,
             "verdict": "OK",
             "normalization": "symmetric representative with q(1) >= 0",
         }), end="")
     else:
-        print(f"pattern class:  Q = {q},  P = {p},  winding k = {pc.winding}")
-        print(f"companion:      Delta_K(t) = {delta_k}")
-        print(f"left side:      [CFA] . [CFD, k]        = {lhs.poly}")
-        print(f"right side:     Delta_UC(t) Delta_K(t^k) = {rhs.poly}")
+        print(f"pattern class:  Q = {res.q},  P = {res.p},  winding k = {pc.winding}")
+        print(f"companion:      Delta_K(t) = {res.delta_k}")
+        print(f"left side:      [CFA] . [CFD, k]        = {res.pairing.poly}")
+        print(f"right side:     Delta_UC(t) Delta_K(t^k) = {res.satellite.poly}")
         print("normalization:  symmetric representative with q(1) >= 0")
         if args.report:
             print("a2 component of the companion class is zero; "
@@ -173,10 +169,9 @@ def cmd_satellite(args) -> int:
 
 
 def cmd_diagram_kernel(args) -> int:
-    _, d = serialize.read(args.diagram, "diagram")
-    hk = verify_cfdker(d)
+    _, d = _read(args, args.diagram, "diagram")
+    hk, enum = verify_cfdker(d)
     cls = cfd_class_from_determinants(d)
-    enum = enumerated_class(d)
     report = {
         "matrix": intersection_matrix(d),
         "determinant_class": serialize.class_to_json(cls),
@@ -231,15 +226,12 @@ def cmd_check(args) -> int:
         print("check: need a fixture file, --selftest, or --sign-report",
               file=sys.stderr)
         return 2
-    kind, obj = serialize.read(args.fixture, *([args.kind] if args.kind else []))
-    if kind == "typed":
-        check_type_d(obj)
-        if obj.pmc == NAMED_PMCS["torus"]():
-            check_bigrading(obj, args.framing)
-    elif kind in ("ainf", "pattern"):
-        _check_ainf(args, obj.cfa if kind == "pattern" else obj)
-        if kind == "pattern" and obj.cfa.pmc == NAMED_PMCS["torus"]():
-            check_cfa_weights(obj.cfa, obj.winding)
+    kind, obj = _read(args, args.fixture, *([args.kind] if args.kind else []))
+    torus = NAMED_PMCS["torus"]()
+    if kind == "typed" and obj.pmc == torus:
+        check_bigrading(obj, args.framing)
+    elif kind == "pattern" and obj.cfa.pmc == torus:
+        check_cfa_weights(obj.cfa, obj.winding)
     elif kind == "cfk":
         build_cfd(obj)
     elif kind == "diagram":
@@ -248,6 +240,7 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bdecat",
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="pair an A-infinity module with a type D structure")
     p.add_argument("cfa")
     p.add_argument("cfd")
-    p.add_argument("--weight", type=int, default=None,
+    p.add_argument("--weight", type=int, default=1,
                    help="Alexander weight on the type D side (default 1)")
     p.add_argument("--box", action="store_true",
                    help="also form the box tensor complex and compare Euler characteristics")

@@ -395,8 +395,9 @@ def h1_rel_order_oracle(d: BorderedDiagram) -> int | None:
     return order
 
 
-def verify_cfdker(d: BorderedDiagram) -> HomologyKernel:
-    """Check span[CFD] = |H_1(Y, dY)| * Lambda^k ker(i*) on this diagram.
+def verify_cfdker(d: BorderedDiagram) -> tuple[HomologyKernel, ExteriorClass]:
+    """Check span[CFD] = |H_1(Y, dY)| * Lambda^k ker(i*) on this diagram;
+    return the homology kernel and the class [CFD] it was compared with.
 
     The comparison uses the enumerated class (the determinants twisted by
     the per-subset duality sign), componentwise up to one global sign.
@@ -407,13 +408,13 @@ def verify_cfdker(d: BorderedDiagram) -> HomologyKernel:
         if cls:
             raise TheoremViolation(
                 f"b1(Y, dY) = {hk.b1_rel} > 0 but [CFD] = {cls}")
-        return hk
+        return hk, cls
     target = hk.kernel_wedge.scale(hk.order)
     if not target and not cls:
-        return hk
+        return hk, cls
     for eps in (1, -1):
         if cls.scale(eps) == target:
-            return hk
+            return hk, cls
     raise TheoremViolation(
         f"[CFD] = {cls} is not +-{hk.order} * kernel wedge {hk.kernel_wedge}")
 

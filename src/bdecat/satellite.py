@@ -12,8 +12,10 @@ never contributes because the a_2 component of the companion class vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cfk2cfd import CFKComplex, IOTA0, IOTA1, build_cfd, verify_a1
+from .cfk2cfd import (CFKComplex, IOTA0, IOTA1, build_cfd, verify_a1,
+                      verify_a2_zero)
 from .dmodules import AInfModule, TypeDStructure
 from .grothendieck import (LaurentHalf, NormalizedPolynomial, class_of,
                            normalize_symmetric, pair, substitute)
@@ -39,27 +41,32 @@ def decompose(pc: PatternClass) -> tuple[LaurentHalf, LaurentHalf]:
     return cls.coefficient(IOTA0), cls.coefficient(IOTA1)
 
 
-def satellite_polynomial(pc: PatternClass, cfk: CFKComplex,
-                         cfd: TypeDStructure | None = None) -> NormalizedPolynomial:
-    """[CFA(pattern)] . [CFD(complement), winding], symmetrized.
-
-    cfd, when given, is build_cfd(cfk) already built and checked.
-    """
-    if cfd is None:
-        cfd = build_cfd(cfk)
+def satellite_polynomial(pc: PatternClass,
+                         cfd: TypeDStructure) -> NormalizedPolynomial:
+    """[CFA(pattern)] . [CFD(complement), winding], symmetrized."""
     raw = pair(class_of(pc.cfa), substitute(class_of(cfd), pc.winding))
     return normalize_symmetric(raw)
 
 
-def check_satellite_formula(pc: PatternClass, cfk: CFKComplex,
-                            cfd: TypeDStructure | None = None) -> NormalizedPolynomial:
-    """Assert Delta_{U_C}(t) * Delta_K(t^k) equals the pairing; return it."""
-    if cfd is None:
-        cfd = build_cfd(cfk)
-    lhs = satellite_polynomial(pc, cfk, cfd)
-    q, _ = decompose(pc)
+class SatelliteCheck(NamedTuple):
+    """What check_satellite_formula computed: the pattern components, the
+    companion's Alexander polynomial, and the two equal sides."""
+    q: LaurentHalf
+    p: LaurentHalf
+    delta_k: LaurentHalf
+    pairing: NormalizedPolynomial
+    satellite: NormalizedPolynomial
+
+
+def check_satellite_formula(pc: PatternClass, cfk: CFKComplex) -> SatelliteCheck:
+    """Build CFD(K) once, check that its a1 component is Delta_K and its a2
+    component is zero, and that the pairing equals Delta_{U_C}(t) * Delta_K(t^k)."""
+    cfd = build_cfd(cfk)
     delta_k = verify_a1(cfd, cfk)
+    verify_a2_zero(cfd)
+    q, p = decompose(pc)
+    lhs = satellite_polynomial(pc, cfd)
     rhs = normalize_symmetric(q * substitute(delta_k, pc.winding))
     if lhs != rhs:
         raise FormulaMismatch(f"pairing {lhs} != Q(t)*Delta(t^k) {rhs}")
-    return lhs
+    return SatelliteCheck(q, p, delta_k, lhs, rhs)

@@ -157,7 +157,7 @@ def test_criterion_5_satellite_formula():
     core = load_fixture("cfa_core")
     for name in CFK_NAMES:
         cfk = load_fixture(name)
-        res = satellite_polynomial(core, cfk)
+        res = satellite_polynomial(core, build_cfd(cfk))
         assert res == normalize_symmetric(verify_a1(build_cfd(cfk), cfk))
     triples = 0
     for pname, cname in itertools.product(PATTERN_NAMES, CFK_NAMES):
@@ -165,7 +165,7 @@ def test_criterion_5_satellite_formula():
         triples += 1
     # P-component perturbations never change the satellite polynomial
     rng = random.Random(5)
-    companion = load_fixture("cfk_torus34")
+    companion = build_cfd(load_fixture("cfk_torus34"))
     for pname in PATTERN_NAMES:
         base = load_fixture(pname)
         reference = satellite_polynomial(base, companion)
@@ -184,7 +184,7 @@ def test_criterion_5_satellite_formula():
 def test_criterion_6_kernel_theorem():
     for name in DIAGRAM_NAMES:
         d = load_fixture(name)
-        hk = verify_cfdker(d)
+        hk, _ = verify_cfdker(d)
         assert hk.order == h1_rel_order_oracle(d)
         if hk.b1_rel == 0:
             target = hk.kernel_wedge.scale(hk.order)

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 import bdecat.cfk2cfd as cfk2cfd
 import bdecat.cli as cli
+import bdecat.diagram as diagram
 import bdecat.dmodules as dmodules
 import bdecat.satellite as satellite
 from bdecat import serialize
@@ -242,6 +244,76 @@ def test_satellite_builds_the_cfd_once(capsys, monkeypatch):
         "verdict": "OK",
         "winding": 1,
     })
+
+
+COUNTED = {"build_cfd": cfk2cfd.build_cfd, "verify_a1": cfk2cfd.verify_a1,
+           "verify_a2_zero": cfk2cfd.verify_a2_zero, "decompose": satellite.decompose,
+           "check_type_d": dmodules.check_type_d, "check_ainf": dmodules.check_ainf,
+           "enumerate_generators": diagram.enumerate_generators}
+
+
+def _count_calls(monkeypatch):
+    """Wrap every COUNTED function wherever a bdecat module refers to it;
+    return the call counts, filled in as the wrappers run."""
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("bdecat")]
+    for name, fn in COUNTED.items():
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # check_type_d runs inside build_cfd
+    (["satellite", fixture_path("cfa_trefoil_pattern"), fixture_path("cfk_figure8")],
+     {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "decompose": 1,
+      "check_type_d": 1, "check_ainf": 1}),
+    (["diagram-kernel", fixture_path("diag_twisted_p3")], {"enumerate_generators": 1}),
+    (["k0", fixture_path("typed_triangle")], {"check_type_d": 1}),
+    (["k0", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
+    (["pair", fixture_path("cfa_with_ops"), fixture_path("typed_triangle"), "--box"],
+     {"check_type_d": 1, "check_ainf": 1}),
+    (["check", fixture_path("typed_triangle")], {"check_type_d": 1}),
+    (["check", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
+], ids=["satellite", "diagram-kernel", "k0-typed", "k0-ainf", "pair", "check-typed",
+        "check-pattern"])
+def test_each_command_runs_each_step_once(capsys, monkeypatch, argv, expected):
+    counts = _count_calls(monkeypatch)
+    assert invoke(capsys, *argv)[0] == 0
+    assert counts == {**dict.fromkeys(COUNTED, 0), **expected}
+
+
+def test_the_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    parsers = set()
+    for argv in (["k0", fixture_path("typed_triangle")], ["algebra", "--json"],
+                 ["no-such-command"], ["check", fixture_path("cfk_unknot")]):
+        invoke(capsys, *argv)
+        parsers.add(id(cli.build_parser()))
+    assert len(parsers) == 1
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_satellite_checks_the_a2_component(capsys, monkeypatch):
+    """A P = 0 pattern pairs to the right polynomial whatever the a2
+    component of the companion is, so only verify_a2_zero sees one extra
+    iota1 generator."""
+    def unbalanced_build_cfd(cfk):
+        cfd = cfk2cfd.build_cfd(cfk)
+        extra = dmodules.ModuleGenerator("extra", cfk2cfd.IOTA1, 0, 0)
+        return dmodules.TypeDStructure(
+            cfd.pmc, [*cfd.generators.values(), extra], cfd.delta)
+
+    monkeypatch.setattr(satellite, "build_cfd", unbalanced_build_cfd)
+    code, out, err = invoke(capsys, "satellite", fixture_path("cfa_trefoil_pattern"),
+                            fixture_path("cfk_trefoil_right"), "--report")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: a2 component is "), err
 
 
 PARTIAL_NOTES = [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bdecat.cfk2cfd import build_cfd
 from bdecat.dmodules import AInfModule, ModuleGenerator
 from bdecat.grothendieck import LaurentHalf, normalize_symmetric, substitute
 from bdecat.satellite import (PatternClass,
@@ -36,7 +37,7 @@ def test_two_generator_p_component(torus):
 
 def test_core_against_trefoil():
     res = satellite_polynomial(load_fixture("cfa_core"),
-                               load_fixture("cfk_trefoil_right"))
+                               build_cfd(load_fixture("cfk_trefoil_right")))
     assert res.symmetric
     assert res.poly == (LaurentHalf.monomial(1) + LaurentHalf.monomial(0, -1)
                         + LaurentHalf.monomial(-1))
@@ -44,7 +45,7 @@ def test_core_against_trefoil():
 
 def test_core_against_figure8():
     res = satellite_polynomial(load_fixture("cfa_core"),
-                               load_fixture("cfk_figure8"))
+                               build_cfd(load_fixture("cfk_figure8")))
     assert res.poly == (LaurentHalf.monomial(1, -1) + LaurentHalf.monomial(0, 3)
                         + LaurentHalf.monomial(-1, -1))
 
@@ -56,7 +57,7 @@ def test_any_pattern_against_unknot_returns_q():
         q, _ = decompose(pc)
         if not q:
             continue
-        assert satellite_polynomial(pc, unknot) == normalize_symmetric(q)
+        assert satellite_polynomial(pc, build_cfd(unknot)) == normalize_symmetric(q)
 
 
 @pytest.mark.parametrize("pattern,companion",
@@ -68,7 +69,7 @@ def test_formula_on_all_shipped_pairs(pattern, companion):
 def test_winding2_pattern_p_is_invisible():
     """Q = 1 with arbitrary nonzero P against the trefoil gives t^2 - 1 + t^-2."""
     res = satellite_polynomial(load_fixture("cfa_winding2"),
-                               load_fixture("cfk_trefoil_right"))
+                               build_cfd(load_fixture("cfk_trefoil_right")))
     assert res.poly == (LaurentHalf.monomial(2) + LaurentHalf.monomial(0, -1)
                         + LaurentHalf.monomial(-2))
 
@@ -76,7 +77,7 @@ def test_winding2_pattern_p_is_invisible():
 def test_p_perturbation_invariance(torus):
     """Adding iota1 generators perturbs P but never the satellite polynomial."""
     base = load_fixture("cfa_trefoil_pattern")
-    companion = load_fixture("cfk_trefoil_right")
+    companion = build_cfd(load_fixture("cfk_trefoil_right"))
     reference = satellite_polynomial(base, companion)
     for extra_m, extra_a in ((0, H), (1, Fraction(-3, 2)), (0, 2)):
         gens = list(base.cfa.generators.values()) + [
@@ -93,7 +94,7 @@ def test_satellite_evaluates_to_unit_at_one():
         if q.evaluate_at_one() not in (1, -1):
             continue
         for companion in CFK_NAMES:
-            res = satellite_polynomial(pc, load_fixture(companion))
+            res = satellite_polynomial(pc, build_cfd(load_fixture(companion)))
             assert res.poly.evaluate_at_one() in (1, -1)
 
 
@@ -102,18 +103,18 @@ def test_core_winding_fixture_integrity():
     core = load_fixture("cfa_core")
     assert core.winding == 1
     companion = load_fixture("cfk_trefoil_right")
-    from bdecat.cfk2cfd import build_cfd, verify_a1
-    delta = verify_a1(build_cfd(companion), companion)
-    assert satellite_polynomial(core, companion).poly == substitute(delta, 1)
+    from bdecat.cfk2cfd import verify_a1
+    cfd = build_cfd(companion)
+    delta = verify_a1(cfd, companion)
+    assert satellite_polynomial(core, cfd).poly == substitute(delta, 1)
     wrong = PatternClass(core.cfa, 2)
-    assert satellite_polynomial(wrong, companion).poly != substitute(delta, 1)
+    assert satellite_polynomial(wrong, cfd).poly != substitute(delta, 1)
 
 
 def test_pairing_equals_q_times_delta_before_normalization():
     """The identity is exact, not just exact up to the symmetrization:
     the a2 component of the companion class vanishes, so the cross term
     drops out of the raw pairing."""
-    from bdecat.cfk2cfd import build_cfd
     from bdecat.grothendieck import class_of, pair
     for pattern, companion in itertools.product(PATTERN_NAMES, CFK_NAMES):
         pc = load_fixture(pattern)
