@@ -42,9 +42,9 @@ def decompose(pc: PatternClass) -> tuple[LaurentHalf, LaurentHalf]:
 
 
 def satellite_polynomial(pc: PatternClass,
-                         cfd: TypeDStructure) -> NormalizedPolynomial:
-    """[CFA(pattern)] . [CFD(complement), winding], symmetrized."""
-    raw = pair(class_of(pc.cfa), substitute(class_of(cfd), pc.winding))
+                         companion: TypeDStructure) -> NormalizedPolynomial:
+    """[CFA(pattern)] . [CFD(companion complement), winding], symmetrized."""
+    raw = pair(class_of(pc.cfa), substitute(class_of(companion), pc.winding))
     return normalize_symmetric(raw)
 
 
