@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import serialize
@@ -35,15 +34,18 @@ def _load_pmc(spec: str) -> PointedMatchedCircle:
 def _read(args, path: str, *kinds: str):
     """serialize.read, then the structure check of the module it returns:
     check_type_d on a type D structure, check_ainf on an A-infinity module
-    or pattern.  `run` prints a note per arity checked in part, after any
-    failure."""
+    or pattern.  A failed check raises FixtureError naming the file.  `run`
+    prints a note per arity checked in part, after any failure."""
     kind, obj = serialize.read(path, *kinds)
-    if kind == "typed":
-        check_type_d(obj)
-    elif kind in ("ainf", "pattern"):
-        for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
-            args.notes.append(f"note: arity {n} A-infinity relations checked on "
-                              f"{checked} of {chained} idempotent-chained input tuples")
+    try:
+        if kind == "typed":
+            check_type_d(obj)
+        elif kind in ("ainf", "pattern"):
+            for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
+                args.notes.append(f"note: arity {n} A-infinity relations checked on "
+                                  f"{checked} of {chained} idempotent-chained input tuples")
+    except ValueError as exc:
+        raise serialize.FixtureError(f"{path}: {exc}") from exc
     return kind, obj
 
 
@@ -318,7 +320,7 @@ def run(argv) -> int:
     except VERIFY_FAIL as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

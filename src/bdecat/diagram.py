@@ -12,6 +12,15 @@ where sigma_x reads off the beta indices along the occupied alpha-curves
 (arcs first, then circles) and sigma_{o(x)} sorts (J(o), J(complement))
 inside S_{2k}.
 
+[CFD(H)] sums these signs per unoccupied arc set.  `enumerated_class`
+computes it without listing a generator: it sweeps the betas in order over
+the bitmask of occupied alpha-curves (arcs first, then circles, the sigma_x
+order), with a signed integer per mask.  Points on the same (alpha, beta)
+merge into their net sign; placing beta b on curve pos adds one inversion to
+sigma_x per occupied curve after pos, since b exceeds every beta placed
+before it.  `enumerate_generators` lists the generators one by one; it is the
+oracle the tests compare the sweep with.
+
 The signed intersection matrix M(H) has a row per alpha-circle followed by a
 row per alpha-arc and a column per beta-circle.  Deleting the arc rows named
 by a k-element subset s leaves a square matrix whose determinant counts the
@@ -195,8 +204,6 @@ class DiagramPoint:
 class DiagramGenerator:
     points: tuple[DiagramPoint, ...]
     occupied: frozenset[int]
-    sigma_x_sign: int
-    sigma_o_sign: int
     sign: int
 
 
@@ -245,7 +252,10 @@ def sigma_o_sign(k: int, occupied) -> int:
 
 
 def enumerate_generators(d: BorderedDiagram) -> list[DiagramGenerator]:
-    """All matchings: one point per beta, one per circle, at most one per arc."""
+    """All matchings: one point per beta, one per circle, at most one per arc.
+
+    The test oracle for `enumerated_class`; nothing in the package calls it.
+    """
     by_beta: dict[int, list[DiagramPoint]] = {b: [] for b in range(1, d.genus + 1)}
     for p in d.points:
         by_beta[p.beta].append(p)
@@ -261,16 +271,12 @@ def enumerate_generators(d: BorderedDiagram) -> list[DiagramGenerator]:
             circ_pts = sorted((p for p in chosen if p.alpha[0] == "circle"),
                               key=lambda p: p.alpha[1])
             seq = [p.beta for p in arc_pts + circ_pts]
-            sx = _perm_sign(seq)
-            so = sigma_o_sign(d.k, arcs_used)
-            total = sx * so
+            total = _perm_sign(seq) * sigma_o_sign(d.k, arcs_used)
             for p in chosen:
                 total *= p.sign
             out.append(DiagramGenerator(
                 points=tuple(arc_pts + circ_pts),
                 occupied=frozenset(arcs_used),
-                sigma_x_sign=sx,
-                sigma_o_sign=so,
                 sign=total))
             return
         remaining = d.genus - beta + 1
@@ -305,26 +311,48 @@ def intersection_matrix(d: BorderedDiagram) -> list[list[int]]:
     return rows
 
 
-def deleted_matrix(d: BorderedDiagram, s) -> list[list[int]]:
-    """M(H) with the arc rows named by s removed."""
-    m = intersection_matrix(d)
-    keep = list(range(d.alpha_circles)) + [
-        d.alpha_circles + i - 1 for i in range(1, 2 * d.k + 1) if i not in s]
-    return [m[r] for r in keep]
-
-
 def cfd_class_from_determinants(d: BorderedDiagram) -> ExteriorClass:
     """Coefficient of a_s is det of M(H) with the s arc rows deleted."""
+    m = intersection_matrix(d)
+    circles, arcs = m[:d.alpha_circles], m[d.alpha_circles:]
     return class_from_terms(d.k, (
-        (s, 0, det_int(deleted_matrix(d, set(s))))
+        (s, 0, det_int(circles + [row for i, row in enumerate(arcs, 1) if i not in s]))
         for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
 
 
 def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
-    """[CFD(H)]: signed generator count per unoccupied arc set."""
-    arcs = frozenset(range(1, 2 * d.k + 1))
-    return class_from_terms(d.k, ((arcs - g.occupied, 0, g.sign)
-                                  for g in enumerate_generators(d)))
+    """[CFD(H)]: signed generator count per unoccupied arc set.
+
+    One sweep over the betas; the state is the bitmask of occupied
+    alpha-curves (bit i - 1 for arc i, bit 2k + j - 1 for circle j) and its
+    value the signed count of the partial generators that occupy it.
+    """
+    arcs = 2 * d.k
+    net: list[dict[int, int]] = [{} for _ in range(d.genus)]
+    for p in d.points:
+        kind, idx = p.alpha
+        pos = idx - 1 if kind == "arc" else arcs + idx - 1
+        net[p.beta - 1][pos] = net[p.beta - 1].get(pos, 0) + p.sign
+    counts = {0: 1}
+    for row in net:
+        moves = [(pos, c) for pos, c in row.items() if c]
+        nxt: dict[int, int] = {}
+        for mask, n in counts.items():
+            for pos, c in moves:
+                if not mask >> pos & 1:
+                    # the betas on curves after pos are smaller: inversions
+                    term = -n * c if (mask >> (pos + 1)).bit_count() & 1 else n * c
+                    key = mask | 1 << pos
+                    nxt[key] = nxt.get(key, 0) + term
+        counts = {mask: n for mask, n in nxt.items() if n}
+    circles = ((1 << d.alpha_circles) - 1) << arcs
+    everything = frozenset(range(1, arcs + 1))
+    terms = []
+    for mask, n in counts.items():
+        if mask & circles == circles:
+            occupied = frozenset(i + 1 for i in range(arcs) if mask >> i & 1)
+            terms.append((everything - occupied, 0, n * sigma_o_sign(d.k, occupied)))
+    return class_from_terms(d.k, terms)
 
 
 def duality_sign(d: BorderedDiagram, s) -> int:
@@ -399,8 +427,10 @@ def verify_cfdker(d: BorderedDiagram) -> tuple[HomologyKernel, ExteriorClass]:
     """Check span[CFD] = |H_1(Y, dY)| * Lambda^k ker(i*) on this diagram;
     return the homology kernel and the class [CFD] it was compared with.
 
-    The comparison uses the enumerated class (the determinants twisted by
-    the per-subset duality sign), componentwise up to one global sign.
+    The comparison uses the signed generator count of `enumerated_class`,
+    computed by its beta sweep without listing a generator (it equals the
+    determinants twisted by the per-subset duality sign), componentwise up to
+    one global sign.
     """
     hk = homology_kernel(d)
     cls = enumerated_class(d)

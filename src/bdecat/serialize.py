@@ -288,8 +288,13 @@ def dumps(data) -> str:
 
 
 def load_file(path: str) -> dict:
+    """The parsed JSON at path; text that is not JSON raises FixtureError
+    naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FixtureError(f"{path}: {exc}") from exc
 
 
 KIND_LOADERS = {

@@ -182,6 +182,21 @@ def test_input_error_exit_codes(capsys, tmp_path):
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
+    # text that is not JSON, and a failed structure check (one m flipped in
+    # the type D file), name the file, also when the command reads two
+    flipped = _fixture_with(tmp_path, "typed_triangle",
+                            lambda d: d["generators"][0].update(m=1 - d["generators"][0]["m"]))
+    named = [
+        (["pair", str(garbage), triangle],
+         f"error: {garbage}: Expecting property name enclosed in double quotes"),
+        (["pair", fixture_path("cfa_with_ops"), flipped],
+         f"error: {flipped}: x1->x2: m(x1)=0 but m(coeff)+m(x2)+1=1\n"),
+    ]
+    for argv, line in named:
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
+
 
 def test_loader_errors_name_the_file(capsys, tmp_path):
     cfd = _fixture_with(tmp_path, "typed_triangle",
@@ -249,6 +264,7 @@ def test_satellite_builds_the_cfd_once(capsys, monkeypatch):
 COUNTED = {"build_cfd": cfk2cfd.build_cfd, "verify_a1": cfk2cfd.verify_a1,
            "verify_a2_zero": cfk2cfd.verify_a2_zero, "decompose": satellite.decompose,
            "check_type_d": dmodules.check_type_d, "check_ainf": dmodules.check_ainf,
+           "enumerated_class": diagram.enumerated_class,
            "enumerate_generators": diagram.enumerate_generators}
 
 
@@ -273,7 +289,9 @@ def _count_calls(monkeypatch):
     (["satellite", fixture_path("cfa_trefoil_pattern"), fixture_path("cfk_figure8")],
      {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "decompose": 1,
       "check_type_d": 1, "check_ainf": 1}),
-    (["diagram-kernel", fixture_path("diag_twisted_p3")], {"enumerate_generators": 1}),
+    # the class comes from the beta sweep; enumeration is only a test oracle
+    (["diagram-kernel", fixture_path("diag_twisted_p3")],
+     {"enumerated_class": 1, "enumerate_generators": 0}),
     (["k0", fixture_path("typed_triangle")], {"check_type_d": 1}),
     (["k0", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
     (["pair", fixture_path("cfa_with_ops"), fixture_path("typed_triangle"), "--box"],

@@ -1,6 +1,8 @@
 """The exit-code contract under bad input: every CLI run on a mutated shipped
 fixture exits 0 (verified), 1 (a theorem check failed, and stderr says so)
-or 2 (bad input), and no exception escapes `cli.run`."""
+or 2 (bad input, and stderr says `error:`), and no exception escapes
+`cli.run`.  A file cut short so that it is no longer JSON is named on the
+error line."""
 
 import contextlib
 import io
@@ -8,7 +10,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdecat import serialize
 from bdecat.cli import run
@@ -63,7 +65,25 @@ def mutated_fixtures(draw):
         path, _ = draw(st.sampled_from(leaves))
         at(data, path[:-1])[path[-1]] = draw(
             st.sampled_from(JUNK + [v for _, v in leaves]))
-    return kind, data
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return kind, text
+
+
+def _flipped_m():
+    """typed_triangle with the m of x1 flipped: it fails its structure check."""
+    data = serialize.load_file(fixture_path("typed_triangle"))
+    data["generators"][0]["m"] = 1 - data["generators"][0]["m"]
+    return json.dumps(data)
+
+
+def _is_json(text) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +93,12 @@ def workdir(tmp_path_factory):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(fixture=mutated_fixtures(), check=st.booleans())
+@example(fixture=("typed", "{not json"), check=False)
+@example(fixture=("typed", _flipped_m()), check=False)
 def test_mutated_fixtures_keep_the_exit_code_contract(workdir, fixture, check):
-    kind, data = fixture
+    kind, text = fixture
     path = workdir / "mutated.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     argv = ["check", str(path)] if check else command(kind, str(path))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -84,3 +106,7 @@ def test_mutated_fixtures_keep_the_exit_code_contract(workdir, fixture, check):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("verification failed: "), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    if not _is_json(text):
+        assert code == 2 and err.getvalue().startswith(f"error: {path}: "), err.getvalue()

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest  # noqa: F401  (fixtures)
+from hypothesis import example, given, settings, strategies as st
 
 from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             cfd_class_from_determinants, column_echelon,
@@ -9,6 +10,7 @@ from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             enumerated_class, h1_rel_order_oracle,
                             homology_kernel, intersection_matrix,
                             smith_normal_form, verify_cfdker)
+from bdecat.grothendieck import class_from_terms
 from bdecat.pmc import split_pmc, torus_pmc
 from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
@@ -244,6 +246,59 @@ def test_determinant_enumeration_duality_random():
             assert lhs == rhs
         checked += 1
     assert checked >= 50
+
+
+def _enumeration_class(d):
+    """[CFD(H)] summed over the generators `enumerate_generators` lists."""
+    arcs = frozenset(range(1, 2 * d.k + 1))
+    return class_from_terms(d.k, ((arcs - g.occupied, 0, g.sign)
+                                  for g in enumerate_generators(d)))
+
+
+@st.composite
+def small_diagrams(draw):
+    """Genus <= 7 over torus, split2 or split3, with 1 to n points per beta,
+    n ** g <= 4 096 (and n <= 8) so that enumeration lists at most 4 096
+    generators; points drawn on the same (alpha, beta) may carry opposite
+    signs and cancel."""
+    pmc = draw(st.sampled_from([torus_pmc(), split_pmc(2), split_pmc(3)]))
+    g = draw(st.integers(pmc.genus, 7))
+    curves = [("circle", i) for i in range(1, g - pmc.genus + 1)]
+    curves += [("arc", i) for i in range(1, 2 * pmc.genus + 1)]
+    per_beta = max(n for n in range(1, 9) if n ** g <= 4096)
+    points = []
+    for beta in range(1, g + 1):
+        for alpha, sign in draw(st.lists(st.tuples(st.sampled_from(curves),
+                                                   st.sampled_from([1, -1])),
+                                         min_size=1, max_size=per_beta)):
+            points.append(DiagramPoint(alpha, beta, sign, len(points)))
+    return BorderedDiagram(pmc, g, g - pmc.genus, points)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(d=small_diagrams())
+@example(d=BorderedDiagram(torus_pmc(), 1, 0,
+                           [arc(1, 1, 1, 0), arc(1, 1, -1, 1), arc(2, 1, 1, 2)]))
+@example(d=BorderedDiagram(split_pmc(2), 3, 1,
+                           [arc(1, 1, 1, 0), arc(1, 1, -1, 1), arc(1, 1, 1, 2),
+                            circle(1, 2, -1, 3), circle(1, 2, 1, 4), arc(3, 2, 1, 5),
+                            arc(2, 3, 1, 6), circle(1, 3, 1, 7), arc(4, 3, -1, 8)]))
+@example(d=BorderedDiagram(split_pmc(3), 4, 1,
+                           [arc(i, b, s, 10 * b + i) for b in range(1, 5)
+                            for i in range(1, 7) for s in (1, -1)]
+                           + [circle(1, b, 1, 100 + b) for b in range(1, 5)]))
+def test_sweep_class_equals_enumeration(d):
+    assert enumerated_class(d) == _enumeration_class(d)
+
+
+def test_sweep_class_dual_to_determinants_at_split3_genus_12():
+    """At genus 12 enumeration is out of reach; the determinants, twisted by
+    the duality sign, are the oracle for every 3-subset."""
+    d = random_diagram(random.Random(12), split_pmc(3), 12)
+    cls, det = enumerated_class(d), cfd_class_from_determinants(d)
+    assert cls
+    for s in itertools.combinations(range(1, 7), 3):
+        assert cls.coefficient(s) == det.coefficient(s).scale(duality_sign(d, s))
 
 
 def test_az_sign_report_consistent():
