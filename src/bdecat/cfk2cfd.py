@@ -122,8 +122,7 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     gens: list[ModuleGenerator] = []
     delta: list[tuple] = []
     for g in cfk.generators:
-        gens.append(ModuleGenerator.from_a2(g.name, IOTA0, g.maslov,
-                                            2 * g.alexander))
+        gens.append(ModuleGenerator(g.name, IOTA0, g.maslov, a2=2 * g.alexander))
 
     def require(cond, msg):
         if not cond:
@@ -136,7 +135,7 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         2 higher otherwise (the horizontal shape)."""
         step = -2 if inward else 2
         c = [f"{prefix}{j}" for j in range(1, length + 1)]
-        gens.extend(ModuleGenerator.from_a2(name, IOTA1, m, a2 + step * j)
+        gens.extend(ModuleGenerator(name, IOTA1, m, a2=a2 + step * j)
                     for j, name in enumerate(c))
         delta.append((x, rho[first], c[0]))
         for j in range(length - 1):

@@ -7,11 +7,13 @@ did not hold), 2 input or usage error.  All numeric output is exact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
 from . import serialize
-from .cfk2cfd import A2NonZero, Mismatch, build_cfd, verify_a1, verify_a2_zero
+from .cfk2cfd import (A2NonZero, CalibrationConflict, Mismatch, build_cfd, verify_a1,
+                      verify_a2_zero)
 from .diagram import (TheoremViolation, cfd_class_from_determinants,
                       intersection_matrix, verify_cfdker)
 from .dmodules import box_tensor, check_ainf, check_type_d, is_bounded
@@ -47,6 +49,16 @@ def _read(args, path: str, *kinds: str):
     except ValueError as exc:
         raise serialize.FixtureError(f"{path}: {exc}") from exc
     return kind, obj
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """A CFK invariant that build_cfd rejects, after the file at path was
+    read, raises FixtureError naming that file."""
+    try:
+        yield
+    except CalibrationConflict as exc:
+        raise serialize.FixtureError(f"{path}: {exc}") from exc
 
 
 def cmd_algebra(args) -> int:
@@ -119,7 +131,8 @@ def cmd_pair(args) -> int:
 
 def cmd_cfd_from_cfk(args) -> int:
     _, cfk = _read(args, args.cfk, "cfk")
-    cfd = build_cfd(cfk)
+    with _naming(args.cfk):
+        cfd = build_cfd(cfk)
     delta_a1 = verify_a1(cfd, cfk)
     verify_a2_zero(cfd)
     if args.json:
@@ -144,7 +157,8 @@ def cmd_satellite(args) -> int:
     _, cfk = _read(args, args.cfk, "cfk")
     if args.winding is not None:
         pc = PatternClass(pc.cfa, args.winding)
-    res = check_satellite_formula(pc, cfk)
+    with _naming(args.cfk):
+        res = check_satellite_formula(pc, cfk)
     if args.json:
         print(serialize.dumps({
             "Q": serialize.laurent_to_json(res.q),
@@ -212,7 +226,7 @@ def cmd_check(args) -> int:
     if args.selftest:
         return _selftest(args)
     if args.sign_report:
-        from .diagram import az_sign_report
+        from .selfcheck import az_sign_report
         pmc = _load_pmc(args.pmc)
         rep = az_sign_report(pmc)
         if args.json:
@@ -235,7 +249,8 @@ def cmd_check(args) -> int:
     elif kind == "pattern" and obj.cfa.pmc == torus:
         check_cfa_weights(obj.cfa, obj.winding)
     elif kind == "cfk":
-        build_cfd(obj)
+        with _naming(args.fixture):
+            build_cfd(obj)
     elif kind == "diagram":
         verify_cfdker(obj)
     print(f"{args.fixture}: valid {kind} fixture")

@@ -447,50 +447,3 @@ def verify_cfdker(d: BorderedDiagram) -> tuple[HomologyKernel, ExteriorClass]:
             return hk, cls
     raise TheoremViolation(
         f"[CFD] = {cls} is not +-{hk.order} * kernel wedge {hk.kernel_wedge}")
-
-
-def az_sign_report(pmc: PointedMatchedCircle) -> dict:
-    """Optional cross-check of the intersection-sign grading against m.
-
-    The sign grading on middle-summand algebra elements is pinned by three
-    properties: idempotents have sign +1, products multiply signs, and the
-    differential flips them.  Those properties determine the signs only up
-    to an independent choice on each element that is neither an idempotent,
-    a product, nor a differential; for the candidate s = (-1)^m we report
-    which relations hold and which elements stay gauge, rather than
-    asserting a convention the combinatorial data cannot pin.
-    """
-    from .grading import m_table
-    from .strands import az_basis
-
-    basis = az_basis(pmc)
-    els, products = basis.elements, basis.products
-    m = m_table(pmc)
-    idempotents_positive = all(m[i] == 0 for i in basis.idempotent_indices)
-    differentials = {a: d for a, d in enumerate(basis.differentials) if d}
-    # (-1)^m is read on every summand of a product or a differential
-    failures = [("product", str(els[a]), str(els[b])) for (a, b), ab in products.items()
-                if any(m[r] != (m[a] + m[b]) % 2 for r in ab)]
-    failures += [("differential", str(els[a])) for a, d in differentials.items()
-                 if any(m[r] == m[a] for r in d)]
-
-    # fixed-point closure of the elements whose sign the relations pin down:
-    # a relation whose result is one basis element fixes its one unknown sign
-    determined = set(basis.idempotent_indices)
-    relations = [(a, b, ab[0]) for (a, b), ab in products.items() if len(ab) == 1]
-    relations += [(a, d[0]) for a, d in differentials.items() if len(d) == 1]
-    changed = True
-    while changed:
-        changed = False
-        for rel in relations:
-            if sum(x in determined for x in rel) == len(rel) - 1:
-                determined.update(rel)
-                changed = True
-    return {
-        "basis_size": len(basis),
-        "idempotents_positive": idempotents_positive,
-        "product_relations_checked": len(products),
-        "differential_relations_checked": len(differentials),
-        "relation_failures": failures,
-        "gauge_elements": len(basis) - len(determined),
-    }

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .grading import m_table
 from .pmc import PointedMatchedCircle
@@ -46,36 +45,20 @@ class PmcMismatch(ValueError):
 
 @dataclass(frozen=True, init=False, slots=True)
 class ModuleGenerator:
-    """Generator (name, idempotent, m, a) stored with a2 = 2a, as GradingElement
-    stores 4j; the loaders build it `from_a2`, and `a` is the half-integer
-    view for tests and messages."""
+    """Generator (name, idempotent, m, a) with the Alexander grading a stored
+    as the integer a2 = 2a, as GradingElement stores 4j; a2 is keyword-only,
+    so no call can pass a where a2 belongs."""
 
     name: str
     idempotent: frozenset[int]
     m: int
     a2: int | None
 
-    def __init__(self, name, idempotent, m, a=None):
-        a2 = None if a is None else 2 * a
-        if a2 is not None and getattr(a2, "denominator", None) != 1:
-            raise ValueError(f"{name}: Alexander grading {a} is not a half-integer")
-        self._set(name, idempotent, m, a2)
-
-    @classmethod
-    def from_a2(cls, name, idempotent, m, a2: int | None) -> "ModuleGenerator":
-        g = object.__new__(cls)
-        g._set(name, idempotent, m, a2)
-        return g
-
-    def _set(self, name, idempotent, m, a2) -> None:
+    def __init__(self, name: str, idempotent, m: int, *, a2: int | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "idempotent", frozenset(idempotent))
         object.__setattr__(self, "m", m % 2)
-        object.__setattr__(self, "a2", None if a2 is None else int(a2))
-
-    @property
-    def a(self) -> Fraction | None:
-        return None if self.a2 is None else Fraction(self.a2, 2)
+        object.__setattr__(self, "a2", a2)
 
 
 def _check_generators(pmc, generators):
@@ -355,8 +338,8 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
                 a2 = None
                 if xm.a2 is not None or yn.a2 is not None:
                     a2 = (xm.a2 or 0) + weight * (yn.a2 or 0)
-                gens[(xm.name, yn.name)] = ModuleGenerator.from_a2(
-                    f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2)
+                gens[(xm.name, yn.name)] = ModuleGenerator(
+                    f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2=a2)
 
     dmap = N.delta_map()
     diff: set[tuple] = set()

@@ -10,9 +10,8 @@ to the point p.  The central element lambda = (1; 0) generates the kernel of
 the projection to homology.
 
 All arithmetic is on integers: an element stores 4j (as LaurentHalf stores
-t^(1/2) exponents doubled) and linkings are summed as 2L; only `.j`,
-`linking` and `multiplicity` return rationals.  Every element is checked
-against the quarter-integer constraint 4j = #(odd jumps of alpha) mod 4.
+t^(1/2) exponents doubled) and linkings are summed as 2L.  Every element is
+checked against the constraint 4j = #(odd jumps of alpha) mod 4.
 
 Refinement data for the middle summand consists of the base pair set
 s0 = {1..k} and, for every k-element pair set t, the group element
@@ -31,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
+from .grothendieck import ratio_str
 from .pmc import PointedMatchedCircle, ReebChord
 from .strands import AlgebraElement, StrandsGenerator, az_basis, left_right_pairs
 
@@ -59,19 +58,6 @@ def chord_vector(n: int, chord: ReebChord) -> tuple[int, ...]:
     return tuple(1 if chord.start <= i < chord.end else 0 for i in range(1, n))
 
 
-def multiplicity(alpha: tuple[int, ...], p: int) -> Fraction:
-    """Average multiplicity of alpha on the two intervals adjacent to point p."""
-    padded = (0,) + tuple(alpha) + (0,)
-    return Fraction(padded[p - 1] + padded[p], 2)
-
-
-def boundary(alpha: tuple[int, ...]) -> dict[int, int]:
-    """d alpha as a 0-chain on points: interval p contributes a_{p+1} - a_p."""
-    padded = (0,) + tuple(alpha) + (0,)
-    return {q: padded[q - 1] - padded[q] for q in range(1, len(padded))
-            if padded[q - 1] != padded[q]}
-
-
 def _odd_jumps(alpha: tuple[int, ...]) -> int:
     """The number of points where alpha has half-integer multiplicity."""
     count = prev = 0
@@ -92,11 +78,6 @@ def _link2(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return total + a_prev * b_prev
 
 
-def linking(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
-    """L(alpha, beta) = m(beta, d alpha)."""
-    return Fraction(_link2(alpha, beta), 2)
-
-
 @dataclass(frozen=True, init=False)
 class GradingElement:
     """(j; alpha) in G'(4k), stored as the integer j4 = 4j and the vector alpha."""
@@ -104,50 +85,37 @@ class GradingElement:
     j4: int
     alpha: tuple[int, ...]
 
-    def __init__(self, j, alpha):
-        self._set(4 * Fraction(j), tuple(alpha))
-
-    @classmethod
-    def from_j4(cls, j4: int, alpha: tuple[int, ...]) -> "GradingElement":
-        x = object.__new__(cls)
-        x._set(j4, alpha)
-        return x
-
-    def _set(self, j4, alpha: tuple[int, ...]) -> None:
+    def __init__(self, j4: int, alpha: tuple[int, ...]):
         if (j4 - _odd_jumps(alpha)) % 4:
             raise ValueError(
-                f"Maslov component {Fraction(j4) / 4} violates the "
+                f"Maslov component {ratio_str(j4, 4)} violates the "
                 f"quarter-integer constraint for alpha={alpha}")
-        object.__setattr__(self, "j4", int(j4))
+        object.__setattr__(self, "j4", j4)
         object.__setattr__(self, "alpha", alpha)
 
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.j4, 4)
-
     def __str__(self):
-        return f"({self.j}; {','.join(map(str, self.alpha))})"
+        return f"({ratio_str(self.j4, 4)}; {','.join(map(str, self.alpha))})"
 
 
 def identity_grading(n: int) -> GradingElement:
-    return GradingElement.from_j4(0, (0,) * (n - 1))
+    return GradingElement(0, (0,) * (n - 1))
 
 
 def lam(n: int) -> GradingElement:
     """The central element lambda = (1; 0)."""
-    return GradingElement.from_j4(4, (0,) * (n - 1))
+    return GradingElement(4, (0,) * (n - 1))
 
 
 def gmul(x: GradingElement, y: GradingElement) -> GradingElement:
     if len(x.alpha) != len(y.alpha):
         raise ValueError("ambient mismatch")
     alpha = tuple(a + b for a, b in zip(x.alpha, y.alpha))
-    return GradingElement.from_j4(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
+    return GradingElement(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
 
 
 def ginv(x: GradingElement) -> GradingElement:
     alpha = tuple(-a for a in x.alpha)
-    return GradingElement.from_j4(-x.j4 + 2 * _link2(x.alpha, x.alpha), alpha)
+    return GradingElement(-x.j4 + 2 * _link2(x.alpha, x.alpha), alpha)
 
 
 def gpow(x: GradingElement, n: int) -> GradingElement:
@@ -165,7 +133,7 @@ def gr_prime_generator(g: StrandsGenerator) -> GradingElement:
         for i in range(s, t):
             padded[i] += 1
     j4 = 4 * g.inversions() - 2 * sum(padded[s - 1] + padded[s] for s in g.S)
-    return GradingElement.from_j4(j4, tuple(padded[1:-1]))
+    return GradingElement(j4, tuple(padded[1:-1]))
 
 
 def gr_prime(x: AlgebraElement) -> GradingElement:

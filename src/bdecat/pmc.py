@@ -64,9 +64,6 @@ class PointedMatchedCircle:
         """The first endpoint of the pair along the circle orientation."""
         return self.points_of_pair(pair)[0]
 
-    def plus_point(self, pair: int) -> int:
-        return self.points_of_pair(pair)[1]
-
 
 @dataclass(frozen=True, order=True)
 class ReebChord:

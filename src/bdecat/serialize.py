@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
 from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
-from .grothendieck import ExteriorClass, LaurentHalf
+from .grothendieck import ExteriorClass, LaurentHalf, ratio_str
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
 from .strands import AZBasis, az_basis
@@ -57,8 +57,8 @@ def parse_half(value) -> int:
 
 
 def dump_half(a2: int) -> str:
-    """The text of the half-integer a2 / 2, as str(Fraction(a2, 2)) writes it."""
-    return f"{a2}/2" if a2 % 2 else str(a2 // 2)
+    """The text of the half-integer a2 / 2."""
+    return ratio_str(a2, 2)
 
 
 def pmc_from_json(data) -> PointedMatchedCircle:
@@ -146,10 +146,10 @@ def _generators_from_json(items):
     gens = []
     for item in items:
         a2 = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
-        gens.append(ModuleGenerator.from_a2(
+        gens.append(ModuleGenerator(
             _name(item["name"]),
             frozenset(_int(i, "idem entry") for i in item["idem"]),
-            _int(item["m"], "m"), a2))
+            _int(item["m"], "m"), a2=a2))
     return gens
 
 
@@ -288,12 +288,12 @@ def dumps(data) -> str:
 
 
 def load_file(path: str) -> dict:
-    """The parsed JSON at path; text that is not JSON raises FixtureError
-    naming the file."""
+    """The parsed JSON at path; bytes that are not text, or text that is not
+    JSON, raise FixtureError naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FixtureError(f"{path}: {exc}") from exc
 
 

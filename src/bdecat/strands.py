@@ -110,15 +110,6 @@ class AlgebraElement:
         return " + ".join(str(g) for g in sorted(self.terms))
 
 
-def zero(n: int) -> AlgebraElement:
-    return AlgebraElement(n, frozenset())
-
-
-def element(gens) -> AlgebraElement:
-    gens = list(gens)
-    return AlgebraElement(gens[0].n, frozenset(gens))
-
-
 def multiply_generators(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
     """Compose two generators; None when the product is zero."""
     if a.n != b.n:
@@ -170,11 +161,6 @@ def differential(x: AlgebraElement) -> AlgebraElement:
     for g in x.terms:
         acc ^= differential_generator(g)
     return AlgebraElement(x.n, frozenset(acc))
-
-
-def idempotent(n: int, S) -> StrandsGenerator:
-    S = tuple(sorted(S))
-    return StrandsGenerator(n, S, S, S)
 
 
 def left_right_pairs(pmc: PointedMatchedCircle, x: AlgebraElement) -> tuple[frozenset[int], frozenset[int]]:

@@ -10,16 +10,17 @@ The spin^c component of the unrefined grading is the interval multiplicity
 triple (r1, r2, r3).  For the n-framed knot complement the Alexander weight
 of a coefficient is ((n+1)/2) r1 + ((n-1)/2) r2 + ((-n-1)/2) r3; for a
 pattern of winding p in the 0-framed solid torus it is d - p (r2 + r3) with
-d the basepoint multiplicity (zero for every hat-flavor operation).
+d the basepoint multiplicity (zero for every hat-flavor operation).  The
+weight functions return twice these weights, as integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .dmodules import AInfModule, TypeDStructure
 from .grading import m_table
+from .grothendieck import ratio_str
 from .pmc import ReebChord, torus_pmc
 from .strands import az_basis
 
@@ -92,22 +93,22 @@ def torus_algebra() -> TorusAlgebra:
     return TorusAlgebra()
 
 
-def alexander_weight_cfd(r: tuple[int, int, int], n: int) -> Fraction:
-    """Alexander weight of an interval triple for the n-framed complement."""
+def alexander_weight2_cfd(r: tuple[int, int, int], n: int) -> int:
+    """Twice the Alexander weight of an interval triple for the n-framed complement."""
     r1, r2, r3 = r
-    return (Fraction(n + 1, 2) * r1 + Fraction(n - 1, 2) * r2
-            + Fraction(-n - 1, 2) * r3)
+    return (n + 1) * r1 + (n - 1) * r2 - (n + 1) * r3
 
 
-def alexander_weight_cfa(r: tuple[int, int, int], d: int, p: int) -> Fraction:
-    """Alexander weight of (r; d) for a pattern of winding p in the solid torus.
+def alexander_weight2_cfa(r: tuple[int, int, int], d: int, p: int) -> int:
+    """Twice the Alexander weight of (r; d) for a pattern of winding p in the
+    solid torus.
 
     The interval functional is the refined coordinate q2 = (-r1+r2+r3)/2, the
     unique choice that kills the periodic class (0, 1, 1; p) and makes the
     box-tensor differential preserve the satellite Alexander grading.
     """
     r1, r2, r3 = r
-    return d - p * Fraction(-r1 + r2 + r3, 2)
+    return 2 * d - p * (-r1 + r2 + r3)
 
 
 def coefficient_name(module, ids: tuple[int, ...]) -> str:
@@ -120,11 +121,11 @@ def coefficient_name(module, ids: tuple[int, ...]) -> str:
 def check_bigrading(N: TypeDStructure, n: int) -> None:
     """Every delta edge must drop (m, a) by the coefficient's weight.
 
-    For a triple (x, rho_I, y): a(x) - a(y) = alexander_weight_cfd([rho_I], n)
+    For a triple (x, rho_I, y): 2a(x) - 2a(y) = alexander_weight2_cfd([rho_I], n)
     and m(x) = m(rho_I) + m(y) + 1 mod 2.
     """
     m = m_table(N.pmc)
-    drop2 = {name: int(2 * alexander_weight_cfd(r, n)) for name, r in INTERVALS.items()}
+    drop2 = {name: alexander_weight2_cfd(r, n) for name, r in INTERVALS.items()}
     for src, ids, dst in N.delta:
         name = coefficient_name(N, ids)
         gs, gd = N.generators[src], N.generators[dst]
@@ -136,14 +137,14 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
             continue
         if gs.a2 - gd.a2 != drop2[name]:
             raise BigradingViolation(
-                f"({src}, {name}, {dst}): a drop {gs.a - gd.a}, "
-                f"expected {Fraction(drop2[name], 2)}")
+                f"({src}, {name}, {dst}): a drop {ratio_str(gs.a2 - gd.a2, 2)}, "
+                f"expected {ratio_str(drop2[name], 2)}")
 
 
 def check_cfa_weights(M: AInfModule, p: int) -> None:
     """Hat-flavor operations never cross the second basepoint, so d = 0 and
     a(y) = a(x) + sum of -p (r2 + r3) over the inputs."""
-    shift2 = {name: int(2 * alexander_weight_cfa(r, 0, p)) for name, r in INTERVALS.items()}
+    shift2 = {name: alexander_weight2_cfa(r, 0, p) for name, r in INTERVALS.items()}
     for x, ids, y in M.ops:
         gx, gy = M.generators[x], M.generators[y]
         if gx.a2 is None or gy.a2 is None:
@@ -151,4 +152,5 @@ def check_cfa_weights(M: AInfModule, p: int) -> None:
         want2 = gx.a2 + sum(shift2[coefficient_name(M, (idx,))] for idx in ids)
         if gy.a2 != want2:
             raise BigradingViolation(
-                f"op ({x}; ...; {y}): a({y})={gy.a}, expected {Fraction(want2, 2)}")
+                f"op ({x}; ...; {y}): a({y})={ratio_str(gy.a2, 2)}, "
+                f"expected {ratio_str(want2, 2)}")

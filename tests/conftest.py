@@ -1,6 +1,5 @@
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -71,7 +70,7 @@ def random_type_d(rng: random.Random, n_gens=None, with_a=True) -> TypeDStructur
     n = n_gens or rng.randint(1, 5)
     gens = [ModuleGenerator(f"y{i}", frozenset({rng.choice([1, 2])}),
                             rng.randint(0, 1),
-                            Fraction(rng.randint(-4, 4), 2) if with_a else None)
+                            a2=rng.randint(-4, 4) if with_a else None)
             for i in range(n)]
     delta = []
     for i in range(n):
@@ -92,6 +91,6 @@ def random_ainf(rng: random.Random, n_gens=None, with_a=True) -> AInfModule:
     n = n_gens or rng.randint(1, 5)
     gens = [ModuleGenerator(f"x{i}", frozenset({rng.choice([1, 2])}),
                             rng.randint(0, 1),
-                            Fraction(rng.randint(-4, 4), 2) if with_a else None)
+                            a2=rng.randint(-4, 4) if with_a else None)
             for i in range(n)]
     return AInfModule(pmc, gens, [])

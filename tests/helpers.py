@@ -1,9 +1,10 @@
-"""Helpers that only the tests use: an A(n, k) generator enumeration, the
-chord elements a0(rho) and a(rho) built term by term with the idempotents
-I(s) and the pinch I(s) x I(t) (the reference the coefficient parser is
-tested against), the orientation reversal of gradings and refinement data,
-arc-slide row operations on intersection matrices, and iterated type D
-deltas."""
+"""Helpers that only the tests use: algebra elements built from generators,
+an A(n, k) generator enumeration, the chord elements a0(rho) and a(rho)
+built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
+reference the coefficient parser is tested against), the orientation
+reversal of gradings and refinement data, arc-slide row operations on
+intersection matrices, iterated type D deltas, and K0 monomials and basis
+classes."""
 
 from __future__ import annotations
 
@@ -11,8 +12,38 @@ import itertools
 
 from bdecat.dmodules import TypeDStructure, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
+from bdecat.grothendieck import ExteriorClass, LaurentHalf
 from bdecat.pmc import PointedMatchedCircle
-from bdecat.strands import AlgebraElement, StrandsGenerator, idempotent, zero
+from bdecat.strands import AlgebraElement, StrandsGenerator
+
+
+def zero(n: int) -> AlgebraElement:
+    return AlgebraElement(n, frozenset())
+
+
+def element(gens) -> AlgebraElement:
+    gens = list(gens)
+    return AlgebraElement(gens[0].n, frozenset(gens))
+
+
+def idempotent(n: int, S) -> StrandsGenerator:
+    S = tuple(sorted(S))
+    return StrandsGenerator(n, S, S, S)
+
+
+def plus_point(pmc: PointedMatchedCircle, pair: int) -> int:
+    """The second endpoint of the pair along the circle orientation."""
+    return pmc.points_of_pair(pair)[1]
+
+
+def t2(e2: int, coeff: int = 1) -> LaurentHalf:
+    """The monomial coeff * t^(e2/2), from the doubled exponent e2."""
+    return LaurentHalf.from_dict({e2: coeff})
+
+
+def basis_class(genus: int, s, poly: LaurentHalf | None = None) -> ExteriorClass:
+    """poly * a_s, with poly 1 when none is given."""
+    return ExteriorClass(genus, {frozenset(s): LaurentHalf.one() if poly is None else poly})
 
 
 def generators_of_ank(n: int, k: int):
@@ -101,7 +132,7 @@ def reverse_grading(x: GradingElement) -> GradingElement:
     Points relabel by p -> 4k+1-p, and every interval reverses orientation,
     so the multiplicity vector is reversed and negated; j is unchanged.
     """
-    return GradingElement.from_j4(x.j4, tuple(-a for a in reversed(x.alpha)))
+    return GradingElement(x.j4, tuple(-a for a in reversed(x.alpha)))
 
 
 def reverse_refinement(pmc: PointedMatchedCircle, ref: RefinementData) -> RefinementData:

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from bdecat.cfk2cfd import (A2NonZero, Arrow, CalibrationConflict, CFKComplex,
@@ -9,6 +7,7 @@ from bdecat.dmodules import check_type_d, is_bounded
 from bdecat.grothendieck import LaurentHalf, class_of
 from bdecat.torus import check_bigrading
 from tests.conftest import CFK_NAMES, load_fixture
+from tests.helpers import t2
 
 
 @pytest.fixture(params=CFK_NAMES)
@@ -80,7 +79,7 @@ def test_verify_a1_matches_frozen_polynomials(name):
     got = verify_a1(build_cfd(cfk), cfk)
     expected = LaurentHalf.zero()
     for e, c in ALEXANDER[name]:
-        expected = expected + LaurentHalf.monomial(e, c)
+        expected = expected + t2(2 * e, c)
     assert got == expected
     assert got.evaluate_at_one() in (1, -1)
 
@@ -94,14 +93,14 @@ def test_verify_a2_per_exponent_balance(cfk):
     census = {}
     for g in cfd.generators.values():
         if g.idempotent == IOTA1:
-            census.setdefault(g.a, [0, 0])[g.m] += 1
+            census.setdefault(g.a2, [0, 0])[g.m] += 1
     for even, odd in census.values():
         assert even == odd
 
 
 def test_verify_a2_rejects_imbalance(talg, torus):
     from bdecat.dmodules import ModuleGenerator, TypeDStructure
-    bad = TypeDStructure(torus, [ModuleGenerator("w", IOTA1, 0, Fraction(1, 2))], [])
+    bad = TypeDStructure(torus, [ModuleGenerator("w", IOTA1, 0, a2=1)], [])
     with pytest.raises(A2NonZero):
         verify_a2_zero(bad)
 

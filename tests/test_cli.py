@@ -182,15 +182,27 @@ def test_input_error_exit_codes(capsys, tmp_path):
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
-    # text that is not JSON, and a failed structure check (one m flipped in
-    # the type D file), name the file, also when the command reads two
+    # bytes that are not UTF-8, text that is not JSON, a failed structure
+    # check (one m flipped in the type D file) and a CFK invariant that
+    # build_cfd rejects after the file was read (tau raised by 5) name the
+    # file, also when the command reads two
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe{\x00}\x00")
     flipped = _fixture_with(tmp_path, "typed_triangle",
                             lambda d: d["generators"][0].update(m=1 - d["generators"][0]["m"]))
+    unstable = _fixture_with(tmp_path, "cfk_trefoil_right",
+                             lambda d: d.update(tau=d["tau"] + 5))
+    unstable_line = f"error: {unstable}: unstable chain: a(xi_h) != a(xi_v) - 2 tau\n"
     named = [
+        (["pair", str(binary), triangle],
+         f"error: {binary}: 'utf-8' codec can't decode byte 0xff in position 0"),
         (["pair", str(garbage), triangle],
          f"error: {garbage}: Expecting property name enclosed in double quotes"),
         (["pair", fixture_path("cfa_with_ops"), flipped],
          f"error: {flipped}: x1->x2: m(x1)=0 but m(coeff)+m(x2)+1=1\n"),
+        (["cfd-from-cfk", unstable], unstable_line),
+        (["satellite", fixture_path("cfa_core"), unstable], unstable_line),
+        (["check", unstable], unstable_line),
     ]
     for argv, line in named:
         code, _, err = invoke(capsys, *argv)
@@ -323,7 +335,7 @@ def test_satellite_checks_the_a2_component(capsys, monkeypatch):
     iota1 generator."""
     def unbalanced_build_cfd(cfk):
         cfd = cfk2cfd.build_cfd(cfk)
-        extra = dmodules.ModuleGenerator("extra", cfk2cfd.IOTA1, 0, 0)
+        extra = dmodules.ModuleGenerator("extra", cfk2cfd.IOTA1, 0, a2=0)
         return dmodules.TypeDStructure(
             cfd.pmc, [*cfd.generators.values(), extra], cfd.delta)
 

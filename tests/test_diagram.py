@@ -303,7 +303,7 @@ def test_sweep_class_dual_to_determinants_at_split3_genus_12():
 
 def test_az_sign_report_consistent():
     """(-1)^m satisfies every sign-grading relation; the leftovers are gauge."""
-    from bdecat.diagram import az_sign_report
+    from bdecat.selfcheck import az_sign_report
     for pmc in (torus_pmc(), split_pmc(2)):
         rep = az_sign_report(pmc)
         assert rep["idempotents_positive"]

@@ -5,18 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from bdecat.dmodules import ChainComplex, ModuleGenerator
 from bdecat.grothendieck import (GenusMismatch, LaurentHalf,
-                                 ZeroPolynomial, basis_class, class_of,
+                                 ZeroPolynomial, class_of,
                                  euler_of_complex, normalize_symmetric, pair,
-                                 substitute)
-
-H = Fraction(1, 2)
+                                 ratio_str, substitute)
+from tests.helpers import basis_class, t2
 
 
 def poly(*pairs) -> LaurentHalf:
-    """Build from (exponent, coefficient) pairs with Fraction exponents."""
+    """Build from (doubled exponent, coefficient) pairs."""
     out = LaurentHalf.zero()
-    for e, c in pairs:
-        out = out + LaurentHalf.monomial(Fraction(e), c)
+    for e2, c in pairs:
+        out = out + t2(e2, c)
     return out
 
 
@@ -27,12 +26,18 @@ def from_dict(d):
     return LaurentHalf.from_dict(d)
 
 
+def test_ratio_str_writes_what_fraction_writes():
+    for d in (2, 4):
+        for n in range(-50, 51):
+            assert ratio_str(n, d) == str(Fraction(n, d))
+
+
 def test_substitute_examples():
-    delta = poly((1, 1), (0, -1), (-1, 1))
-    assert substitute(delta, 2) == poly((2, 1), (0, -1), (-2, 1))
+    delta = poly((2, 1), (0, -1), (-2, 1))
+    assert substitute(delta, 2) == poly((4, 1), (0, -1), (-4, 1))
     assert substitute(delta, 1) == delta
-    cls = basis_class(1, {1}, LaurentHalf.monomial(H))
-    assert substitute(cls, 3).coefficient({1}) == LaurentHalf.monomial(Fraction(3, 2))
+    cls = basis_class(1, {1}, t2(1))
+    assert substitute(cls, 3).coefficient({1}) == t2(3)
 
 
 @settings(deadline=None, max_examples=150)
@@ -46,27 +51,27 @@ def test_substitute_is_a_ring_homomorphism(a, b, w):
 def test_normalize_flags_coefficient_asymmetry():
     # -t^2 + t: centering gives -t^(1/2) + t^(-1/2), whose coefficient
     # pattern is antisymmetric; no monomial shift symmetrizes it
-    res = normalize_symmetric(poly((2, -1), (1, 1)))
+    res = normalize_symmetric(poly((4, -1), (2, 1)))
     assert not res.symmetric
-    assert res.poly == poly((H, -1), (-H, 1))
+    assert res.poly == poly((1, -1), (-1, 1))
 
 
 def test_normalize_flags_odd_exponent_span():
     # t^2 + t^(3/2) cannot even be centered on a half-integer grid
-    res = normalize_symmetric(poly((2, 1), (Fraction(3, 2), 1)))
+    res = normalize_symmetric(poly((4, 1), (3, 1)))
     assert not res.symmetric
 
 
 def test_normalize_antisymmetric_representative_is_flagged():
-    res = normalize_symmetric(poly((3, 1), (2, -1)))
+    res = normalize_symmetric(poly((6, 1), (4, -1)))
     assert not res.symmetric
-    assert res.poly == poly((H, 1), (-H, -1))
+    assert res.poly == poly((1, 1), (-1, -1))
 
 
 def test_normalize_sign_convention():
-    res = normalize_symmetric(poly((1, -1), (0, 1), (-1, -1)))
+    res = normalize_symmetric(poly((2, -1), (0, 1), (-2, -1)))
     assert res.symmetric
-    assert res.poly == poly((1, 1), (0, -1), (-1, 1))
+    assert res.poly == poly((2, 1), (0, -1), (-2, 1))
 
 
 def test_normalize_rejects_zero():
@@ -115,16 +120,16 @@ def test_pair_symmetric_and_bilinear(a, b, c):
 
 def test_class_of_single_generator(torus):
     from bdecat.dmodules import TypeDStructure
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)], [])
+    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)], [])
     assert class_of(N) == basis_class(1, {1})
 
 
 def test_class_is_additive_over_disjoint_unions(torus):
     from bdecat.dmodules import TypeDStructure
-    a = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 1)], [])
-    b = TypeDStructure(torus, [ModuleGenerator("y", {2}, 1, 0)], [])
-    both = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 1),
-                                  ModuleGenerator("y", {2}, 1, 0)], [])
+    a = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=2)], [])
+    b = TypeDStructure(torus, [ModuleGenerator("y", {2}, 1, a2=0)], [])
+    both = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=2),
+                                  ModuleGenerator("y", {2}, 1, a2=0)], [])
     assert class_of(both) == class_of(a) + class_of(b)
 
 
@@ -132,8 +137,8 @@ def test_euler_examples():
     empty = ChainComplex(generators={}, differential=frozenset())
     assert not euler_of_complex(empty)
     two = ChainComplex(generators={
-        "a": ModuleGenerator("a", {1}, 0, 1),
-        "b": ModuleGenerator("b", {1}, 1, 1)}, differential=frozenset())
+        "a": ModuleGenerator("a", {1}, 0, a2=2),
+        "b": ModuleGenerator("b", {1}, 1, a2=2)}, differential=frozenset())
     assert not euler_of_complex(two)
 
 
@@ -142,4 +147,4 @@ def test_triangle_class_is_single_monomial():
     triangle = load_fixture("typed_triangle")
     cls = class_of(triangle)
     assert set(cls.coeffs) == {frozenset({1})}
-    assert cls.coefficient({1}) == LaurentHalf.monomial(H, -1)
+    assert cls.coefficient({1}) == t2(1, -1)

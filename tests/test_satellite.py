@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,7 @@ from bdecat.satellite import (PatternClass,
                               check_satellite_formula, decompose,
                               satellite_polynomial)
 from tests.conftest import CFK_NAMES, PATTERN_NAMES, load_fixture
-
-H = Fraction(1, 2)
+from tests.helpers import t2
 
 
 def test_core_pattern_decomposition():
@@ -21,33 +19,31 @@ def test_core_pattern_decomposition():
 
 
 def test_meridian_style_decomposition(torus):
-    pc = PatternClass(AInfModule(torus, [ModuleGenerator("w", {2}, 0, 0)], []), 1)
+    pc = PatternClass(AInfModule(torus, [ModuleGenerator("w", {2}, 0, a2=0)], []), 1)
     q, p = decompose(pc)
     assert not q
     assert p == LaurentHalf.one()
 
 
 def test_two_generator_p_component(torus):
-    gens = [ModuleGenerator("w1", {2}, 0, 2), ModuleGenerator("w2", {2}, 1, -1)]
+    gens = [ModuleGenerator("w1", {2}, 0, a2=4), ModuleGenerator("w2", {2}, 1, a2=-2)]
     pc = PatternClass(AInfModule(torus, gens, []), 1)
     q, p = decompose(pc)
     assert not q
-    assert p == LaurentHalf.monomial(2) + LaurentHalf.monomial(-1, -1)
+    assert p == t2(4) + t2(-2, -1)
 
 
 def test_core_against_trefoil():
     res = satellite_polynomial(load_fixture("cfa_core"),
                                build_cfd(load_fixture("cfk_trefoil_right")))
     assert res.symmetric
-    assert res.poly == (LaurentHalf.monomial(1) + LaurentHalf.monomial(0, -1)
-                        + LaurentHalf.monomial(-1))
+    assert res.poly == t2(2) + t2(0, -1) + t2(-2)
 
 
 def test_core_against_figure8():
     res = satellite_polynomial(load_fixture("cfa_core"),
                                build_cfd(load_fixture("cfk_figure8")))
-    assert res.poly == (LaurentHalf.monomial(1, -1) + LaurentHalf.monomial(0, 3)
-                        + LaurentHalf.monomial(-1, -1))
+    assert res.poly == t2(2, -1) + t2(0, 3) + t2(-2, -1)
 
 
 def test_any_pattern_against_unknot_returns_q():
@@ -70,8 +66,7 @@ def test_winding2_pattern_p_is_invisible():
     """Q = 1 with arbitrary nonzero P against the trefoil gives t^2 - 1 + t^-2."""
     res = satellite_polynomial(load_fixture("cfa_winding2"),
                                build_cfd(load_fixture("cfk_trefoil_right")))
-    assert res.poly == (LaurentHalf.monomial(2) + LaurentHalf.monomial(0, -1)
-                        + LaurentHalf.monomial(-2))
+    assert res.poly == t2(4) + t2(0, -1) + t2(-4)
 
 
 def test_p_perturbation_invariance(torus):
@@ -79,9 +74,9 @@ def test_p_perturbation_invariance(torus):
     base = load_fixture("cfa_trefoil_pattern")
     companion = build_cfd(load_fixture("cfk_trefoil_right"))
     reference = satellite_polynomial(base, companion)
-    for extra_m, extra_a in ((0, H), (1, Fraction(-3, 2)), (0, 2)):
+    for extra_m, extra_a2 in ((0, 1), (1, -3), (0, 4)):
         gens = list(base.cfa.generators.values()) + [
-            ModuleGenerator("pert", {2}, extra_m, extra_a)]
+            ModuleGenerator("pert", {2}, extra_m, a2=extra_a2)]
         perturbed = PatternClass(AInfModule(torus, gens, []), base.winding)
         assert decompose(perturbed)[1] != decompose(base)[1]
         assert satellite_polynomial(perturbed, companion) == reference

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from bdecat import dmodules
 from bdecat import serialize as ser
 from bdecat.pmc import ReebChord, split_pmc, torus_pmc
 from bdecat.strands import az_basis
@@ -53,8 +52,7 @@ def test_modules_load_and_dump_without_fractions(monkeypatch):
     def counting(*args):
         calls.append(args)
         return Fraction(*args)
-    for module in (ser, dmodules):
-        monkeypatch.setattr(module, "Fraction", counting)
+    monkeypatch.setattr(ser, "Fraction", counting)
     for name in PATTERN_NAMES + ["typed_triangle"]:
         kind, obj = ser.read(fixture_path(name))
         ser.dumps(DUMPERS[kind](obj))

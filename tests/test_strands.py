@@ -5,10 +5,10 @@ import pytest
 from bdecat import strands
 from bdecat.pmc import ReebChord
 from bdecat.strands import (AZBasis, StrandsGenerator, basis_of_AZ,
-                            chord_signature, differential, element,
-                            idempotent, left_right_pairs, multiply, zero)
-from tests.helpers import (EndpointClash, a0, a_of, generators_of_ank,
-                           pair_idempotent)
+                            chord_signature, differential, left_right_pairs,
+                            multiply)
+from tests.helpers import (EndpointClash, a0, a_of, element, generators_of_ank,
+                           idempotent, pair_idempotent, zero)
 
 
 def gen(n, strands):

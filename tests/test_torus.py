@@ -1,17 +1,13 @@
-from fractions import Fraction
-
 import pytest
 
 from bdecat.dmodules import ModuleGenerator, TypeDStructure
 from bdecat.grading import m_table
 from bdecat.strands import multiply
 from bdecat.torus import (ELEMENT_CHORDS, BigradingViolation, INTERVALS,
-                          alexander_weight_cfa, alexander_weight_cfd,
+                          alexander_weight2_cfa, alexander_weight2_cfd,
                           check_bigrading, check_cfa_weights, torus_algebra)
 from tests.conftest import load_fixture
 from tests.helpers import a_of, pair_idempotent
-
-H = Fraction(1, 2)
 
 EXPECTED_PRODUCTS = {
     ("rho1", "rho2"): "rho12",
@@ -77,25 +73,25 @@ def test_unit_decomposition(elements):
 
 
 def test_cfd_weights_at_framing_zero():
-    assert alexander_weight_cfd((1, 0, 0), 0) == H
-    assert alexander_weight_cfd((0, 1, 0), 0) == -H
-    assert alexander_weight_cfd((0, 0, 1), 0) == -H
-    assert alexander_weight_cfd((0, 0, 0), 5) == 0
+    assert alexander_weight2_cfd((1, 0, 0), 0) == 1
+    assert alexander_weight2_cfd((0, 1, 0), 0) == -1
+    assert alexander_weight2_cfd((0, 0, 1), 0) == -1
+    assert alexander_weight2_cfd((0, 0, 0), 5) == 0
 
 
 @pytest.mark.parametrize("n", range(-3, 4))
 def test_framed_longitude_class_is_in_the_kernel(n):
-    assert alexander_weight_cfd((1, n + 1, n), n) == 0
-    assert alexander_weight_cfd((2, 2 * (n + 1), 2 * n), n) == 0
+    assert alexander_weight2_cfd((1, n + 1, n), n) == 0
+    assert alexander_weight2_cfd((2, 2 * (n + 1), 2 * n), n) == 0
 
 
 def test_cfa_weights():
     # the periodic class ((0,1,1); d = p) is in the kernel for every winding
     for p in range(4):
-        assert alexander_weight_cfa((0, 1, 1), p, p) == 0
-        assert alexander_weight_cfa((0, 2, 2), 2 * p, p) == 0
-    assert alexander_weight_cfa((0, 0, 0), 1, 7) == 1
-    assert alexander_weight_cfa((5, 2, 9), 4, 0) == 4  # winding 0 ignores r
+        assert alexander_weight2_cfa((0, 1, 1), p, p) == 0
+        assert alexander_weight2_cfa((0, 2, 2), 2 * p, p) == 0
+    assert alexander_weight2_cfa((0, 0, 0), 1, 7) == 2
+    assert alexander_weight2_cfa((5, 2, 9), 4, 0) == 8  # winding 0 ignores r
 
 
 def test_cfa_weight_compatible_with_cfd_weight():
@@ -103,8 +99,8 @@ def test_cfa_weight_compatible_with_cfd_weight():
     p * w_cfd cancels the D-side drop w_cfd scaled by the winding weight."""
     for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)):
         for p in range(4):
-            assert alexander_weight_cfa(r, 0, p) == \
-                p * alexander_weight_cfd(r, 0)
+            assert alexander_weight2_cfa(r, 0, p) == \
+                p * alexander_weight2_cfd(r, 0)
 
 
 def test_m_values_multiplicative(talg):
@@ -121,7 +117,7 @@ def test_intervals_table_matches_grading(elements):
 
 
 def test_check_bigrading_accepts_unknot_loop(talg, torus):
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, 0)],
+    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
                        [("x", (talg.index["rho12"],), "x")])
     check_bigrading(N, 0)
 
@@ -134,16 +130,16 @@ def test_check_bigrading_accepts_built_cfd():
 
 def test_check_bigrading_rejects_shifted_a(talg, torus):
     # a drop 1 across a rho12 arrow whose weight is 0
-    gens = [ModuleGenerator("x", {1}, 0, 2), ModuleGenerator("y", {1}, 0, 1)]
+    gens = [ModuleGenerator("x", {1}, 0, a2=4), ModuleGenerator("y", {1}, 0, a2=2)]
     N = TypeDStructure(torus, gens, [("x", (talg.index["rho12"],), "y")])
-    with pytest.raises(BigradingViolation):
+    with pytest.raises(BigradingViolation, match=r"^\(x, rho12, y\): a drop 1, expected 0$"):
         check_bigrading(N, 0)
 
 
 def test_check_bigrading_rejects_wrong_m(talg, torus):
     # rho1 has m = 0, so the edge needs m(x) = m(y) + 1
-    gens = [ModuleGenerator("x", {1}, 0, Fraction(1, 2)),
-            ModuleGenerator("y", {2}, 0, 0)]
+    gens = [ModuleGenerator("x", {1}, 0, a2=1),
+            ModuleGenerator("y", {2}, 0, a2=0)]
     N = TypeDStructure(torus, gens, [("x", (talg.index["rho1"],), "y")])
     with pytest.raises(BigradingViolation):
         check_bigrading(N, 0)
@@ -156,8 +152,9 @@ def test_check_cfa_weights_fixture():
 
 def test_check_cfa_weights_rejects_bad_a(torus, talg):
     from bdecat.dmodules import AInfModule
-    M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, 0),
-                           ModuleGenerator("w", {2}, 1, 0)],
+    M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, a2=0),
+                           ModuleGenerator("w", {2}, 1, a2=0)],
                    [("w", [talg.index["rho2"]], "u")])
-    with pytest.raises(BigradingViolation):
+    with pytest.raises(BigradingViolation,
+                       match=r"^op \(w; \.\.\.; u\): a\(u\)=0, expected -1/2$"):
         check_cfa_weights(M, 1)
