@@ -123,6 +123,7 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     delta: list[tuple] = []
     for g in cfk.generators:
         gens.append(ModuleGenerator(g.name, IOTA0, g.maslov, a2=2 * g.alexander))
+    taken = set(cfk.by_name)
 
     def require(cond, msg):
         if not cond:
@@ -132,9 +133,14 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         """length iota1 generators prefix1, prefix2, ... at Maslov grading m
         joining x to y, the first at doubled Alexander grading a2 and each
         next one 2 lower when inward (the vertical shape of the table) and
-        2 higher otherwise (the horizontal shape)."""
+        2 higher otherwise (the horizontal shape).  While one of the names
+        is a CFK generator's or an earlier chain's, prefix gains a "'"."""
         step = -2 if inward else 2
         c = [f"{prefix}{j}" for j in range(1, length + 1)]
+        while not taken.isdisjoint(c):
+            prefix += "'"
+            c = [f"{prefix}{j}" for j in range(1, length + 1)]
+        taken.update(c)
         gens.extend(ModuleGenerator(name, IOTA1, m, a2=a2 + step * j)
                     for j, name in enumerate(c))
         delta.append((x, rho[first], c[0]))

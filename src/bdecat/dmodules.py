@@ -63,11 +63,12 @@ class ModuleGenerator:
 
 def _check_generators(pmc, generators):
     k = pmc.genus
+    pairs = frozenset(range(1, 2 * k + 1))
     table = {}
     for g in generators:
         if len(g.idempotent) != k:
             raise ValueError(f"{g.name}: idempotent must have {k} elements")
-        if not all(1 <= i <= 2 * k for i in g.idempotent):
+        if not g.idempotent <= pairs:
             raise ValueError(f"{g.name}: idempotent outside [2k]")
         if g.name in table:
             raise ValueError(f"duplicate generator name {g.name}")
@@ -82,15 +83,17 @@ class TypeDStructure:
         self.pmc = pmc
         self.generators = _check_generators(pmc, generators)
         self.basis = basis = az_basis(pmc)
+        idempotents = basis.idempotents
         self.delta = []
         for src, ids, dst in delta:
             ids = tuple(ids)
             if not ids:
                 raise ValueError(f"zero coefficient on {src}->{dst}")
             pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
-            if not all(0 <= i < len(basis) and basis.idempotents[i] == pair for i in ids):
-                raise ValueError(
-                    f"coefficient on {src}->{dst} not compatible with idempotents")
+            for i in ids:
+                if not (0 <= i < len(idempotents) and idempotents[i] == pair):
+                    raise ValueError(
+                        f"coefficient on {src}->{dst} not compatible with idempotents")
             self.delta.append((src, ids, dst))
 
     def delta_map(self) -> dict[str, list[tuple[tuple[int, ...], str]]]:
@@ -178,11 +181,14 @@ def check_type_d(N: TypeDStructure) -> None:
     residual: set[tuple[str, str, int]] = set()
     for src, ids, dst in N.delta:
         for i in ids:
-            residual.symmetric_difference_update((src, dst, r) for r in differentials[i])
+            if differentials[i]:
+                residual.symmetric_difference_update(
+                    (src, dst, r) for r in differentials[i])
             for ids2, dst2 in dmap[dst]:
                 for j in ids2:
-                    residual.symmetric_difference_update(
-                        (src, dst2, r) for r in products.get((i, j), ()))
+                    if (i, j) in products:
+                        residual.symmetric_difference_update(
+                            (src, dst2, r) for r in products[i, j])
     if residual:
         src, dst, r = min(residual)
         raise StructureEquationFails(

@@ -12,8 +12,7 @@ import pytest
 
 from bdecat.cfk2cfd import IOTA1, build_cfd, verify_a1, verify_a2_zero
 from bdecat.diagram import (cfd_class_from_determinants, duality_sign,
-                            enumerated_class, h1_rel_order_oracle,
-                            homology_kernel, verify_cfdker)
+                            enumerated_class, h1_rel_order_oracle, verify_cfdker)
 from bdecat.dmodules import (AInfModule, ModuleGenerator, TypeDStructure,
                              box_tensor, check_type_d, is_bounded)
 from bdecat.grading import default_refinement, f_s, gmul, lam, m_of
@@ -151,7 +150,7 @@ def test_criterion_4_knot_complement_decategorification():
 
 def test_criterion_5_satellite_formula():
     from bdecat.satellite import (PatternClass, check_satellite_formula,
-                                  decompose, satellite_polynomial)
+                                  satellite_polynomial)
     core = load_fixture("cfa_core")
     for name in CFK_NAMES:
         cfk = load_fixture(name)

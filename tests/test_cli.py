@@ -7,6 +7,7 @@ import bdecat.cfk2cfd as cfk2cfd
 import bdecat.cli as cli
 import bdecat.diagram as diagram
 import bdecat.dmodules as dmodules
+import bdecat.grothendieck as grothendieck
 import bdecat.satellite as satellite
 from bdecat import serialize
 from bdecat.cli import run
@@ -277,7 +278,8 @@ COUNTED = {"build_cfd": cfk2cfd.build_cfd, "verify_a1": cfk2cfd.verify_a1,
            "verify_a2_zero": cfk2cfd.verify_a2_zero, "decompose": satellite.decompose,
            "check_type_d": dmodules.check_type_d, "check_ainf": dmodules.check_ainf,
            "enumerated_class": diagram.enumerated_class,
-           "enumerate_generators": diagram.enumerate_generators}
+           "enumerate_generators": diagram.enumerate_generators,
+           "class_from_terms": grothendieck.class_from_terms}
 
 
 def _count_calls(monkeypatch):
@@ -297,25 +299,59 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # check_type_d runs inside build_cfd
+    # check_type_d runs inside build_cfd; class_from_terms sums each
+    # module's class once, however many steps read it
     (["satellite", fixture_path("cfa_trefoil_pattern"), fixture_path("cfk_figure8")],
      {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "decompose": 1,
-      "check_type_d": 1, "check_ainf": 1}),
-    # the class comes from the beta sweep; enumeration is only a test oracle
+      "check_type_d": 1, "check_ainf": 1, "class_from_terms": 2}),
+    (["cfd-from-cfk", fixture_path("cfk_torus34"), "--json"],
+     {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "check_type_d": 1,
+      "class_from_terms": 1}),
+    # the class comes from the beta sweep; enumeration is only a test oracle;
+    # the sweep, the determinants and the kernel wedge each sum one class
     (["diagram-kernel", fixture_path("diag_twisted_p3")],
-     {"enumerated_class": 1, "enumerate_generators": 0}),
-    (["k0", fixture_path("typed_triangle")], {"check_type_d": 1}),
-    (["k0", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
+     {"enumerated_class": 1, "enumerate_generators": 0, "class_from_terms": 3}),
+    (["k0", fixture_path("typed_triangle")], {"check_type_d": 1, "class_from_terms": 1}),
+    (["k0", fixture_path("cfa_with_ops")], {"check_ainf": 1, "class_from_terms": 1}),
     (["pair", fixture_path("cfa_with_ops"), fixture_path("typed_triangle"), "--box"],
-     {"check_type_d": 1, "check_ainf": 1}),
+     {"check_type_d": 1, "check_ainf": 1, "class_from_terms": 2}),
     (["check", fixture_path("typed_triangle")], {"check_type_d": 1}),
     (["check", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
-], ids=["satellite", "diagram-kernel", "k0-typed", "k0-ainf", "pair", "check-typed",
-        "check-pattern"])
+], ids=["satellite", "cfd-from-cfk", "diagram-kernel", "k0-typed", "k0-ainf", "pair",
+        "check-typed", "check-pattern"])
 def test_each_command_runs_each_step_once(capsys, monkeypatch, argv, expected):
     counts = _count_calls(monkeypatch)
     assert invoke(capsys, *argv)[0] == 0
     assert counts == {**dict.fromkeys(COUNTED, 0), **expected}
+
+
+def _renamed(old, new):
+    """An edit of a CFK fixture that renames generator old to new."""
+    def edit(data):
+        for g in data["generators"]:
+            g["name"] = new if g["name"] == old else g["name"]
+        for arrow in data["vertical"] + data["horizontal"]:
+            for end in ("src", "dst"):
+                arrow[end] = new if arrow[end] == old else arrow[end]
+    return edit
+
+
+@pytest.mark.parametrize("old, new", [("a", "u1"), ("b", "v[b>c]1"), ("a", "v[b>c]1"),
+                                      ("c", "h[b>a]1")])
+def test_chain_names_avoid_the_cfk_names(capsys, tmp_path, old, new):
+    """A CFK generator named like a chain generator of build_cfd keeps its
+    name, and the chain takes another: the CFD has the class and Delta of
+    the original."""
+    code, out, _ = invoke(capsys, "cfd-from-cfk", fixture_path("cfk_trefoil_right"), "--json")
+    path = _fixture_with(tmp_path, "cfk_trefoil_right", _renamed(old, new))
+    code2, out2, err = invoke(capsys, "cfd-from-cfk", path, "--json")
+    assert (code, code2, err) == (0, 0, "")
+    want, got = json.loads(out), json.loads(out2)
+    for key in ("class", "alexander_polynomial", "bounded"):
+        assert got[key] == want[key]
+    names = [g["name"] for g in got["generators"]]
+    assert new in names and len(set(names)) == len(names) == len(want["generators"])
+    assert invoke(capsys, "satellite", fixture_path("cfa_core"), path)[0] == 0
 
 
 def test_the_parser_is_built_once(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdecat.dmodules import ChainComplex, ModuleGenerator
 from bdecat.grothendieck import (GenusMismatch, LaurentHalf,
-                                 ZeroPolynomial, class_of,
+                                 ZeroPolynomial, class_from_terms, class_of,
                                  euler_of_complex, normalize_symmetric, pair,
                                  ratio_str, substitute)
 from tests.helpers import basis_class, t2
@@ -131,6 +131,25 @@ def test_class_is_additive_over_disjoint_unions(torus):
     both = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=2),
                                   ModuleGenerator("y", {2}, 1, a2=0)], [])
     assert class_of(both) == class_of(a) + class_of(b)
+
+
+def test_each_module_sums_its_own_class_once(monkeypatch):
+    """The class is kept on the module: a second call on one module sums
+    nothing, and an equal module built apart sums its own."""
+    import bdecat.grothendieck as grothendieck
+    from tests.conftest import load_fixture
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return class_from_terms(*args)
+    monkeypatch.setattr(grothendieck, "class_from_terms", counting)
+    first, second = load_fixture("typed_triangle"), load_fixture("cfa_with_ops").cfa
+    again = load_fixture("typed_triangle")
+    assert class_of(first) is class_of(first)
+    assert class_of(again) == class_of(first) and class_of(again) is not class_of(first)
+    assert class_of(second) is class_of(second)
+    assert len(calls) == 3
 
 
 def test_euler_examples():

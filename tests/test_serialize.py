@@ -128,13 +128,33 @@ def test_all_shipped_fixtures_load():
         assert ser.KIND_LOADERS[kind](data) is not None
 
 
-def test_dumps_is_the_indented_sorted_json_text():
-    # 3 000 generators make tens of thousands of encoder chunks, so the
-    # pieces dumps joins end and start mid-structure
+def _keys_sorted(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+def test_dumps_writes_sorted_json_one_record_per_line():
+    # 3 000 generators take the one-call path for a list of records; the
+    # names with "}, {" in them take the record-by-record path
     big = {"generators": [{"name": f"g{i}", "idem": [1, 2], "m": i % 2, "a": f"{i}/2"}
                           for i in range(3000)], "delta": [], "bounded": True}
-    for data in (big, {}, [], {"b": {"x": []}, "a": [1, {"c": None}]}, "1/2"):
-        assert ser.dumps(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    odd = {"generators": [{"name": name, "idem": [1], "m": 0}
+                          for name in ("x}, {y", "line\nbreak", "\u00e9t\u00e9", "z")],
+           "class": {"1": [["1/2", -1]], "2": []}, "pmc": {"matching": [1, 2, 1, 2]}}
+    for data in (big, odd, {}, [], {"b": {"x": []}, "a": [1, {"c": None}]}, "1/2",
+                 [[1, ["}, {"]], [2]], [{"z": 1, "a": [{"y": 2, "b": 3}]}]):
+        text = ser.dumps(data)
+        assert json.loads(text) == data
+        json.loads(text, object_pairs_hook=_keys_sorted)
+        assert text.endswith("\n") and not text.endswith("\n\n") and text.isascii()
+    for data in (big, odd):
+        lines = [line.strip().removesuffix(",") for line in ser.dumps(data).splitlines()]
+        records = [json.dumps(g, sort_keys=True) for g in data["generators"]]
+        start = lines.index('"generators": [') + 1
+        assert lines[start:start + len(records) + 1] == records + ["]"]
+    assert ser.dumps(odd).splitlines()[:5] == [
+        "{", '  "class": {', '    "1": [["1/2", -1]],', '    "2": []', "  },"]
 
 
 def _coefficient_cases():

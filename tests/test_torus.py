@@ -5,7 +5,7 @@ from bdecat.grading import m_table
 from bdecat.strands import multiply
 from bdecat.torus import (ELEMENT_CHORDS, BigradingViolation, INTERVALS,
                           alexander_weight2_cfa, alexander_weight2_cfd,
-                          check_bigrading, check_cfa_weights, torus_algebra)
+                          check_bigrading, check_cfa_weights)
 from tests.conftest import load_fixture
 from tests.helpers import a_of, pair_idempotent
 
