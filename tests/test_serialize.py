@@ -135,15 +135,15 @@ def _keys_sorted(pairs):
 
 
 def test_dumps_writes_sorted_json_one_record_per_line():
-    # 3 000 generators take the one-call path for a list of records; the
-    # names with "}, {" in them take the record-by-record path
+    # 3 000 generators take the one-call path for a list of records; a
+    # joint text inside a string ("}, {", "], [") takes the record-by-record one
     big = {"generators": [{"name": f"g{i}", "idem": [1, 2], "m": i % 2, "a": f"{i}/2"}
                           for i in range(3000)], "delta": [], "bounded": True}
     odd = {"generators": [{"name": name, "idem": [1], "m": 0}
                           for name in ("x}, {y", "line\nbreak", "\u00e9t\u00e9", "z")],
            "class": {"1": [["1/2", -1]], "2": []}, "pmc": {"matching": [1, 2, 1, 2]}}
     for data in (big, odd, {}, [], {"b": {"x": []}, "a": [1, {"c": None}]}, "1/2",
-                 [[1, ["}, {"]], [2]], [{"z": 1, "a": [{"y": 2, "b": 3}]}]):
+                 {"rows": [[1, "], ["], [2]]}, [{"z": 1, "a": [{"y": 2, "b": 3}]}]):
         text = ser.dumps(data)
         assert json.loads(text) == data
         json.loads(text, object_pairs_hook=_keys_sorted)
