@@ -81,7 +81,9 @@ class TypeDStructure:
         """delta entries are (src_name, index tuple, dst_name), the indices
         into `az_basis(pmc)` summing to the coefficient."""
         self.pmc = pmc
+        # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
+        self._k0_class = None
         self.basis = basis = az_basis(pmc)
         idempotents = basis.idempotents
         self.delta = []
@@ -108,7 +110,9 @@ class AInfModule:
         """ops entries are (x_name, [index, ...], y_name) for m_i, each index
         one element of `az_basis(pmc)`."""
         self.pmc = pmc
+        # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
+        self._k0_class = None
         self.basis = basis = az_basis(pmc)
         self.ops = []
         for x, ids, y in ops:
@@ -181,14 +185,11 @@ def check_type_d(N: TypeDStructure) -> None:
     residual: set[tuple[str, str, int]] = set()
     for src, ids, dst in N.delta:
         for i in ids:
-            if differentials[i]:
-                residual.symmetric_difference_update(
-                    (src, dst, r) for r in differentials[i])
+            residual.symmetric_difference_update((src, dst, r) for r in differentials[i])
             for ids2, dst2 in dmap[dst]:
                 for j in ids2:
-                    if (i, j) in products:
-                        residual.symmetric_difference_update(
-                            (src, dst2, r) for r in products[i, j])
+                    residual.symmetric_difference_update(
+                        (src, dst2, r) for r in products.get((i, j), ()))
     if residual:
         src, dst, r = min(residual)
         raise StructureEquationFails(

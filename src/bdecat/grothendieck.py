@@ -207,13 +207,12 @@ def class_of(module) -> ExteriorClass:
     """[M] = sum over generators of (-1)^m t^a a_{idempotent}.
 
     A module's generators are fixed when it is built, so the class is
-    summed on the first call and kept on the module for the next ones."""
-    cls = getattr(module, "_k0_class", None)
-    if cls is None:
-        cls = module._k0_class = class_from_terms(
+    summed on the first call and kept in its `_k0_class` for the next ones."""
+    if module._k0_class is None:
+        module._k0_class = class_from_terms(
             module.pmc.genus, ((gen.idempotent, *_signed_monomial(gen))
                                for gen in module.generators.values()))
-    return cls
+    return module._k0_class
 
 
 def pair(x: ExteriorClass, y: ExteriorClass) -> LaurentHalf:
