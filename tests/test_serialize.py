@@ -135,8 +135,8 @@ def _keys_sorted(pairs):
 
 
 def test_dumps_writes_sorted_json_one_record_per_line():
-    # names holding the text between two records ("}, {", "], [") must not
-    # split a record across lines
+    # 3 000 generators take the one-call path for a list of records; a
+    # joint text inside a string ("}, {", "], [") takes the record-by-record one
     big = {"generators": [{"name": f"g{i}", "idem": [1, 2], "m": i % 2, "a": f"{i}/2"}
                           for i in range(3000)], "delta": [], "bounded": True}
     odd = {"generators": [{"name": name, "idem": [1], "m": 0}
