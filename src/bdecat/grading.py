@@ -201,19 +201,42 @@ def h_coordinates(pmc: PointedMatchedCircle, alpha: tuple[int, ...]) -> tuple[in
     return h
 
 
+@lru_cache(maxsize=None)
+def _f_tables(pmc: PointedMatchedCircle, s0: frozenset[int] | None):
+    """The integer data of f_s: the point count, each pair chord's (lo, hi)
+    with 2 times its half-unit sign (-2 for pairs in s0, which defaults to
+    {1..k}), and (i, j, 4 delta_ij) for each nonzero delta_ij with i < j."""
+    s0 = frozenset(range(1, pmc.genus + 1)) if s0 is None else s0
+    ends, delta = _pair_chord_data(pmc)
+    pairs = tuple((lo, hi, -2 if i in s0 else 2) for i, (lo, hi) in enumerate(ends, start=1))
+    cross = tuple((i, j, 4 * delta[i][j]) for i in range(len(ends))
+                  for j in range(i + 1, len(ends)) if delta[i][j])
+    return pmc.num_points, pairs, cross
+
+
 def f_s(x: GradingElement, pmc: PointedMatchedCircle, s0=None) -> int:
     """The homomorphism G(Z) -> Z/2 in base-idempotent coordinates.
 
     f(j; h) = j - (1/2) sum_{i in s} h_i + (1/2) sum_{i not in s} h_i
-              + sum_{i<j} h_i h_j delta_{ij},  reduced mod 2.
+              + sum_{i<j} h_i h_j delta_{ij},  reduced mod 2,
+
+    with h read off the jumps of alpha as in `h_coordinates`.
     """
-    s0 = frozenset(range(1, pmc.genus + 1)) if s0 is None else s0
-    h = h_coordinates(pmc, x.alpha)
-    _, delta = _pair_chord_data(pmc)
+    n, pairs, cross = _f_tables(pmc, None if s0 is None else frozenset(s0))
+    alpha = x.alpha
+    if len(alpha) != n - 1:
+        raise ValueError(f"alpha={alpha} does not live on {n} points")
+    padded = (0, *alpha, 0)
+    h = []
     total4 = x.j4
-    for i, hi in enumerate(h):
-        total4 += -2 * hi if i + 1 in s0 else 2 * hi
-        total4 += 4 * hi * sum(h[j] * delta[i][j] for j in range(i + 1, len(h)))
+    for lo, hi, sign2 in pairs:
+        c = padded[lo] - padded[lo - 1]
+        if padded[hi] - padded[hi - 1] != -c:
+            raise NotInGZ(f"alpha={alpha} is not in the span of pair chords")
+        h.append(c)
+        total4 += sign2 * c
+    for i, j, delta4 in cross:
+        total4 += delta4 * h[i] * h[j]
     if total4 % 4:
         raise NotIntegral(f"f_s({x}) is not an integer")
     return (total4 // 4) % 2

@@ -79,9 +79,9 @@ _CHORD_EXPR = re.compile(r"rho\((.*)\)")
 _CHORD = re.compile(r" *([0-9]+) *, *([0-9]+) *")
 
 
-def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
+def parse_coefficient(basis: AZBasis, expr: str,
                       left: frozenset[int], right: frozenset[int] | None = None) -> int:
-    """The `az_basis(pmc)` index of a coefficient from the pair set left.
+    """The index in basis, an `az_basis`, of a coefficient from the pair set left.
 
     "1" is I(left), a torus name its element and rho(...) the element
     a(rho, left) of its chords.  Its right pair set must be right; with
@@ -90,12 +90,11 @@ def parse_coefficient(pmc: PointedMatchedCircle, expr: str,
     """
     if not isinstance(expr, str):
         raise FixtureError(f"coefficient must be a string, got {expr!r}")
-    expr = expr.strip()
-    basis, left = az_basis(pmc), frozenset(left)
+    expr, left = expr.strip(), frozenset(left)
     if expr == "1":
         i = basis.by_label.get(((), left))
     elif expr in torus_algebra().index:
-        if pmc != torus_algebra().pmc:
+        if not basis.is_torus:
             raise FixtureError(f"named element {expr} needs the torus pmc")
         i = torus_algebra().index[expr]
     else:
@@ -127,7 +126,7 @@ def dump_coefficient(basis: AZBasis, ids: tuple[int, ...]) -> str:
     i = ids[0]
     if i in basis.idempotent_indices:
         return "1"
-    if basis.pmc == torus_algebra().pmc:
+    if basis.is_torus:
         return torus_algebra().names[i]
     g = next(iter(basis.elements[i].terms))  # every term has the same chords
     spec = ";".join(f"{s},{t}" for s, t in sorted(g.moving_strands))
@@ -166,10 +165,10 @@ def type_d_from_json(data) -> TypeDStructure:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
     by_name = {g.name: g for g in gens}
-    delta = []
+    basis, delta = az_basis(pmc), []
     for entry in data.get("delta", []):
         src, dst = entry["src"], entry["dst"]
-        i = parse_coefficient(pmc, entry["coeff"],
+        i = parse_coefficient(basis, entry["coeff"],
                               by_name[src].idempotent, by_name[dst].idempotent)
         delta.append((src, (i,), dst))
     return TypeDStructure(pmc, gens, delta)
@@ -188,15 +187,15 @@ def ainf_from_json(data) -> AInfModule:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
     by_name = {g.name: g for g in gens}
-    idempotents = az_basis(pmc).idempotents
+    basis = az_basis(pmc)
     ops = []
     for entry in data.get("ops", []):
         x, y = entry["x"], entry["y"]
         ids = []
         left = by_name[x].idempotent
         for expr in entry.get("algs", []):
-            ids.append(parse_coefficient(pmc, expr, left))
-            left = idempotents[ids[-1]][1]
+            ids.append(parse_coefficient(basis, expr, left))
+            left = basis.idempotents[ids[-1]][1]
         ops.append((x, ids, y))
     return AInfModule(pmc, gens, ops)
 

@@ -15,7 +15,8 @@ with the leftover pairs disjoint from M(ends).  The element a(rho, s) is the
 sum over all ways of occupying each leftover pair by one of its two points
 as a horizontal strand.  Distinct (rho, s) give disjoint sets of generators,
 which makes decomposition into this basis a lookup rather than linear
-algebra.
+algebra.  `AZBasis` multiplies two basis elements on their labels (rho, s)
+alone, and its product table builds no strand diagram.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .pmc import PointedMatchedCircle, ReebChord
+from .pmc import PointedMatchedCircle, ReebChord, torus_pmc
 
 
 class AmbientMismatch(ValueError):
@@ -243,11 +244,13 @@ class AZBasis:
     """Indexed basis of A(Z, i) with signature-based decomposition, the label
     and idempotents of each element, and the product and differential tables
     by index, each built once on first use.  Modules store coefficients as
-    indices."""
+    indices.  `is_torus` says once per basis whether its circle is the torus
+    circle, whose elements have names, so no per-edge code compares circles."""
 
     def __init__(self, pmc: PointedMatchedCircle, i: int = 0):
         self.pmc = pmc
         self.i = i
+        self.is_torus = pmc == torus_pmc()
         self.elements = basis_of_AZ(pmc, i)
         self._by_signature = {}
         for idx, el in enumerate(self.elements):
@@ -279,11 +282,20 @@ class AZBasis:
         return tuple(left_right_pairs(self.pmc, el) for el in self.elements)
 
     @cached_property
+    def labels(self) -> tuple[tuple[tuple[tuple[int, int], ...], frozenset[int]], ...]:
+        """The label (rho, s) of each a(rho, s) in integers: its chords as
+        ascending (start, end) pairs, which every term shares, and its left
+        pair set."""
+        return tuple((tuple((a, b) for a, b in zip(g.S, g.phi) if a != b), s)
+                     for g, (s, _) in zip((next(iter(el.terms)) for el in self.elements),
+                                          self.idempotents))
+
+    @cached_property
     def by_label(self) -> MappingProxyType:
         """The label (rho, s) of a(rho, s), the `chord_signature` of any of its
         terms -> its index."""
-        return MappingProxyType({chord_signature(self.pmc, min(el.terms)): i
-                                 for i, el in enumerate(self.elements)})
+        return MappingProxyType({(tuple(ReebChord(a, b) for a, b in rho), s): i
+                                 for i, (rho, s) in enumerate(self.labels)})
 
     @cached_property
     def idempotent_indices(self) -> frozenset[int]:
@@ -300,17 +312,75 @@ class AZBasis:
         return MappingProxyType({s: tuple(js) for s, js in buckets.items()})
 
     @cached_property
-    def products(self) -> MappingProxyType:
-        """(i, j) -> decompose(e_i e_j) for every pair with a nonzero product.
+    def _index_of_label(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
 
-        e_i e_j = 0 unless the right idempotent of e_i is the left idempotent
-        of e_j, so only those j are multiplied; i and j ascend as over all
-        pairs."""
-        els, by_left = self.elements, self.by_left
+    @cached_property
+    def _chord_maps(self) -> tuple[tuple[dict, dict, int, int], ...]:
+        """Per index: its chords as {end: start} and {start: end}, the bitmask
+        of its start points and the bitmask of the partners of its end points."""
+        partner = self.pmc.partner
+        return tuple(({b: a for a, b in rho}, dict(rho), sum(1 << a for a, _ in rho),
+                      sum(1 << partner(b) for _, b in rho))
+                     for rho, _ in self.labels)
+
+    def product(self, i: int, j: int) -> tuple[int, ...]:
+        """decompose(e_i e_j) read off the two labels; no strand diagram is built.
+
+        Write e_i = a(rho1, s1) and e_j = a(rho2, s2).  The product is 0 unless
+        s2 is the right pair set of e_i and each chord of rho2 starts at an end
+        of rho1 (that point, not its partner) or in a leftover pair of s1,
+        where e_i's horizontal strand is forced onto the start.  When s2 is
+        that right pair set, the only way to fail the second condition is to
+        start at the partner of an end of rho1, which the masks test.  An end
+        of rho1 that starts no chord of rho2 is met by a forced horizontal of
+        e_j.  The two halves then compose into one strand per middle point,
+        and the product is a(rho', s1) for their chords rho', or 0 when two
+        of them cross in both halves.  The horizontals of the leftover pairs
+        that both sides keep never cross a strand twice, because every strand
+        runs upward, so one test decides for all of their completions."""
+        (rho1, s1), (rho2, _) = self.labels[i], self.labels[j]
+        ends, _, _, partners = self._chord_maps[i]
+        _, starts, start_mask, _ = self._chord_maps[j]
+        if self.idempotents[i][1] != self.idempotents[j][0] or start_mask & partners:
+            return ()
+        # strands through middle points x < y cross twice iff both their
+        # starts and their ends are inverted: x must start a chord of rho2
+        # and y must end a chord of rho1
+        for x, bx in rho2:
+            ax = ends.get(x, x)
+            for ay, y in rho1:
+                if x < y and ay < ax and starts.get(y, y) < bx:
+                    return ()
+        rho = [(a, starts.get(b, b)) for a, b in rho1]
+        rho += [(a, b) for a, b in rho2 if a not in ends]
+        rho.sort()
+        label = (tuple(rho), s1)
+        index = self._index_of_label.get(label)
+        if index is None:
+            raise ValueError(f"product label {label} of {i} and {j} is not in A(Z, {self.i})")
+        return (index,)
+
+    @cached_property
+    def products(self) -> MappingProxyType:
+        """(i, j) -> `product(i, j)` for every pair with a nonzero product,
+        i and j ascending as over all pairs.
+
+        Only the e_j whose left pair set is the right one of e_i are tried,
+        and of those only the ones with no start point at a partner of an end
+        of e_i; that list depends on e_i only through the two, so it is built
+        once per distinct right pair set and partner mask."""
+        by_left, maps, product = self.by_left, self._chord_maps, self.product
+        followers: dict[tuple[frozenset[int], int], tuple[int, ...]] = {}
         table = {}
-        for i, (a, (_, t)) in enumerate(zip(els, self.idempotents)):
-            for j in by_left.get(t, ()):
-                if p := self.decompose(multiply(a, els[j])):
+        for i, (_, t) in enumerate(self.idempotents):
+            partners = maps[i][3]
+            js = followers.get((t, partners))
+            if js is None:
+                js = followers[t, partners] = tuple(
+                    j for j in by_left.get(t, ()) if not maps[j][2] & partners)
+            for j in js:
+                if p := product(i, j):
                     table[(i, j)] = p
         return MappingProxyType(table)
 

@@ -113,7 +113,7 @@ def alexander_weight2_cfa(r: tuple[int, int, int], d: int, p: int) -> int:
 
 def coefficient_name(module, ids: tuple[int, ...]) -> str:
     """Name a module's coefficient, given as basis indices, if it is a torus element."""
-    if module.pmc != torus_algebra().pmc or len(ids) != 1:
+    if not module.basis.is_torus or len(ids) != 1:
         raise BigradingViolation(f"coefficient with basis indices {ids} is not a torus element")
     return torus_algebra().names[ids[0]]
 

@@ -1,5 +1,6 @@
 """The integer grading core against the Fraction reference in grading_oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from bdecat import grading
 from bdecat.grading import (GradingElement, NotHomogeneous, NotInGZ,
-                            NotMiddleSummand, f_s, ginv, gmul, gr_prime,
-                            h_coordinates, m_of)
+                            NotIntegral, NotMiddleSummand, f_s, ginv, gmul,
+                            gr_prime, h_coordinates, m_of)
 from bdecat.pmc import split_pmc
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import basis_of_AZ, left_right_pairs
@@ -98,3 +99,47 @@ def test_m_raises_on_every_call_for_rejected_elements(torus):
             m_of(top, torus)
         with pytest.raises(NotHomogeneous):
             m_of(mixed, torus)
+
+
+def _unchecked(j4, alpha) -> GradingElement:
+    """A GradingElement that skips the quarter-integer check, so that f_s
+    meets a non-integral value."""
+    x = object.__new__(GradingElement)
+    object.__setattr__(x, "j4", j4)
+    object.__setattr__(x, "alpha", alpha)
+    return x
+
+
+def test_f_s_matches_oracle_for_every_base_pair_set(torus, split2, split3):
+    for pmc in (torus, split2, split3):
+        k, n1 = pmc.genus, pmc.num_points - 1
+        rng = random.Random(11 * pmc.num_points)
+        for count, s0 in enumerate(itertools.combinations(range(1, 2 * k + 1), k)):
+            # the base pair set may come as any collection of pair indices
+            base = (frozenset(s0), set(s0), s0)[count % 3]
+            for _ in range(25):
+                x = _random_gz_element(pmc, rng)
+                assert f_s(x, pmc, base) == oracle.f_s(_as_pair(x), pmc, frozenset(s0))
+            outside = 0
+            for _ in range(20):
+                alpha = tuple(rng.randint(-2, 2) for _ in range(n1))
+                x = GradingElement(grading._odd_jumps(alpha), alpha)
+                try:
+                    want = oracle.f_s(_as_pair(x), pmc, frozenset(s0))
+                except NotInGZ:
+                    outside += 1
+                    with pytest.raises(NotInGZ):
+                        f_s(x, pmc, base)
+                else:
+                    assert f_s(x, pmc, base) == want
+            assert outside >= 10
+            x = _random_gz_element(pmc, rng)
+            with pytest.raises(ValueError, match="does not live on"):
+                f_s(GradingElement(x.j4, x.alpha + (0, 0)), pmc, base)
+            with pytest.raises(ValueError, match="does not live on"):
+                f_s(GradingElement(0, (0,) * (n1 - 1)), pmc, base)
+            odd = _unchecked(x.j4 + 2, x.alpha)
+            with pytest.raises(NotIntegral):
+                f_s(odd, pmc, base)
+            with pytest.raises(ValueError):
+                oracle.f_s(_as_pair(odd), pmc, frozenset(s0))

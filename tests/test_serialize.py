@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from bdecat import serialize as ser
-from bdecat.pmc import ReebChord, split_pmc, torus_pmc
+from bdecat.cfk2cfd import build_cfd
+from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc, torus_pmc
 from bdecat.strands import az_basis
-from bdecat.torus import ELEMENT_CHORDS
+from bdecat.torus import ELEMENT_CHORDS, check_bigrading, check_cfa_weights
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
-                            fixture_path)
+                            fixture_path, load_fixture)
 from tests.helpers import a_of, pair_idempotent, pinch_coefficient
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
@@ -78,27 +79,27 @@ def test_named_pmc_and_matching_agree():
 
 def test_coefficient_expressions(torus):
     left, right = frozenset({1}), frozenset({2})
-    named = ser.parse_coefficient(torus, "rho1", left, right)
-    chordwise = ser.parse_coefficient(torus, "rho(1,2)", left, right)
-    assert named == chordwise
     basis = az_basis(torus)
+    named = ser.parse_coefficient(basis, "rho1", left, right)
+    chordwise = ser.parse_coefficient(basis, "rho(1,2)", left, right)
+    assert named == chordwise
     assert ser.dump_coefficient(basis, (named,)) == "rho1"
-    one = ser.parse_coefficient(torus, "1", left, left)
+    one = ser.parse_coefficient(basis, "1", left, left)
     assert ser.dump_coefficient(basis, (one,)) == "1"
     with pytest.raises(ser.FixtureError):
-        ser.parse_coefficient(torus, "1", left, right)
+        ser.parse_coefficient(basis, "1", left, right)
     with pytest.raises(ser.FixtureError):
-        ser.parse_coefficient(torus, "rho(2,3)", left, right)
+        ser.parse_coefficient(basis, "rho(2,3)", left, right)
     with pytest.raises(ser.FixtureError):
-        ser.parse_coefficient(torus, "sigma(1,2)", left, right)
+        ser.parse_coefficient(basis, "sigma(1,2)", left, right)
     # an operation input: the chain fixes the right idempotent
-    assert ser.parse_coefficient(torus, "rho(1,2)", left) == named
-    assert ser.parse_coefficient(torus, "rho1", left) == named
+    assert ser.parse_coefficient(basis, "rho(1,2)", left) == named
+    assert ser.parse_coefficient(basis, "rho1", left) == named
     for bad in ("rho(1)", "rho(1,,2)", "rho(1,2,3)", "rho()", None):
         with pytest.raises(ser.FixtureError):
-            ser.parse_coefficient(torus, bad, left, right)
+            ser.parse_coefficient(basis, bad, left, right)
         with pytest.raises(ser.FixtureError):
-            ser.parse_coefficient(torus, bad, left)
+            ser.parse_coefficient(basis, bad, left)
 
 
 def test_read_checks_the_kind():
@@ -194,10 +195,41 @@ def test_parse_coefficient_matches_the_pinched_element():
         cases += 1
         want = None if el is None else pinch_coefficient(pmc, el, left, right)
         try:
-            got = (ser.parse_coefficient(pmc, expr, left, right),)
+            got = (ser.parse_coefficient(az_basis(pmc), expr, left, right),)
         except ser.FixtureError:
             got = None
         assert got == (None if want is None else az_basis(pmc).decompose(want)), \
             (pmc, expr, left, right)
     assert cases == 17274
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_torus_circle_is_compared_per_module_not_per_edge(monkeypatch):
+    dumped = {name: ser.type_d_to_json(build_cfd(load_fixture(name)))
+              for name in ("cfk_trefoil_right", "cfk_torus34")}
+    patterns = {name: load_fixture(name) for name in ("cfa_core", "cfa_with_ops")}
+    calls = []
+    eq = PointedMatchedCircle.__eq__
+    monkeypatch.setattr(PointedMatchedCircle, "__eq__",
+                        lambda self, other: calls.append(other) or eq(self, other))
+    counts = {}
+    for name, data in dumped.items():
+        calls.clear()
+        N = ser.type_d_from_json(data)
+        assert ser.type_d_to_json(N) == data
+        check_bigrading(N, 0)
+        counts[name] = len(calls)
+    assert [len(data["delta"]) for data in dumped.values()] == [7, 17]
+    assert counts["cfk_trefoil_right"] == counts["cfk_torus34"] <= 3, counts
+    for name, pattern in patterns.items():
+        calls.clear()
+        ops = ser.ainf_to_json(pattern.cfa)
+        M = ser.ainf_from_json(ops)
+        assert ser.ainf_to_json(M) == ops
+        check_cfa_weights(M, pattern.winding)
+        counts[name] = len(calls)
+    assert [len(M.ops) for M in (p.cfa for p in patterns.values())] == [0, 1]
+    assert counts["cfa_core"] == counts["cfa_with_ops"] <= 3, counts
+    # a named element still needs the torus circle
+    with pytest.raises(ser.FixtureError, match="needs the torus pmc"):
+        ser.parse_coefficient(az_basis(split_pmc(2)), "rho1", frozenset({1, 2}))

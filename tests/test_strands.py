@@ -1,14 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from bdecat import strands
-from bdecat.pmc import ReebChord
+from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc
 from bdecat.strands import (AZBasis, StrandsGenerator, basis_of_AZ,
                             chord_signature, differential, left_right_pairs,
                             multiply)
 from tests.helpers import (EndpointClash, a0, a_of, element, generators_of_ank,
                            idempotent, pair_idempotent, zero)
+from tests.test_grading import GENUS2_CLASSES
 
 
 def gen(n, strands):
@@ -146,7 +148,7 @@ def test_bucketed_products_equal_the_all_pairs_build_in_order(torus, split2):
         assert list(basis.products.items()) == reference
 
 
-def test_split2_table_multiplies_only_composable_pairs(split2, monkeypatch):
+def test_split2_table_is_built_from_labels_without_multiply(split2, monkeypatch):
     calls = []
 
     def counting(x, y):
@@ -156,7 +158,35 @@ def test_split2_table_multiplies_only_composable_pairs(split2, monkeypatch):
     monkeypatch.setattr(strands, "multiply", counting)
     basis = AZBasis(split2, 0)
     assert len(basis.products) == 1917
-    assert len(calls) == 5286  # of 238 ** 2 = 56 644 pairs
+    assert calls == []
+
+
+def test_label_products_match_multiply_on_sampled_split3_pairs():
+    basis = AZBasis(split_pmc(3), 0)
+    els, idem, by_left = basis.elements, basis.idempotents, basis.by_left
+    rng = random.Random(3)
+    counts = {"zero": 0, "nonzero": 0, "not composable": 0}
+    for trial in range(3600):
+        i = rng.randrange(len(els))
+        if trial % 12:
+            j = rng.choice(by_left[idem[i][1]])
+        else:
+            j = rng.randrange(len(els))
+        p = basis.product(i, j)
+        assert p == basis.decompose(multiply(els[i], els[j])), (i, j)
+        kind = ("not composable" if idem[i][1] != idem[j][0]
+                else "nonzero" if p else "zero")
+        counts[kind] += 1
+    assert min(counts.values()) >= 150, counts
+    assert counts["zero"] + counts["nonzero"] >= 3000, counts
+
+
+def test_a_product_label_missing_from_the_basis_raises(torus, monkeypatch):
+    basis = AZBasis(torus, 0)
+    (i, j), _ = next(iter(basis.products.items()))
+    monkeypatch.setattr(basis, "_index_of_label", {})
+    with pytest.raises(ValueError, match="is not in A"):
+        basis.product(i, j)
 
 
 def test_unique_idempotent_pair_per_basis_element(torus, split2):
@@ -182,3 +212,12 @@ def test_ambient_mismatch():
     from bdecat.strands import AmbientMismatch
     with pytest.raises(AmbientMismatch):
         multiply(element([idempotent(4, {1})]), element([idempotent(8, {1})]))
+
+
+@pytest.mark.parametrize("matching", GENUS2_CLASSES)
+def test_label_products_match_multiply_on_every_genus2_circle(matching):
+    basis = AZBasis(PointedMatchedCircle(matching), 0)
+    els, idem, by_left = basis.elements, basis.idempotents, basis.by_left
+    reference = {(i, j): p for i in range(len(els)) for j in by_left.get(idem[i][1], ())
+                 if (p := basis.decompose(multiply(els[i], els[j])))}
+    assert basis.products == reference
