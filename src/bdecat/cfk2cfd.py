@@ -117,7 +117,7 @@ IOTA1 = frozenset({2})
 
 def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     """CFD of the 0-framed complement, bigraded per the chain tables."""
-    rho = {name: (i,) for name, i in torus_algebra().index.items()}
+    rho = torus_algebra().index
 
     gens: list[ModuleGenerator] = []
     delta: list[tuple] = []

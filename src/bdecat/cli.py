@@ -144,8 +144,8 @@ def cmd_cfd_from_cfk(args) -> int:
     else:
         print(f"CFD has {len(cfd.generators)} generators "
               f"({sum(1 for g in cfd.generators.values() if g.idempotent == frozenset({1}))} iota0)")
-        for src, ids, dst in cfd.delta:
-            print(f"  {src} --{serialize.dump_coefficient(cfd.basis, ids)}--> {dst}")
+        for src, i, dst in cfd.delta:
+            print(f"  {src} --{serialize.dump_coefficient(cfd.basis, i)}--> {dst}")
         print(f"[CFD] = {class_of(cfd)}")
         print(f"a1 component = Delta_K(t) = {delta_a1}   (a2 component = 0)")
         print(f"bounded: {is_bounded(cfd)}")

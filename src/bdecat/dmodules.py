@@ -5,11 +5,12 @@ pointed matched circle.  Generators carry a k-element idempotent subset (the
 middle summand), a Z/2 grading m, and an optional half-integer Alexander
 grading a, stored as the integer a2 = 2a.  Coefficients are indices into
 the basis `az_basis(pmc)` of A(Z, 0): a type D structure records delta as
-triples (src, index tuple, dst), the indices summing to the coefficient; an
-A-infinity module records its nonzero operations m_i(x, a_1, ..., a_{i-1}) = y
-with every a_j one index.  The constructors take coefficients in that form
-and check each index's idempotents; the checkers read the basis tables and
-`m_table` by index.
+edges (src, index, dst), a sum of basis elements being parallel edges over
+F2; an A-infinity module records its nonzero operations
+m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
+take coefficients in that form, check each index's idempotents and reject a
+repeated delta edge; the checkers read the basis tables and `m_table` by
+index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -78,8 +79,9 @@ def _check_generators(pmc, generators):
 
 class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
-        """delta entries are (src_name, index tuple, dst_name), the indices
-        into `az_basis(pmc)` summing to the coefficient."""
+        """delta entries are (src_name, index, dst_name), the index one
+        element of `az_basis(pmc)`; no edge may appear twice, as two copies
+        would cancel over F2."""
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
@@ -87,21 +89,21 @@ class TypeDStructure:
         self.basis = basis = az_basis(pmc)
         idempotents = basis.idempotents
         self.delta = []
-        for src, ids, dst in delta:
-            ids = tuple(ids)
-            if not ids:
-                raise ValueError(f"zero coefficient on {src}->{dst}")
+        seen = set()
+        for src, i, dst in delta:
             pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
-            for i in ids:
-                if not (0 <= i < len(idempotents) and idempotents[i] == pair):
-                    raise ValueError(
-                        f"coefficient on {src}->{dst} not compatible with idempotents")
-            self.delta.append((src, ids, dst))
+            if not (0 <= i < len(idempotents) and idempotents[i] == pair):
+                raise ValueError(
+                    f"coefficient on {src}->{dst} not compatible with idempotents")
+            if (src, i, dst) in seen:
+                raise ValueError(f"repeated delta edge {src}->{dst} (basis index {i})")
+            seen.add((src, i, dst))
+            self.delta.append((src, i, dst))
 
-    def delta_map(self) -> dict[str, list[tuple[tuple[int, ...], str]]]:
+    def delta_map(self) -> dict[str, list[tuple[int, str]]]:
         out: dict[str, list] = {name: [] for name in self.generators}
-        for src, ids, dst in self.delta:
-            out[src].append((ids, dst))
+        for src, i, dst in self.delta:
+            out[src].append((i, dst))
         return out
 
 
@@ -185,30 +187,26 @@ def check_type_d(N: TypeDStructure) -> None:
     residual: set[tuple[str, str, int]] = set()
     # Most indices have no differential and most pairs no product; skipping
     # those updates took ~5% off the staircase op.
-    for src, ids, dst in N.delta:
-        for i in ids:
-            if differentials[i]:
+    for src, i, dst in N.delta:
+        if differentials[i]:
+            residual.symmetric_difference_update(
+                (src, dst, r) for r in differentials[i])
+        for j, dst2 in dmap[dst]:
+            if (i, j) in products:
                 residual.symmetric_difference_update(
-                    (src, dst, r) for r in differentials[i])
-            for ids2, dst2 in dmap[dst]:
-                for j in ids2:
-                    if (i, j) in products:
-                        residual.symmetric_difference_update(
-                            (src, dst2, r) for r in products[i, j])
+                    (src, dst2, r) for r in products[i, j])
     if residual:
         src, dst, r = min(residual)
         raise StructureEquationFails(
             f"residual with term {basis.elements[r]} from {src} to {dst}")
 
     m = m_table(N.pmc)
-    for src, ids, dst in N.delta:
-        ms, md = N.generators[src].m, N.generators[dst].m
-        for i in ids:
-            mc = m[i]
-            if (ms - mc - md - 1) % 2 != 0:
-                raise GradingIncompatible(
-                    f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
-                    f"{(mc + md + 1) % 2}")
+    for src, i, dst in N.delta:
+        ms, md, mc = N.generators[src].m, N.generators[dst].m, m[i]
+        if (ms - mc - md - 1) % 2 != 0:
+            raise GradingIncompatible(
+                f"{src}->{dst}: m({src})={ms} but m(coeff)+m({dst})+1="
+                f"{(mc + md + 1) % 2}")
 
 
 def is_bounded(N: TypeDStructure) -> bool:
@@ -367,9 +365,8 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
                 break
             nxt: set[tuple] = set()
             for ids, yend in chains:
-                for step, z in dmap[yend]:
-                    for b in step:
-                        nxt ^= {(ids + (b,), z)}
+                for b, z in dmap[yend]:
+                    nxt ^= {(ids + (b,), z)}
             chains = nxt
 
     return ChainComplex(

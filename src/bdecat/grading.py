@@ -31,10 +31,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
-from .grothendieck import ratio_str
 from .pmc import PointedMatchedCircle, ReebChord
 from .strands import AlgebraElement, StrandsGenerator, az_basis, left_right_pairs
+
+
+def ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms (d > 0), written as str(Fraction(n, d)) writes it:
+    the text of a scaled integer (a doubled exponent or Alexander grading, a
+    quadrupled Maslov component) in dumps, gradings and messages."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class NotMiddleSummand(ValueError):

@@ -14,7 +14,6 @@ touches a float or a Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import NamedTuple
 
 
@@ -24,14 +23,6 @@ class GenusMismatch(ValueError):
 
 class ZeroPolynomial(ValueError):
     pass
-
-
-def ratio_str(n: int, d: int) -> str:
-    """n/d in lowest terms (d > 0), written as str(Fraction(n, d)) writes it:
-    the text of a scaled integer (a doubled exponent or Alexander grading, a
-    quadrupled Maslov component) in dumps, gradings and messages."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 @dataclass(frozen=True)

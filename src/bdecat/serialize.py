@@ -20,7 +20,8 @@ from fractions import Fraction
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
 from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
-from .grothendieck import ExteriorClass, LaurentHalf, ratio_str
+from .grading import ratio_str
+from .grothendieck import ExteriorClass, LaurentHalf
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
 from .strands import AZBasis, az_basis
@@ -119,17 +120,13 @@ def parse_coefficient(basis: AZBasis, expr: str,
     return i
 
 
-def dump_coefficient(basis: AZBasis, ids: tuple[int, ...]) -> str:
-    """The expression of a coefficient given as indices into `basis`."""
-    if len(ids) != 1:
-        raise FixtureError("coefficient is not a single chord-set element")
-    i = ids[0]
+def dump_coefficient(basis: AZBasis, i: int) -> str:
+    """The expression of the coefficient with index i in `basis`."""
     if i in basis.idempotent_indices:
         return "1"
     if basis.is_torus:
         return torus_algebra().names[i]
-    g = next(iter(basis.elements[i].terms))  # every term has the same chords
-    spec = ";".join(f"{s},{t}" for s, t in sorted(g.moving_strands))
+    spec = ";".join(f"{s},{t}" for s, t in basis.labels[i][0])
     return f"rho({spec})"
 
 
@@ -144,10 +141,11 @@ def _generators_from_json(items):
     gens = []
     for item in items:
         a2 = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
-        gens.append(ModuleGenerator(
-            _name(item["name"]),
-            frozenset(_int(i, "idem entry") for i in item["idem"]),
-            _int(item["m"], "m"), a2=a2))
+        name, idem = _name(item["name"]), item["idem"]
+        idempotent = frozenset(_int(i, "idem entry") for i in idem)
+        if len(idempotent) != len(idem):
+            raise FixtureError(f"{name}: repeated idem entry in {idem}")
+        gens.append(ModuleGenerator(name, idempotent, _int(item["m"], "m"), a2=a2))
     return gens
 
 
@@ -170,7 +168,7 @@ def type_d_from_json(data) -> TypeDStructure:
         src, dst = entry["src"], entry["dst"]
         i = parse_coefficient(basis, entry["coeff"],
                               by_name[src].idempotent, by_name[dst].idempotent)
-        delta.append((src, (i,), dst))
+        delta.append((src, i, dst))
     return TypeDStructure(pmc, gens, delta)
 
 
@@ -178,8 +176,8 @@ def type_d_to_json(N: TypeDStructure) -> dict:
     return {
         "pmc": pmc_to_json(N.pmc),
         "generators": _generators_to_json(N.generators.values()),
-        "delta": [{"src": s, "coeff": dump_coefficient(N.basis, ids), "dst": d}
-                  for s, ids, d in N.delta],
+        "delta": [{"src": s, "coeff": dump_coefficient(N.basis, i), "dst": d}
+                  for s, i, d in N.delta],
     }
 
 
@@ -204,7 +202,7 @@ def ainf_to_json(M: AInfModule) -> dict:
     ops = []
     for x, ids, y in M.ops:
         ops.append({"x": x,
-                    "algs": [dump_coefficient(M.basis, (i,)) for i in ids],
+                    "algs": [dump_coefficient(M.basis, i) for i in ids],
                     "y": y})
     return {
         "pmc": pmc_to_json(M.pmc),

@@ -19,8 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .dmodules import AInfModule, TypeDStructure
-from .grading import m_table
-from .grothendieck import ratio_str
+from .grading import m_table, ratio_str
 from .pmc import ReebChord, torus_pmc
 from .strands import az_basis
 
@@ -111,11 +110,11 @@ def alexander_weight2_cfa(r: tuple[int, int, int], d: int, p: int) -> int:
     return 2 * d - p * (-r1 + r2 + r3)
 
 
-def coefficient_name(module, ids: tuple[int, ...]) -> str:
-    """Name a module's coefficient, given as basis indices, if it is a torus element."""
-    if not module.basis.is_torus or len(ids) != 1:
-        raise BigradingViolation(f"coefficient with basis indices {ids} is not a torus element")
-    return torus_algebra().names[ids[0]]
+def coefficient_name(module, i: int) -> str:
+    """Name a module's coefficient, given as a basis index, if it is a torus element."""
+    if not module.basis.is_torus:
+        raise BigradingViolation(f"coefficient with basis index {i} is not a torus element")
+    return torus_algebra().names[i]
 
 
 def check_bigrading(N: TypeDStructure, n: int) -> None:
@@ -126,10 +125,10 @@ def check_bigrading(N: TypeDStructure, n: int) -> None:
     """
     m = m_table(N.pmc)
     drop2 = {name: alexander_weight2_cfd(r, n) for name, r in INTERVALS.items()}
-    for src, ids, dst in N.delta:
-        name = coefficient_name(N, ids)
+    for src, i, dst in N.delta:
+        name = coefficient_name(N, i)
         gs, gd = N.generators[src], N.generators[dst]
-        want_m = (m[ids[0]] + gd.m + 1) % 2
+        want_m = (m[i] + gd.m + 1) % 2
         if gs.m != want_m:
             raise BigradingViolation(
                 f"({src}, {name}, {dst}): m({src})={gs.m}, expected {want_m}")
@@ -149,7 +148,7 @@ def check_cfa_weights(M: AInfModule, p: int) -> None:
         gx, gy = M.generators[x], M.generators[y]
         if gx.a2 is None or gy.a2 is None:
             continue
-        want2 = gx.a2 + sum(shift2[coefficient_name(M, (idx,))] for idx in ids)
+        want2 = gx.a2 + sum(shift2[coefficient_name(M, idx)] for idx in ids)
         if gy.a2 != want2:
             raise BigradingViolation(
                 f"op ({x}; ...; {y}): a({y})={ratio_str(gy.a2, 2)}, "

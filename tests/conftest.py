@@ -58,7 +58,7 @@ def edge_choices():
         table = {}
         for i in alg.index.values():
             s, t = alg.basis.idempotents[i]
-            table.setdefault((s, t, m[i]), []).append((i,))
+            table.setdefault((s, t, m[i]), []).append(i)
         _EDGE_CHOICES = table
     return _EDGE_CHOICES
 

@@ -178,8 +178,7 @@ def delta_k(N: TypeDStructure, x: str, k: int) -> set[tuple]:
     for _ in range(k):
         nxt: set[tuple] = set()
         for prefix, y in current:
-            for ids, z in dmap[y]:
-                for i in ids:
-                    nxt ^= {(prefix + (i,), z)}
+            for i, z in dmap[y]:
+                nxt ^= {(prefix + (i,), z)}
         current = nxt
     return current

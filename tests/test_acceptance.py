@@ -224,7 +224,7 @@ def _triangle_mutations(rng):
         for src, cname, dst in delta:
             coeff = (talg.basis.by_label[((), by_name[src].idempotent)]
                      if cname == "1" else talg.index[cname])
-            resolved.append((src, (coeff,), dst))
+            resolved.append((src, coeff, dst))
         N = TypeDStructure(torus_pmc(), mg, resolved)
         check_type_d(N)
         check_bigrading(N, 0)
@@ -296,7 +296,7 @@ def test_criterion_8_structural_properties():
                         name = {(1, 1): "rho12", (2, 2): "rho23",
                                 (1, 2): "rho1", (2, 1): "rho2"}[
                                     (min(src.idempotent), min(dst.idempotent))]
-                        delta.append((src.name, (talg.index[name],), dst.name))
+                        delta.append((src.name, talg.index[name], dst.name))
             N = TypeDStructure(torus_pmc(), gens, delta)
         adj = {v: set() for v in N.generators}
         indeg = {v: 0 for v in N.generators}

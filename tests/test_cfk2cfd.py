@@ -40,10 +40,10 @@ def test_generator_counts(cfk):
 def test_unknot_structure():
     cfd = build_cfd(load_fixture("cfk_unknot"))
     assert len(cfd.delta) == 1
-    src, ids, dst = cfd.delta[0]
+    src, i, dst = cfd.delta[0]
     assert src == dst == "x"
     from bdecat.torus import coefficient_name
-    assert coefficient_name(cfd, ids) == "rho12"
+    assert coefficient_name(cfd, i) == "rho12"
     assert class_of(cfd).coefficient(IOTA0) == LaurentHalf.one()
 
 
@@ -184,7 +184,7 @@ def test_chain_edges_run_against_cfk_arrows():
     cfk = load_fixture("cfk_trefoil_right")
     cfd = build_cfd(cfk)
     from bdecat.torus import coefficient_name
-    edges = {(s, coefficient_name(cfd, ids), d) for s, ids, d in cfd.delta}
+    edges = {(s, coefficient_name(cfd, i), d) for s, i, d in cfd.delta}
     assert ("b", "rho1", "v[b>c]1") in edges
     assert ("c", "rho123", "v[b>c]1") in edges
     assert ("b", "rho3", "h[b>a]1") in edges

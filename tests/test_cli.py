@@ -219,6 +219,28 @@ def test_loader_errors_name_the_file(capsys, tmp_path):
     assert err.startswith(f"error: {cfd}: bad chord '1'"), err
 
 
+def test_repeated_delta_edge_is_rejected(capsys, tmp_path):
+    """Two copies of an edge would cancel over F2 in check_type_d and
+    box_tensor while is_bounded still counted it, so a repeat is bad input."""
+    doubled = _fixture_with(tmp_path, "typed_triangle",
+                            lambda d: d["delta"].append(dict(d["delta"][0])))
+    for argv in (["check", doubled],
+                 ["pair", fixture_path("cfa_with_ops"), doubled, "--box"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {doubled}: repeated delta edge x1->x2 ") \
+            and err.count("\n") == 1, (argv, err)
+
+
+def test_repeated_idem_entry_is_rejected(capsys, tmp_path):
+    """"idem": [2, 2] would read as {2}, a valid torus idempotent."""
+    doubled = _fixture_with(tmp_path, "typed_triangle",
+                            lambda d: d["generators"][0].update(idem=[2, 2]))
+    code, out, err = invoke(capsys, "check", doubled)
+    assert code == 2 and out == ""
+    assert err == f"error: {doubled}: x1: repeated idem entry in [2, 2]\n"
+
+
 def test_check_validates_pattern_alexander_weights(capsys, tmp_path):
     bad = _fixture_with(tmp_path, "cfa_with_ops",
                         lambda d: d["generators"][1].update(a="3/2"))

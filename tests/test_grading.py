@@ -1,19 +1,41 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdecat import grading
 from bdecat.grading import (GradingElement, NotInGZ, NotMiddleSummand, _link2,
                             chord_vector, default_refinement, f_s,
                             ginv, gmul, gpow, gr_prime, gr_prime_generator,
                             h_coordinates, identity_grading, lam,
-                            m_of, m_table, refine)
+                            m_of, m_table, ratio_str, refine)
 from bdecat.pmc import ReebChord
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import (basis_of_AZ, left_right_pairs, multiply,
                             differential)
 from tests import grading_oracle as oracle
 from tests.helpers import a_of, element, idempotent, reverse_refinement
+
+
+def test_ratio_str_writes_what_fraction_writes():
+    for d in (2, 4):
+        for n in range(-50, 51):
+            assert ratio_str(n, d) == str(Fraction(n, d))
+
+
+def test_selfcheck_import_leaves_grothendieck_out():
+    """The selftest reads gradings only; ratio_str lives in grading, so a
+    fresh import of the selftest does not load the K0 module."""
+    src = os.path.dirname(os.path.dirname(grading.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bdecat.selfcheck; "
+         "print('bdecat.grothendieck' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_multiplicity_examples():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +5,7 @@ from bdecat.dmodules import ChainComplex, ModuleGenerator
 from bdecat.grothendieck import (GenusMismatch, LaurentHalf,
                                  ZeroPolynomial, class_from_terms, class_of,
                                  euler_of_complex, normalize_symmetric, pair,
-                                 ratio_str, substitute)
+                                 substitute)
 from tests.helpers import basis_class, t2
 
 
@@ -24,12 +22,6 @@ laurents = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=5)
 
 def from_dict(d):
     return LaurentHalf.from_dict(d)
-
-
-def test_ratio_str_writes_what_fraction_writes():
-    for d in (2, 4):
-        for n in range(-50, 51):
-            assert ratio_str(n, d) == str(Fraction(n, d))
 
 
 def test_substitute_examples():

@@ -1,6 +1,6 @@
 """Half-integers are stored as scaled integers (K0 exponents and Alexander
 gradings doubled, Maslov components times four) and printed by
-`grothendieck.ratio_str`, so only the input parser, which reads every text
+`grading.ratio_str`, so only the input parser, which reads every text
 that Fraction reads, may import fractions."""
 
 import ast

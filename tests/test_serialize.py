@@ -83,9 +83,9 @@ def test_coefficient_expressions(torus):
     named = ser.parse_coefficient(basis, "rho1", left, right)
     chordwise = ser.parse_coefficient(basis, "rho(1,2)", left, right)
     assert named == chordwise
-    assert ser.dump_coefficient(basis, (named,)) == "rho1"
+    assert ser.dump_coefficient(basis, named) == "rho1"
     one = ser.parse_coefficient(basis, "1", left, left)
-    assert ser.dump_coefficient(basis, (one,)) == "1"
+    assert ser.dump_coefficient(basis, one) == "1"
     with pytest.raises(ser.FixtureError):
         ser.parse_coefficient(basis, "1", left, right)
     with pytest.raises(ser.FixtureError):

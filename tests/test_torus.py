@@ -118,7 +118,7 @@ def test_intervals_table_matches_grading(elements):
 
 def test_check_bigrading_accepts_unknot_loop(talg, torus):
     N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
-                       [("x", (talg.index["rho12"],), "x")])
+                       [("x", talg.index["rho12"], "x")])
     check_bigrading(N, 0)
 
 
@@ -131,7 +131,7 @@ def test_check_bigrading_accepts_built_cfd():
 def test_check_bigrading_rejects_shifted_a(talg, torus):
     # a drop 1 across a rho12 arrow whose weight is 0
     gens = [ModuleGenerator("x", {1}, 0, a2=4), ModuleGenerator("y", {1}, 0, a2=2)]
-    N = TypeDStructure(torus, gens, [("x", (talg.index["rho12"],), "y")])
+    N = TypeDStructure(torus, gens, [("x", talg.index["rho12"], "y")])
     with pytest.raises(BigradingViolation, match=r"^\(x, rho12, y\): a drop 1, expected 0$"):
         check_bigrading(N, 0)
 
@@ -140,7 +140,7 @@ def test_check_bigrading_rejects_wrong_m(talg, torus):
     # rho1 has m = 0, so the edge needs m(x) = m(y) + 1
     gens = [ModuleGenerator("x", {1}, 0, a2=1),
             ModuleGenerator("y", {2}, 0, a2=0)]
-    N = TypeDStructure(torus, gens, [("x", (talg.index["rho1"],), "y")])
+    N = TypeDStructure(torus, gens, [("x", talg.index["rho1"], "y")])
     with pytest.raises(BigradingViolation):
         check_bigrading(N, 0)
 
