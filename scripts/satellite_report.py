@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Tabulate the satellite Alexander polynomial for every shipped
-(pattern, companion) pair and confirm the product formula on each."""
+(pattern, companion) pair and confirm the product formula on each.
+
+Each pattern's A-infinity relations are checked first, as `bdecat satellite`
+checks them; a pattern that fails gets one FAIL row and no companion rows.
+Exits 1 when any check fails."""
 
 import glob
 import os
 import sys
 
 from bdecat import serialize as ser
+from bdecat.dmodules import AInfRelationFails, check_ainf
 from bdecat.satellite import check_satellite_formula, decompose
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -18,6 +23,12 @@ def main() -> int:
     failures = 0
     for ppath in patterns:
         pc = ser.pattern_from_json(ser.load_file(ppath))
+        try:
+            check_ainf(pc.cfa)
+        except AInfRelationFails as exc:
+            print(f"pattern {os.path.basename(ppath)}: FAIL ({exc})")
+            failures += 1
+            continue
         q, p = decompose(pc)
         print(f"pattern {os.path.basename(ppath)}: Q = {q}, P = {p}, "
               f"winding {pc.winding}")

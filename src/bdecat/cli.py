@@ -33,19 +33,16 @@ def _load_pmc(spec: str) -> PointedMatchedCircle:
     return serialize.read(spec, "pmc")[1]
 
 
-def _read(args, path: str, *kinds: str):
+def _read(path: str, *kinds: str):
     """serialize.read, then the structure check of the module it returns:
     check_type_d on a type D structure, check_ainf on an A-infinity module
-    or pattern.  A failed check raises FixtureError naming the file.  `run`
-    prints a note per arity checked in part, after any failure."""
+    or pattern.  A failed check raises FixtureError naming the file."""
     kind, obj = serialize.read(path, *kinds)
     try:
         if kind == "typed":
             check_type_d(obj)
         elif kind in ("ainf", "pattern"):
-            for n, checked, chained in check_ainf(obj.cfa if kind == "pattern" else obj):
-                args.notes.append(f"note: arity {n} A-infinity relations checked on "
-                                  f"{checked} of {chained} idempotent-chained input tuples")
+            check_ainf(obj.cfa if kind == "pattern" else obj)
     except ValueError as exc:
         raise serialize.FixtureError(f"{path}: {exc}") from exc
     return kind, obj
@@ -94,7 +91,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_k0(args) -> int:
-    kind, module = _read(args, args.module, "typed", "ainf")
+    kind, module = _read(args.module, "typed", "ainf")
     cls = class_of(module)
     if args.json:
         print(serialize.dumps({"kind": kind,
@@ -105,8 +102,8 @@ def cmd_k0(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    _, pc = _read(args, args.cfa, "pattern")
-    _, N = _read(args, args.cfd, "typed")
+    _, pc = _read(args.cfa, "pattern")
+    _, N = _read(args.cfd, "typed")
     w = args.weight
     product = pair(class_of(pc.cfa), substitute(class_of(N), w))
     report = {"pairing": serialize.laurent_to_json(product),
@@ -130,7 +127,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_cfd_from_cfk(args) -> int:
-    _, cfk = _read(args, args.cfk, "cfk")
+    _, cfk = _read(args.cfk, "cfk")
     with _naming(args.cfk):
         cfd = build_cfd(cfk)
     delta_a1 = verify_a1(cfd, cfk)
@@ -153,8 +150,8 @@ def cmd_cfd_from_cfk(args) -> int:
 
 
 def cmd_satellite(args) -> int:
-    _, pc = _read(args, args.cfa, "pattern")
-    _, cfk = _read(args, args.cfk, "cfk")
+    _, pc = _read(args.cfa, "pattern")
+    _, cfk = _read(args.cfk, "cfk")
     if args.winding is not None:
         pc = PatternClass(pc.cfa, args.winding)
     with _naming(args.cfk):
@@ -185,7 +182,7 @@ def cmd_satellite(args) -> int:
 
 
 def cmd_diagram_kernel(args) -> int:
-    _, d = _read(args, args.diagram, "diagram")
+    _, d = _read(args.diagram, "diagram")
     hk, enum = verify_cfdker(d)
     cls = cfd_class_from_determinants(d)
     report = {
@@ -242,7 +239,7 @@ def cmd_check(args) -> int:
         print("check: need a fixture file, --selftest, or --sign-report",
               file=sys.stderr)
         return 2
-    kind, obj = _read(args, args.fixture, *([args.kind] if args.kind else []))
+    kind, obj = _read(args.fixture, *([args.kind] if args.kind else []))
     torus = NAMED_PMCS["torus"]()
     if kind == "typed" and obj.pmc == torus:
         check_bigrading(obj, args.framing)
@@ -329,7 +326,6 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.notes = []
     try:
         return args.func(args)
     except VERIFY_FAIL as exc:
@@ -338,9 +334,6 @@ def run(argv) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        for note in args.notes:
-            print(note, file=sys.stderr)
 
 
 def main() -> None:

@@ -9,8 +9,8 @@ edges (src, index, dst), a sum of basis elements being parallel edges over
 F2; an A-infinity module records its nonzero operations
 m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
 take coefficients in that form, check each index's idempotents and reject a
-repeated delta edge; the checkers read the basis tables and `m_table` by
-index.
+repeated delta edge or operation; the checkers read the basis tables and
+`m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -20,12 +20,11 @@ sum of (m_k tensor id) o (id tensor delta_{k-1}).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .grading import m_table
 from .pmc import PointedMatchedCircle
-from .strands import AZBasis, az_basis
+from .strands import az_basis
 
 
 class StructureEquationFails(ValueError):
@@ -110,13 +109,15 @@ class TypeDStructure:
 class AInfModule:
     def __init__(self, pmc: PointedMatchedCircle, generators, ops):
         """ops entries are (x_name, [index, ...], y_name) for m_i, each index
-        one element of `az_basis(pmc)`."""
+        one element of `az_basis(pmc)`; no op may appear twice, as two copies
+        would cancel over F2."""
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
         self._k0_class = None
         self.basis = basis = az_basis(pmc)
         self.ops = []
+        table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
         for x, ids, y in ops:
             gx, gy = self.generators[x], self.generators[y]
             ids = tuple(ids)
@@ -129,10 +130,12 @@ class AInfModule:
                 left = basis.idempotents[i][1]
             if left != gy.idempotent:
                 raise ValueError(f"op ({x}; ...; {y}) output idempotent mismatch")
+            outputs = table.setdefault((x, ids), set())
+            if y in outputs:
+                raise ValueError(
+                    f"repeated op m{len(ids) + 1}: {x} -> {y} (basis indices {ids})")
+            outputs.add(y)
             self.ops.append((x, ids, y))
-        table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
-        for x, ids, y in self.ops:
-            table.setdefault((x, ids), set()).symmetric_difference_update({y})
         self._table = {key: frozenset(ys) for key, ys in table.items()}
 
     def max_arity(self) -> int:
@@ -228,107 +231,78 @@ def is_bounded(N: TypeDStructure) -> bool:
     return removed == len(adj)
 
 
-CANDIDATE_BOUND = 100_000
+def _candidates(M: AInfModule) -> dict[str, set[tuple[int, ...]]]:
+    """x -> the input tuples T on which the relation at x can fail.
 
-
-def _chain_count(basis: AZBasis, start: frozenset[int], length: int) -> int:
-    """How many index tuples of `length` basis elements chain from `start`:
-    left(a_1) = start and right(a_i) = left(a_{i+1}), counted bucket by
-    bucket without listing the tuples."""
-    ways = {start: 1}
-    for _ in range(length):
-        nxt: dict[frozenset[int], int] = {}
-        for s, w in ways.items():
-            for j in basis.by_left.get(s, ()):
-                t = basis.idempotents[j][1]
-                nxt[t] = nxt.get(t, 0) + w
-        ways = nxt
-    return sum(ways.values())
-
-
-def _chains(basis: AZBasis, start: frozenset[int], length: int):
-    """Every index tuple of `length` basis elements chaining from `start`,
-    in ascending order."""
-    if length == 0:
-        yield ()
-        return
-    for j in basis.by_left.get(start, ()):
-        for rest in _chains(basis, basis.idempotents[j][1], length - 1):
-            yield (j,) + rest
-
-
-def _is_chain(basis: AZBasis, start: frozenset[int], ids: tuple[int, ...]) -> bool:
-    for j in ids:
-        s, t = basis.idempotents[j]
-        if s != start:
-            return False
-        start = t
-    return True
-
-
-def _candidate_tuples(M: AInfModule, x: str, length: int):
-    """Input tuples of `length` on which the relations at x can fail.
-
-    Only tuples chaining from the idempotent of x can: recorded ops are
-    chains, the unit needs a matching idempotent, and products and
-    differentials keep idempotents, so every other residual is empty.  All
-    chains are listed when there are at most CANDIDATE_BOUND of them;
-    otherwise only the chained windows of recorded ops and of pairs of
-    recorded ops joined end to end.
+    With no unit in T, every term of the relation is `eval_m` on a tuple
+    without a unit (d and products never make one), which is nonzero only
+    on a recorded op.  So some term reads a recorded op, and T is
+    (i) ids1 + ids2 for recorded ops (x, ids1, y) and (y, ids2, .),
+    (ii) a recorded op's inputs with one entry r replaced by an a with r in
+    d(a), or (iii) with one entry r replaced by a pair (a, b) of
+    non-idempotents with r in ab.  On a T that holds a unit the terms cancel
+    in pairs: each product with I, and the composite through m_2(., I), give
+    back T without that I.
+    The inverse tables are read only for an op with inputs, so a module with
+    none builds no product table.
     """
-    basis, start = M.basis, M.generators[x].idempotent
-    if _chain_count(basis, start, length) <= CANDIDATE_BOUND:
-        yield from _chains(basis, start, length)
-        return
-    seen = set()
-    recorded = [ids for _, ids, _ in M.ops]
-    for ids in recorded:
-        for i in range(len(ids) - length + 1):
-            seen.add(ids[i:i + length])
-    for a, b in itertools.product(recorded, repeat=2):
-        joint = a + b
-        for i in range(max(0, len(joint) - length + 1)):
-            seen.add(joint[i:i + length])
-    yield from sorted(ids for ids in seen if _is_chain(basis, start, ids))
+    basis = M.basis
+    after: dict[str, list[tuple[int, ...]]] = {x: [] for x in M.generators}
+    for x, ids, _ in M.ops:
+        after[x].append(ids)
+    out: dict[str, set[tuple[int, ...]]] = {x: set() for x in M.generators}
+    for x, ids, y in M.ops:
+        found = out[x]
+        found.update(ids + rest for rest in after[y])
+        for pos, r in enumerate(ids):
+            head, tail = ids[:pos], ids[pos + 1:]
+            found.update(head + (a,) + tail for a in basis.d_preimages.get(r, ()))
+            found.update(head + ab + tail for ab in basis.factorizations.get(r, ())
+                         if basis.idempotent_indices.isdisjoint(ab))
+    return out
 
 
-def check_ainf(M: AInfModule) -> list[tuple[int, int, int]]:
-    """Verify the A-infinity relations through arity max(2A - 1, A + 1).
-
-    A is the largest recorded arity: a composite m_i(m_j) with i, j <= A
-    reaches arity 2A - 1, and A + 1 covers the unit and product terms.
-    Returns (arity, tuples checked, chained tuples) for every arity whose
-    chains exceeded CANDIDATE_BOUND at some generator and so were checked
-    only on the recorded-op candidates; [] means every relation was checked.
-    """
+def _residual(M: AInfModule, x: str, ids: tuple[int, ...]) -> set[str]:
+    """The F2 sum of the terms of the A-infinity relation at x on inputs ids."""
     products, differentials = M.basis.products, M.basis.differentials
-    arity = M.max_arity()
-    partial = []
-    for n in range(1, max(2 * arity - 1, arity + 1) + 1):
-        checked = chained = 0
-        for x, gx in M.generators.items():
-            chained += _chain_count(M.basis, gx.idempotent, n - 1)
-            for ids in _candidate_tuples(M, x, n - 1):
-                checked += 1
-                total: set[str] = set()
-                # m_i(m_j(x, a_1..a_{j-1}), a_j..a_{n-1})
-                for j in range(1, n + 1):
-                    for y in M.eval_m(x, ids[:j - 1]):
-                        total ^= M.eval_m(y, ids[j - 1:])
-                # differentials of single inputs
-                for pos in range(n - 1):
-                    for rep in differentials[ids[pos]]:
-                        total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 1:])
-                # products of adjacent inputs
-                for pos in range(n - 2):
-                    for rep in products.get((ids[pos], ids[pos + 1]), ()):
-                        total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 2:])
-                if total:
-                    raise AInfRelationFails(
-                        f"arity {n} at x={x}, inputs {ids}: residual {sorted(total)}")
-        if checked < chained:
-            partial.append((n, checked, chained))
-    return partial
+    n = len(ids) + 1
+    total: set[str] = set()
+    # m_i(m_j(x, a_1..a_{j-1}), a_j..a_{n-1})
+    for j in range(1, n + 1):
+        for y in M.eval_m(x, ids[:j - 1]):
+            total ^= M.eval_m(y, ids[j - 1:])
+    # differentials of single inputs
+    for pos in range(n - 1):
+        for rep in differentials[ids[pos]]:
+            total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 1:])
+    # products of adjacent inputs
+    for pos in range(n - 2):
+        for rep in products.get((ids[pos], ids[pos + 1]), ()):
+            total ^= M.eval_m(x, ids[:pos] + (rep,) + ids[pos + 2:])
+    return total
+
+
+def _failures(M: AInfModule):
+    """(x, inputs, residual) for each candidate whose relation fails, by
+    arity, then generator order, then inputs."""
+    order = {x: i for i, x in enumerate(M.generators)}
+    for _, _, ids, x in sorted((len(ids), order[x], ids, x)
+                               for x, found in _candidates(M).items() for ids in found):
+        if total := _residual(M, x, ids):
+            yield x, ids, total
+
+
+def check_ainf(M: AInfModule) -> None:
+    """Verify every A-infinity relation; raise AInfRelationFails at the first
+    that fails, by arity, then generator, then inputs.
+
+    Only the `_candidates` tuples can leave a residual.  They reach arity
+    max(2A - 1, A + 1), A the largest recorded arity: a composite of two
+    recorded ops has arity at most 2A - 1, and a factorization adds one.
+    """
+    for x, ids, total in _failures(M):
+        raise AInfRelationFails(
+            f"arity {len(ids) + 1} at x={x}, inputs {ids}: residual {sorted(total)}")
 
 
 def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComplex:

@@ -86,15 +86,13 @@ def _after(products) -> dict:
     return dict(after)
 
 
-def _leibniz(products, diffs) -> bool:
+def _leibniz(basis: AZBasis) -> bool:
     """Whether d(ab) = d(a) b + a d(b) on every pair of basis elements.
 
     For each a the three sums are spread over the b that the tables reach
     from a nonzero entry; every other b has three zero sides."""
-    after, d_of = _after(products), defaultdict(list)
-    for b, d in enumerate(diffs):
-        for r in d:
-            d_of[r].append(b)
+    diffs, d_of = basis.differentials, basis.d_preimages
+    after = _after(basis.products)
     for a, da in enumerate(diffs):
         lhs, rhs = {}, {}
         for b, ab in after.get(a, ()):
@@ -111,16 +109,13 @@ def _leibniz(products, diffs) -> bool:
     return True
 
 
-def _associativity(products) -> tuple[bool, int]:
+def _associativity(basis: AZBasis) -> tuple[bool, int]:
     """Whether (ab)c = a(bc) on every triple of basis elements, and how many
     triples have a nonzero side.
 
     For each a both sides are spread over the (b, c) that the table reaches
     from a nonzero product of a; on every other triple both sides are 0."""
-    after, made_of = _after(products), defaultdict(list)
-    for key, bc in products.items():
-        for r in bc:
-            made_of[r].append(key)
+    after, made_of = _after(basis.products), basis.factorizations
     ok, nonzero = True, 0
     for a, row in after.items():
         lhs, rhs = {}, {}
@@ -129,7 +124,7 @@ def _associativity(products) -> tuple[bool, int]:
                 for c, rc in after.get(r, ()):
                     _add(lhs, (b, c), rc)
         for r, ar in row:
-            for bc in made_of[r]:
+            for bc in made_of.get(r, ()):
                 _add(rhs, bc, ar)
         ok_a, nonzero_a = _compare(lhs, rhs)
         ok, nonzero = ok and ok_a, nonzero + nonzero_a
@@ -169,11 +164,11 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
         report(f"{name}: products and differentials respect idempotents", ok)
 
         composable = sum(len(by_left.get(t, ())) for _, t in idem)
-        ok = _leibniz(products, diffs)
+        ok = _leibniz(basis)
         report(f"{name}: Leibniz rule on all composable basis pairs "
                f"({composable} pairs)", ok)
 
-        ok, nonzero = _associativity(products)
+        ok, nonzero = _associativity(basis)
         report(f"{name}: associativity on every triple with a nonzero side "
                f"({nonzero} triples)", ok)
 

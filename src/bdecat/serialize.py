@@ -108,7 +108,7 @@ def parse_coefficient(basis: AZBasis, expr: str,
             if not ends:
                 raise FixtureError(f"bad chord {part!r} in {expr!r}")
             chords.append(ReebChord(int(ends[1]), int(ends[2])))
-        i = basis.by_label.get((tuple(sorted(chords)), left))
+        i = basis.by_label.get((tuple(sorted((c.start, c.end) for c in chords)), left))
     s, t = (None, None) if i is None else basis.idempotents[i]
     if right is None:
         if s != left:

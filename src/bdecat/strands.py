@@ -291,11 +291,9 @@ class AZBasis:
                                           self.idempotents))
 
     @cached_property
-    def by_label(self) -> MappingProxyType:
-        """The label (rho, s) of a(rho, s), the `chord_signature` of any of its
-        terms -> its index."""
-        return MappingProxyType({(tuple(ReebChord(a, b) for a, b in rho), s): i
-                                 for i, (rho, s) in enumerate(self.labels)})
+    def by_label(self) -> dict:
+        """The label (rho, s) of a(rho, s), keyed as in `labels` -> its index."""
+        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def idempotent_indices(self) -> frozenset[int]:
@@ -310,10 +308,6 @@ class AZBasis:
         for j, (s, _) in enumerate(self.idempotents):
             buckets.setdefault(s, []).append(j)
         return MappingProxyType({s: tuple(js) for s, js in buckets.items()})
-
-    @cached_property
-    def _index_of_label(self) -> dict:
-        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def _chord_maps(self) -> tuple[tuple[dict, dict, int, int], ...]:
@@ -356,7 +350,7 @@ class AZBasis:
         rho += [(a, b) for a, b in rho2 if a not in ends]
         rho.sort()
         label = (tuple(rho), s1)
-        index = self._index_of_label.get(label)
+        index = self.by_label.get(label)
         if index is None:
             raise ValueError(f"product label {label} of {i} and {j} is not in A(Z, {self.i})")
         return (index,)
@@ -388,6 +382,25 @@ class AZBasis:
     def differentials(self) -> tuple[tuple[int, ...], ...]:
         """decompose(d e_i) for every index i; () where d e_i = 0."""
         return tuple(self.decompose(differential(el)) for el in self.elements)
+
+    @cached_property
+    def d_preimages(self) -> MappingProxyType:
+        """r -> the ascending indices a with e_r in d e_a, for every such r."""
+        table: dict[int, list[int]] = {}
+        for a, d in enumerate(self.differentials):
+            for r in d:
+                table.setdefault(r, []).append(a)
+        return MappingProxyType(table)
+
+    @cached_property
+    def factorizations(self) -> MappingProxyType:
+        """r -> the pairs (a, b) with e_r in e_a e_b, in `products` order, for
+        every such r."""
+        table: dict[int, list[tuple[int, int]]] = {}
+        for key, ab in self.products.items():
+            for r in ab:
+                table.setdefault(r, []).append(key)
+        return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)

@@ -64,8 +64,8 @@ class TorusAlgebra:
         self.pmc = torus_pmc()
         self.basis = az_basis(self.pmc)
         labels = {"iota0": ((), frozenset({1})), "iota1": ((), frozenset({2}))}
-        for name, chords in ELEMENT_CHORDS.items():
-            labels[name] = (chords, frozenset({self.pmc.pair_of(chords[0].start)}))
+        for name, (c,) in ELEMENT_CHORDS.items():
+            labels[name] = (((c.start, c.end),), frozenset({self.pmc.pair_of(c.start)}))
         self.index: dict[str, int] = {name: self.basis.by_label[label]
                                       for name, label in labels.items()}
         by_index = {i: name for name, i in self.index.items()}

@@ -3,18 +3,19 @@ an A(n, k) generator enumeration, the chord elements a0(rho) and a(rho)
 built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
 reference the coefficient parser is tested against), the orientation
 reversal of gradings and refinement data, arc-slide row operations on
-intersection matrices, iterated type D deltas, and K0 monomials and basis
-classes."""
+intersection matrices, iterated type D deltas, K0 monomials and basis
+classes, and the exhaustive A-infinity check over every idempotent chain
+(the reference for the candidate tuples of `check_ainf`)."""
 
 from __future__ import annotations
 
 import itertools
 
-from bdecat.dmodules import TypeDStructure, is_bounded
+from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf
 from bdecat.pmc import PointedMatchedCircle
-from bdecat.strands import AlgebraElement, StrandsGenerator
+from bdecat.strands import AlgebraElement, AZBasis, StrandsGenerator
 
 
 def zero(n: int) -> AlgebraElement:
@@ -182,3 +183,27 @@ def delta_k(N: TypeDStructure, x: str, k: int) -> set[tuple]:
                 nxt ^= {(prefix + (i,), z)}
         current = nxt
     return current
+
+
+def chains(basis: AZBasis, start: frozenset[int], length: int):
+    """Every index tuple of `length` basis elements chaining from `start`,
+    left(a_1) = start and right(a_i) = left(a_{i+1}), in ascending order."""
+    if length == 0:
+        yield ()
+        return
+    for j in basis.by_left.get(start, ()):
+        for rest in chains(basis, basis.idempotents[j][1], length - 1):
+            yield (j,) + rest
+
+
+def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
+    """(arity, x, inputs) of every failing A-infinity relation on every
+    idempotent chain through arity max(2A - 1, A + 1), A the largest
+    recorded arity, by arity, then generator order, then inputs.  Every
+    other input tuple has a zero residual, since recorded ops, the unit,
+    products and differentials all keep the idempotents."""
+    arity = M.max_arity()
+    return [(n, x, ids) for n in range(1, max(2 * arity - 1, arity + 1) + 1)
+            for x, gx in M.generators.items()
+            for ids in chains(M.basis, gx.idempotent, n - 1)
+            if _residual(M, x, ids)]

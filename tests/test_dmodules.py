@@ -12,10 +12,11 @@ from bdecat.dmodules import (AInfModule, AInfRelationFails, ChainComplex,
                              StructureEquationFails, TypeDStructure,
                              box_tensor, check_ainf, check_type_d, is_bounded)
 from bdecat.grothendieck import class_of, euler_of_complex, pair, substitute
-from bdecat.strands import AZBasis
+from bdecat.strands import AZBasis, az_basis
 from tests.conftest import (CFK_NAMES, FIXTURES, load_fixture, random_ainf,
                             random_type_d)
-from tests.helpers import Unbounded, delta_k, element, idempotent
+from tests.helpers import (Unbounded, ainf_failures, chains, delta_k, element,
+                           idempotent)
 
 
 @pytest.fixture()
@@ -177,17 +178,6 @@ def test_check_ainf_accepts_a_single_m3(talg, torus):
     check_ainf(_chained_m3(talg, torus, [("x", "y")]))
 
 
-def test_check_ainf_reports_the_arities_it_checks_in_part(talg, torus, monkeypatch):
-    M = _chained_m3(talg, torus, [("x", "y")])
-    assert check_ainf(M) == []
-    monkeypatch.setattr(dmodules, "CANDIDATE_BOUND", 20)
-    partial = check_ainf(M)
-    # from {1}, 2 elements end at {1} and 3 at {2}; from {2}, 1 ends at {1}
-    # and 2 at {2}: 1, 3, 11, 41, 153 chains from {2}, where x, y, z sit
-    assert [(n, chained) for n, _, chained in partial] == [(4, 3 * 41), (5, 3 * 153)]
-    assert all(0 < checked < chained for _, checked, chained in partial)
-
-
 def _split2_m3(split2):
     """x at {1, 2} with m3(x; a, b) = y, a and b the first non-idempotent
     elements chaining from {1, 2}."""
@@ -201,21 +191,71 @@ def _split2_m3(split2):
     return AInfModule(split2, gens, [("x", [a, b], "y")])
 
 
-def test_candidate_tuples_walk_the_idempotent_buckets(split2):
-    M = _split2_m3(split2)
-    basis, start = M.basis, frozenset({1, 2})
-    # every chain from {1, 2} up to 100 000 of them, of 238^L tuples in all
+def test_the_chain_oracle_walks_the_idempotent_buckets(split2):
+    basis, start = az_basis(split2), frozenset({1, 2})
+    # every chain from {1, 2}, of 238^L tuples in all
     for length, count in ((0, 1), (1, 103), (2, 2929), (3, 57079)):
-        tuples = list(dmodules._candidate_tuples(M, "x", length))
-        assert len(tuples) == count == dmodules._chain_count(basis, start, length)
+        tuples = list(chains(basis, start, length))
+        assert len(tuples) == count
         assert tuples == sorted(set(tuples))
-        assert all(dmodules._is_chain(basis, start, ids) for ids in tuples)
-    # above the bound, the chained windows of the recorded op and its square;
-    # (a, b) leads from {1, 2} back to {1, 2}, so (a, b, a, b) is one
-    assert dmodules._chain_count(basis, start, 4) == 949473
-    (_, (a, b), _), = M.ops
-    assert basis.idempotents[b][1] == start
-    assert list(dmodules._candidate_tuples(M, "x", 4)) == [(a, b, a, b)]
+        for ids in tuples:
+            left = start
+            for j in ids:
+                assert basis.idempotents[j][0] == left
+                left = basis.idempotents[j][1]
+
+
+def test_check_ainf_checks_a_split2_m3_in_full(split2):
+    # (a, b) leads from {1, 2} back to {1, 2}; arity 5 has 949 473 chains
+    # from there, of which the candidates keep the recorded op squared
+    M = _split2_m3(split2)
+    (_, (a, b), y), = M.ops
+    assert M.generators[y].idempotent == frozenset({1, 2})
+    check_ainf(M)
+    z = ModuleGenerator("z", {1, 2}, 0, a2=0)
+    M = AInfModule(split2, [*M.generators.values(), z], [*M.ops, (y, [a, b], "z")])
+    with pytest.raises(AInfRelationFails,
+                       match=rf"^arity 5 at x=x, inputs \({a}, {b}, {a}, {b}\): residual \['z'\]$"):
+        check_ainf(M)
+
+
+def _random_module(rng, pmc, max_inputs):
+    """Up to 4 generators on random idempotents and up to 4 distinct random
+    ops, each a walk of up to max_inputs non-idempotent elements from x that
+    ends at a generator on the walk's right idempotent."""
+    basis = az_basis(pmc)
+    idempotents = sorted({s for s, _ in basis.idempotents}, key=sorted)
+    gens = [ModuleGenerator(f"x{i}", rng.choice(idempotents), rng.randint(0, 1), a2=0)
+            for i in range(rng.randint(1, 4))]
+    ops = set()
+    for _ in range(rng.randint(1, 4)):
+        x = rng.choice(gens)
+        ids, left = [], x.idempotent
+        for _ in range(rng.randint(0, max_inputs)):
+            ids.append(rng.choice([j for j in basis.by_left[left]
+                                   if j not in basis.idempotent_indices]))
+            left = basis.idempotents[ids[-1]][1]
+        ys = [g.name for g in gens if g.idempotent == left]
+        if ys:
+            ops.add((x.name, tuple(ids), rng.choice(ys)))
+    return AInfModule(pmc, gens, sorted(ops))
+
+
+def test_candidates_find_every_failing_relation_in_order(torus, split2):
+    """The failing (arity, x, inputs) over the candidates are those over
+    every idempotent chain, in the same order, on every shipped pattern and
+    on random torus and split2 modules."""
+    rng = random.Random(16)
+    modules = [serialize.pattern_from_json(serialize.load_file(path)).cfa
+               for path in sorted(glob.glob(os.path.join(FIXTURES, "cfa_*.json")))]
+    modules += [_random_module(rng, torus, 3) for _ in range(100)]
+    modules += [_random_module(rng, split2, 1) for _ in range(100)]
+    failing = 0
+    for M in modules:
+        want = ainf_failures(M)
+        assert [(len(ids) + 1, x, ids) for x, ids, _ in dmodules._failures(M)] == want
+        failing += bool(want)
+    assert 0 < failing < len(modules), failing
 
 
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):

@@ -1,14 +1,18 @@
 import itertools
+import json
+import shutil
 
 import pytest
 
+from bdecat import serialize
 from bdecat.cfk2cfd import build_cfd
 from bdecat.dmodules import AInfModule, ModuleGenerator
 from bdecat.grothendieck import LaurentHalf, normalize_symmetric, substitute
 from bdecat.satellite import (PatternClass,
                               check_satellite_formula, decompose,
                               satellite_polynomial)
-from tests.conftest import CFK_NAMES, PATTERN_NAMES, load_fixture
+from scripts import satellite_report
+from tests.conftest import CFK_NAMES, PATTERN_NAMES, fixture_path, load_fixture
 from tests.helpers import t2
 
 
@@ -119,3 +123,21 @@ def test_pairing_equals_q_times_delta_before_normalization():
         q, _ = decompose(pc)
         delta = class_of(cfd).coefficient(frozenset({1}))
         assert raw == q * substitute(delta, pc.winding)
+
+
+def test_the_report_script_fails_a_pattern_that_fails_its_check(tmp_path, capsys,
+                                                                 monkeypatch):
+    """m2(u, rho12) = u breaks the arity-3 relation on (rho1, rho2), indices
+    (1, 5); `bdecat satellite` exits 2 on it, and the report prints one FAIL
+    row for it and exits 1."""
+    data = serialize.load_file(fixture_path("cfa_with_ops"))
+    data["ops"] = [{"x": "u", "algs": ["rho12"], "y": "u"}]
+    (tmp_path / "cfa_broken.json").write_text(json.dumps(data))
+    shutil.copy(fixture_path("cfk_trefoil_right"), tmp_path)
+    monkeypatch.setattr(satellite_report, "FIXTURES", str(tmp_path))
+    assert satellite_report.main() == 1
+    assert capsys.readouterr().out == (
+        "pattern cfa_broken.json: FAIL (arity 3 at x=u, inputs (1, 5): residual ['u'])\n")
+    shutil.copy(fixture_path("cfa_with_ops"), tmp_path / "cfa_broken.json")
+    assert satellite_report.main() == 0
+    assert capsys.readouterr().out.count("OK") == 1

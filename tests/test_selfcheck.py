@@ -41,7 +41,9 @@ def test_a_product_across_mismatched_idempotents_fails_the_idempotent_line(
 
 
 def _forge_products(monkeypatch, pmc, edit):
-    """Patch AZBasis.products so that the table of A(pmc, 0) goes through edit."""
+    """Patch AZBasis.products so that the table of A(pmc, 0) goes through edit,
+    and `factorizations`, its inverse, so that it reads the forged table
+    without caching it on the shared basis."""
     build = AZBasis.__dict__["products"].func
 
     def forged(self):
@@ -51,6 +53,8 @@ def _forge_products(monkeypatch, pmc, edit):
         return MappingProxyType(table)
 
     monkeypatch.setattr(AZBasis, "products", property(forged))
+    monkeypatch.setattr(AZBasis, "factorizations",
+                        property(AZBasis.__dict__["factorizations"].func))
 
 
 def test_a_dropped_product_fails_associativity(monkeypatch):

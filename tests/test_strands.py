@@ -184,7 +184,7 @@ def test_label_products_match_multiply_on_sampled_split3_pairs():
 def test_a_product_label_missing_from_the_basis_raises(torus, monkeypatch):
     basis = AZBasis(torus, 0)
     (i, j), _ = next(iter(basis.products.items()))
-    monkeypatch.setattr(basis, "_index_of_label", {})
+    monkeypatch.setattr(basis, "by_label", {})
     with pytest.raises(ValueError, match="is not in A"):
         basis.product(i, j)
 
