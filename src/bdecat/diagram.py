@@ -25,160 +25,34 @@ The signed intersection matrix M(H) has a row per alpha-circle followed by a
 row per alpha-arc and a column per beta-circle.  Deleting the arc rows named
 by a k-element subset s leaves a square matrix whose determinant counts the
 generators with unoccupied arc set s, up to the fixed sign
-(-1)^{k(g-k)} sign(sigma_{complement of s}).  The relative first homology
-order and the kernel of H_1(F) -> H_1(Y) are read off the matrix by exact
-integer column reduction; rows get swapped in matched pairs first, which
-converts raw intersection counts into coordinates dual to the arcs.
+(-1)^{k(g-k)} sign(sigma_{complement of s}).  Every such matrix shares the
+g-k circle rows, so they are reduced once per diagram (`circle_reduction`):
+unimodular column operations U, det U = eps = +-1, give
+
+    M(H) U = [[H, 0], [*, Y]],  H lower triangular, Y the 2k x k arc block,
+
+and det M(H)_s = eps * det H * det Y_{s^c}, a k x k minor, with Y_{s^c} the
+arc rows outside s.  The same reduction gives |H_1(Y, dY)| = |det H|, the
+rank defect b1 of the circle rows (every coefficient is 0 when b1 > 0), and
+the top wedge of the kernel of H_1(F) -> H_1(Y): the k x k minors of Y with
+its rows swapped in matched pairs, which converts raw intersection counts
+into coordinates dual to the arcs.  A signed permutation of rows commutes
+with column operations, so the swap needs no second reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from functools import cached_property
 
 from .grothendieck import ExteriorClass, class_from_terms
+from .linalg import column_echelon, det_int, smith_normal_form
 from .pmc import PointedMatchedCircle
 
 
 class TheoremViolation(AssertionError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# exact integer linear algebra
-
-
-def det_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[-1][-1]
-
-
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form, nonnegative with divisibility."""
-    a = [row[:] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot
-        piv = next(((r, c) for r in range(top, m) for c in range(top, n)
-                    if a[r][c] != 0), None)
-        if piv is None:
-            break
-        r0, c0 = piv
-        a[top], a[r0] = a[r0], a[top]
-        for row in a:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            # clear the pivot column with row operations
-            for r in range(m):
-                if r != top and a[r][top] != 0:
-                    if a[r][top] % a[top][top] == 0:
-                        q = a[r][top] // a[top][top]
-                        a[r] = [x - q * y for x, y in zip(a[r], a[top])]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[r][top])
-                        p, q = a[top][top] // g, a[r][top] // g
-                        rt, rr = a[top], a[r]
-                        a[top] = [x * u + y * v for u, v in zip(rt, rr)]
-                        a[r] = [-q * u + p * v for u, v in zip(rt, rr)]
-            if any(a[r][top] != 0 for r in range(m) if r != top):
-                continue
-            # clear the pivot row with column operations
-            for c in range(n):
-                if c != top and a[top][c] != 0:
-                    if a[top][c] % a[top][top] == 0:
-                        q = a[top][c] // a[top][top]
-                        for row in a:
-                            row[c] -= q * row[top]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[top][c])
-                        p, q = a[top][top] // g, a[top][c] // g
-                        for row in a:
-                            u, v = row[top], row[c]
-                            row[top] = x * u + y * v
-                            row[c] = -q * u + p * v
-            if all(a[r][top] == 0 for r in range(m) if r != top) and \
-               all(a[top][c] == 0 for c in range(n) if c != top):
-                break
-        diag.append(abs(a[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[i] and diag[j] % diag[i] != 0:
-                g = gcd(diag[i], diag[j])
-                diag[j] = diag[i] * diag[j] // g
-                diag[i] = g
-    return diag
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def column_echelon(rows: list[list[int]], top_rows: int):
-    """Unimodular column reduction making the first top_rows rows echelon.
-
-    Returns (reduced matrix, pivot column indices).  The non-pivot columns
-    vanish on the first top_rows rows, so they span the sublattice of the
-    column lattice supported below.
-    """
-    a = [row[:] for row in rows]
-    n = len(a[0]) if a else 0
-    pivots = []
-    col = 0
-    for r in range(top_rows):
-        piv = next((c for c in range(col, n) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        for row in a:
-            row[col], row[piv] = row[piv], row[col]
-        # gcd-reduce the remaining columns against the pivot column
-        for c in range(col + 1, n):
-            while a[r][c] != 0:
-                if abs(a[r][col]) > abs(a[r][c]):
-                    for row in a:
-                        row[col], row[c] = row[c], row[col]
-                q = a[r][c] // a[r][col]
-                for row in a:
-                    row[c] -= q * row[col]
-        # clear the already-placed pivot columns to the left for tidiness
-        for c in range(col):
-            if a[r][c] != 0 and a[r][col] != 0 and a[r][c] % a[r][col] == 0:
-                q = a[r][c] // a[r][col]
-                for row in a:
-                    row[c] -= q * row[col]
-        pivots.append(col)
-        col += 1
-    return a, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +110,18 @@ class BorderedDiagram:
     @property
     def k(self) -> int:
         return self.pmc.genus
+
+    @cached_property
+    def circle_reduction(self) -> tuple[int, int, list[list[int]]]:
+        """(b1, eps * det H, Y) as in the module docstring, eps * det H = 0
+        when b1 > 0; computed on first use: a diagram is fixed once built."""
+        reduced, pivots, eps = column_echelon(intersection_matrix(self),
+                                              self.alpha_circles)
+        b1 = self.alpha_circles - len(pivots)
+        det_h = eps if b1 == 0 else 0
+        for c in pivots:
+            det_h *= reduced[c][c]
+        return b1, det_h, [row[len(pivots):] for row in reduced[self.alpha_circles:]]
 
 
 def _perm_sign(seq) -> int:
@@ -312,11 +198,13 @@ def intersection_matrix(d: BorderedDiagram) -> list[list[int]]:
 
 
 def cfd_class_from_determinants(d: BorderedDiagram) -> ExteriorClass:
-    """Coefficient of a_s is det of M(H) with the s arc rows deleted."""
-    m = intersection_matrix(d)
-    circles, arcs = m[:d.alpha_circles], m[d.alpha_circles:]
+    """Coefficient of a_s is det of M(H) with the s arc rows deleted,
+    eps * det H times the k x k minor of Y on the arc rows outside s."""
+    _, det_h, arcs = d.circle_reduction
+    if not det_h:
+        return ExteriorClass(d.k, {})
     return class_from_terms(d.k, (
-        (s, 0, det_int(circles + [row for i, row in enumerate(arcs, 1) if i not in s]))
+        (s, 0, det_h * det_int([row for i, row in enumerate(arcs, 1) if i not in s]))
         for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
 
 
@@ -369,49 +257,32 @@ class HomologyKernel:
     kernel_wedge: ExteriorClass
 
 
-def _swapped_matrix(d: BorderedDiagram) -> list[list[int]]:
-    """M'(H): arc rows swapped in matched pairs, with intersection-form signs.
-
-    Row j of the swapped block is the coefficient of the j-th handle class in
-    the expansion of each beta-circle: with the cores paired so that
-    a_{2i-1} . a_{2i} = +1, the coefficient of a_{2i-1} is +(beta . arc 2i)
-    and the coefficient of a_{2i} is -(beta . arc 2i-1).
-    """
-    m = intersection_matrix(d)
-    rows = [m[r][:] for r in range(d.alpha_circles)]
-    for i in range(1, 2 * d.k + 1):
-        if i % 2:
-            rows.append(m[d.alpha_circles + i][:])
-        else:
-            rows.append([-v for v in m[d.alpha_circles + i - 2]])
-    return rows
-
-
 def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
-    """Rank defect, |H_1(Y, dY)|, and the top wedge of ker(H_1(F) -> H_1(Y))."""
-    g, k = d.genus, d.k
-    reduced, pivots = column_echelon(_swapped_matrix(d), g - k)
-    # one pivot per independent row of the top block, so its rank
-    b1 = (g - k) - len(pivots)
+    """Rank defect, |H_1(Y, dY)|, and the top wedge of ker(H_1(F) -> H_1(Y)),
+    read off `circle_reduction`.
+
+    The wedge takes the minors of Y with its rows swapped in matched pairs,
+    with intersection-form signs: row j becomes the coefficient of the j-th
+    handle class in the expansion of each beta-circle.  With the cores
+    paired so that a_{2i-1} . a_{2i} = +1, the coefficient of a_{2i-1} is
+    +(beta . arc 2i) and the coefficient of a_{2i} is -(beta . arc 2i-1).
+    """
+    k = d.k
+    b1, det_h, arcs = d.circle_reduction
     if b1 > 0:
         return HomologyKernel(b1, None, ExteriorClass(k, {}))
-    free_cols = [c for c in range(g) if c not in pivots]
-    order = 1
-    for r, c in enumerate(pivots):
-        order *= abs(reduced[r][c])
-    wedge = ExteriorClass(k, {})
-    if len(free_cols) == k:
-        a_block = [[reduced[g - k + r][c] for c in free_cols]
-                   for r in range(2 * k)]
-        wedge = class_from_terms(k, (
-            (s, 0, det_int([a_block[i - 1] for i in s]))
-            for s in itertools.combinations(range(1, 2 * k + 1), k)))
-    return HomologyKernel(0, order, wedge)
+    swapped = [arcs[i] if i % 2 else [-v for v in arcs[i - 2]]
+               for i in range(1, 2 * k + 1)]
+    wedge = class_from_terms(k, (
+        (s, 0, det_int([swapped[i - 1] for i in s]))
+        for s in itertools.combinations(range(1, 2 * k + 1), k)))
+    return HomologyKernel(0, abs(det_h), wedge)
 
 
 def h1_rel_order_oracle(d: BorderedDiagram) -> int | None:
-    """|Z^{g-k} / im(M^top)| by Smith normal form; None when infinite."""
-    top = _swapped_matrix(d)[: d.genus - d.k]
+    """|Z^{g-k} / im(C)| by Smith normal form, C the alpha-circle rows of
+    M(H); None when infinite."""
+    top = intersection_matrix(d)[: d.alpha_circles]
     if not top:
         return 1
     diag = smith_normal_form(top)

@@ -294,7 +294,9 @@ def _failures(M: AInfModule):
 
 def check_ainf(M: AInfModule) -> None:
     """Verify every A-infinity relation; raise AInfRelationFails at the first
-    that fails, by arity, then generator, then inputs.
+    that fails, by arity, then generator, then inputs.  Then verify the
+    grading of each op m_{n+1}(x, a_1..a_n) = y, m(y) = m(x) + sum m(a_i) +
+    n - 1 mod 2, so that every box tensor differential lowers m by 1.
 
     Only the `_candidates` tuples can leave a residual.  They reach arity
     max(2A - 1, A + 1), A the largest recorded arity: a composite of two
@@ -303,6 +305,13 @@ def check_ainf(M: AInfModule) -> None:
     for x, ids, total in _failures(M):
         raise AInfRelationFails(
             f"arity {len(ids) + 1} at x={x}, inputs {ids}: residual {sorted(total)}")
+    m = m_table(M.pmc)
+    for x, ids, y in M.ops:
+        expected = (M.generators[x].m + sum(m[i] for i in ids) + len(ids) - 1) % 2
+        if M.generators[y].m != expected:
+            raise GradingIncompatible(
+                f"op m{len(ids) + 1}: {x} -> {y} (basis indices {ids}): m({y})="
+                f"{M.generators[y].m} but m({x})+m(inputs)+{(len(ids) - 1) % 2}={expected}")
 
 
 def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComplex:

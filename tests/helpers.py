@@ -4,16 +4,20 @@ built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
 reference the coefficient parser is tested against), the orientation
 reversal of gradings and refinement data, arc-slide row operations on
 intersection matrices, iterated type D deltas, K0 monomials and basis
-classes, and the exhaustive A-infinity check over every idempotent chain
-(the reference for the candidate tuples of `check_ainf`)."""
+classes, the exhaustive A-infinity check over every idempotent chain
+(the reference for the candidate tuples of `check_ainf`), and the diagram
+classes computed without the shared circle reduction (full determinants,
+and a column reduction of the swapped matrix)."""
 
 from __future__ import annotations
 
 import itertools
 
+from bdecat.diagram import BorderedDiagram, HomologyKernel, intersection_matrix
 from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
-from bdecat.grothendieck import ExteriorClass, LaurentHalf
+from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
+from bdecat.linalg import column_echelon, det_int
 from bdecat.pmc import PointedMatchedCircle
 from bdecat.strands import AlgebraElement, AZBasis, StrandsGenerator
 
@@ -207,3 +211,45 @@ def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
             for x, gx in M.generators.items()
             for ids in chains(M.basis, gx.idempotent, n - 1)
             if _residual(M, x, ids)]
+
+
+def determinant_class_oracle(d: BorderedDiagram) -> ExteriorClass:
+    """The coefficient of a_s as the g x g determinant of M(H) with the s arc
+    rows deleted, one full Bareiss determinant per k-subset."""
+    m = intersection_matrix(d)
+    circles, arcs = m[:d.alpha_circles], m[d.alpha_circles:]
+    return class_from_terms(d.k, (
+        (s, 0, det_int(circles + [row for i, row in enumerate(arcs, 1) if i not in s]))
+        for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
+
+
+def swapped_matrix(d: BorderedDiagram) -> list[list[int]]:
+    """M'(H): the arc rows of M(H) swapped in matched pairs, arc 2i first
+    and then minus arc 2i-1, as `homology_kernel` swaps them."""
+    m = intersection_matrix(d)
+    rows = [m[r][:] for r in range(d.alpha_circles)]
+    for i in range(1, 2 * d.k + 1):
+        if i % 2:
+            rows.append(m[d.alpha_circles + i][:])
+        else:
+            rows.append([-v for v in m[d.alpha_circles + i - 2]])
+    return rows
+
+
+def homology_kernel_oracle(d: BorderedDiagram) -> HomologyKernel:
+    """`homology_kernel` by its own column reduction of the swapped matrix
+    M'(H), not of M(H): pivots give b1 and the order, and the free columns
+    of the arc rows give the kernel wedge."""
+    g, k = d.genus, d.k
+    reduced, pivots, _ = column_echelon(swapped_matrix(d), g - k)
+    b1 = (g - k) - len(pivots)
+    if b1 > 0:
+        return HomologyKernel(b1, None, ExteriorClass(k, {}))
+    free_cols = [c for c in range(g) if c not in pivots]
+    order = 1
+    for r, c in enumerate(pivots):
+        order *= abs(reduced[r][c])
+    a_block = [[reduced[g - k + r][c] for c in free_cols] for r in range(2 * k)]
+    return HomologyKernel(0, order, class_from_terms(k, (
+        (s, 0, det_int([a_block[i - 1] for i in s]))
+        for s in itertools.combinations(range(1, 2 * k + 1), k))))

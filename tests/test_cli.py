@@ -206,6 +206,19 @@ def test_loader_errors_name_the_file(capsys, tmp_path):
     assert err.startswith(f"error: {cfd}: bad chord '1'"), err
 
 
+def test_mis_graded_ainf_op_is_rejected(capsys, tmp_path):
+    """m(u) flipped in cfa_with_ops breaks m2(w, rho2) = u's grading: both
+    commands name the file, where the box complex used to be blamed."""
+    flipped = _fixture_with(tmp_path, "cfa_with_ops",
+                            lambda d: d["generators"][0].update(m=1))
+    line = (f"error: {flipped}: op m2: w -> u (basis indices (5,)): "
+            "m(u)=1 but m(w)+m(inputs)+0=0\n")
+    for argv in (["check", flipped],
+                 ["pair", flipped, fixture_path("typed_triangle"), "--box"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", line), argv
+
+
 def test_repeated_delta_edge_is_rejected(capsys, tmp_path):
     """Two copies of an edge would cancel over F2 in check_type_d and
     box_tensor while is_bounded still counted it, so a repeat is bad input."""

@@ -4,17 +4,19 @@ import random
 import pytest  # noqa: F401  (fixtures)
 from hypothesis import example, given, settings, strategies as st
 
+from bdecat import diagram, linalg
 from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
-                            cfd_class_from_determinants, column_echelon,
-                            det_int, duality_sign, enumerate_generators,
-                            enumerated_class, h1_rel_order_oracle,
-                            homology_kernel, intersection_matrix,
-                            smith_normal_form, verify_cfdker)
+                            cfd_class_from_determinants, duality_sign,
+                            enumerate_generators, enumerated_class,
+                            h1_rel_order_oracle, homology_kernel,
+                            intersection_matrix, verify_cfdker)
 from bdecat.grothendieck import class_from_terms
+from bdecat.linalg import column_echelon, det_int, smith_normal_form
 from bdecat.pmc import split_pmc, torus_pmc
 from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
-from tests.helpers import BadIndex, arc_slide_rows
+from tests.helpers import (BadIndex, arc_slide_rows, determinant_class_oracle,
+                           homology_kernel_oracle)
 
 
 def arc(i, beta, sign=1, pid=0):
@@ -75,11 +77,40 @@ def test_column_echelon_preserves_lattice_membership():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        reduced, pivots = column_echelon(m, rows)
+        reduced, pivots, eps = column_echelon(m, rows)
         # every reduced column is an integer combination of the originals
         # and vice versa: compare the lattices via their Hermite invariants
         assert smith_normal_form(m) == smith_normal_form(
             [row[:] for row in reduced])
+        assert eps in (1, -1)
+        # the pivots come first and the other columns vanish on the top rows
+        assert pivots == list(range(len(pivots)))
+        assert all(row[c] == 0 for row in reduced for c in range(len(pivots), cols))
+
+
+def test_column_echelon_sign_and_diagonal_give_the_determinant():
+    """A square matrix reduced over all its rows is lower triangular, with
+    a zero on the diagonal when it is singular, so det = eps * prod diag."""
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            m[rng.randrange(n)] = [0] * n
+        reduced, _, eps = column_echelon(m, n)
+        assert all(reduced[r][c] == 0 for r in range(n) for c in range(r + 1, n))
+        diag = eps
+        for i in range(n):
+            diag *= reduced[i][i]
+        assert det_int(m) == diag
+        singular += diag == 0
+    assert 0 < singular < 400
+
+
+def test_diagram_reexports_the_linear_algebra():
+    for name in ("det_int", "smith_normal_form", "column_echelon"):
+        assert getattr(diagram, name) is getattr(linalg, name)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +192,41 @@ def test_order_agrees_with_snf_oracle(name):
     d = load_fixture(name)
     hk = homology_kernel(d)
     assert hk.order == h1_rel_order_oracle(d)
+
+
+def _oracle_diagrams():
+    """The 7 diagram fixtures and 1 200 random diagrams, k = 1..3 and genus
+    k..k+5; about a fifth have circle rows of rank below g - k."""
+    rng = random.Random(17)
+    yield from (load_fixture(name) for name in DIAGRAM_NAMES)
+    for _ in range(1200):
+        k = rng.randint(1, 3)
+        pmc = torus_pmc() if k == 1 else split_pmc(k)
+        yield random_diagram(rng, pmc, rng.randint(k, k + 5))
+
+
+def test_classes_from_one_circle_reduction_equal_the_oracles():
+    """The k x k minors give the full determinants of M(H)_s, and the
+    swapped minors the kernel that a reduction of M'(H) gives."""
+    deficient = 0
+    for d in _oracle_diagrams():
+        assert cfd_class_from_determinants(d) == determinant_class_oracle(d)
+        hk = homology_kernel(d)
+        assert hk == homology_kernel_oracle(d)
+        deficient += hk.b1_rel > 0
+    assert 150 < deficient < 600, deficient
+
+
+def test_both_classes_share_one_reduction(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagram, "column_echelon",
+                        lambda *a: calls.append(a) or column_echelon(*a))
+    for name in DIAGRAM_NAMES:
+        d = load_fixture(name)
+        cfd_class_from_determinants(d)
+        homology_kernel(d)
+        verify_cfdker(d)
+    assert len(calls) == len(DIAGRAM_NAMES)
 
 
 def test_solid_torus_kernel():

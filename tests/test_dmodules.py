@@ -13,8 +13,8 @@ from bdecat.dmodules import (AInfModule, AInfRelationFails, ChainComplex,
                              box_tensor, check_ainf, check_type_d, is_bounded)
 from bdecat.grothendieck import class_of, euler_of_complex, pair, substitute
 from bdecat.strands import AZBasis, az_basis
-from tests.conftest import (CFK_NAMES, FIXTURES, load_fixture, random_ainf,
-                            random_type_d)
+from tests.conftest import (CFK_NAMES, FIXTURES, PATTERN_NAMES, load_fixture,
+                            random_ainf, random_type_d)
 from tests.helpers import (Unbounded, ainf_failures, chains, delta_k, element,
                            idempotent)
 
@@ -145,8 +145,44 @@ def test_induced_differential_on_a_tensor_n_squares_to_zero(triangle, torus):
 
 
 def test_check_ainf_accepts_fixtures():
-    for name in ("cfa_core", "cfa_with_ops", "cfa_trefoil_pattern"):
+    for name in PATTERN_NAMES:
         check_ainf(load_fixture(name).cfa)
+
+
+def _m_parity(M, x, ids, y):
+    """m(y) - m(x) - sum m(a_i) - n + 1 mod 2, 0 on a well-graded op."""
+    m = grading.m_table(M.pmc)
+    gens = M.generators
+    return (gens[y].m - gens[x].m - sum(m[i] for i in ids) - len(ids) + 1) % 2
+
+
+def test_every_shipped_op_is_graded_and_lowers_box_m():
+    """Each recorded op of each pattern satisfies the parity, so every box
+    differential with the triangle lowers m by 1."""
+    ops = 0
+    for name in PATTERN_NAMES:
+        M = load_fixture(name).cfa
+        for x, ids, y in M.ops:
+            assert _m_parity(M, x, ids, y) == 0, (name, x, ids, y)
+            ops += 1
+        box_tensor(M, load_fixture("typed_triangle"))
+    assert ops
+
+
+def test_check_ainf_rejects_a_mis_graded_op(talg, torus, split2):
+    """One m flipped on an op's output: the relations still hold, the
+    grading check catches it, on m2 (torus) and m3 (split2)."""
+    for M in (load_fixture("cfa_with_ops").cfa, _split2_m3(split2)):
+        (x, ids, y), = M.ops
+        gy = M.generators[y]
+        flipped = ModuleGenerator(y, gy.idempotent, 1 - gy.m, a2=gy.a2)
+        gens = [flipped if g.name == y else g for g in M.generators.values()]
+        bad = AInfModule(M.pmc, gens, M.ops)
+        assert _m_parity(bad, x, ids, y) == 1
+        assert not list(dmodules._failures(bad))
+        with pytest.raises(GradingIncompatible,
+                           match=rf"^op m{len(ids) + 1}: {x} -> {y} "):
+            check_ainf(bad)
 
 
 def test_check_ainf_rejects_broken_square(talg, torus):
