@@ -23,6 +23,14 @@ the chains above are the unique assignment for which every edge satisfies
 the 0-framed bigrading constraint and the iota1 generators cancel in pairs
 within each Alexander grading.  The labels "vertical"/"horizontal" refer to
 the arrow's direction on the (U, A) plot of the input complex.
+
+The bigradings the chains need are checked on input, when a CFKComplex is
+built: each arrow's Alexander change is its length and its Maslov change
+is odd, and a(xi_h) = a(xi_v) - 2 tau.  Then xi_v and xi_h have the same
+Maslov parity, as the unstable chain needs: the vertical arrows pair the
+generators other than xi_v into opposite parities, and the horizontal
+arrows those other than xi_h, so each of the two is even exactly when the
+Euler characteristic at t = 1 is +1.
 """
 
 from __future__ import annotations
@@ -37,10 +45,6 @@ from .torus import check_bigrading, torus_algebra
 
 class CFKInvariantViolation(ValueError):
     pass
-
-
-class CalibrationConflict(ValueError):
-    """Chain endpoint gradings disagree with the stored CFK bigradings."""
 
 
 class Mismatch(ValueError):
@@ -82,6 +86,18 @@ class CFKComplex:
         if at_one not in (1, -1):
             raise CFKInvariantViolation(
                 f"Euler characteristic at t=1 is {at_one}, not +-1")
+        for kind, arrows, sign, change in (("vertical", self.vertical, -1, "drop"),
+                                           ("horizontal", self.horizontal, 1, "rise")):
+            for ar in arrows:
+                x, y = self.by_name[ar.src], self.by_name[ar.dst]
+                if y.alexander != x.alexander + sign * ar.length:
+                    raise CFKInvariantViolation(
+                        f"{kind} {ar.src}->{ar.dst}: alexander {change} != length")
+                if (y.maslov - x.maslov) % 2 != 1:
+                    raise CFKInvariantViolation(f"{kind} {ar.src}->{ar.dst}: maslov parity")
+        xv, xh = self.by_name[self.xi_v], self.by_name[self.xi_h]
+        if xh.alexander != xv.alexander - 2 * self.tau:
+            raise CFKInvariantViolation("unstable chain: a(xi_h) != a(xi_v) - 2 tau")
 
     def _distinguished(self, arrows, kind) -> str:
         touched: dict[str, int] = {g.name: 0 for g in self.generators}
@@ -125,10 +141,6 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         gens.append(ModuleGenerator(g.name, IOTA0, g.maslov, a2=2 * g.alexander))
     taken = set(cfk.by_name)
 
-    def require(cond, msg):
-        if not cond:
-            raise CalibrationConflict(msg)
-
     def chain(prefix, x, y, length, m, a2, inward, first, last):
         """length iota1 generators prefix1, prefix2, ... at Maslov grading m
         joining x to y, the first at doubled Alexander grading a2 and each
@@ -151,28 +163,16 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
                      else (c[-1], rho[last], y))
 
     for ar in cfk.vertical:
-        x, y = cfk.by_name[ar.src], cfk.by_name[ar.dst]
-        require(y.alexander == x.alexander - ar.length,
-                f"vertical {ar.src}->{ar.dst}: alexander drop != length")
-        require((y.maslov - x.maslov) % 2 == 1,
-                f"vertical {ar.src}->{ar.dst}: maslov parity")
+        x = cfk.by_name[ar.src]
         chain(f"v[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length,
               x.maslov + 1, 2 * x.alexander - 1, True, "rho1", "rho123")
 
     for ar in cfk.horizontal:
-        x, y = cfk.by_name[ar.src], cfk.by_name[ar.dst]
-        require(y.alexander == x.alexander + ar.length,
-                f"horizontal {ar.src}->{ar.dst}: alexander rise != length")
-        require((y.maslov - x.maslov) % 2 == 1,
-                f"horizontal {ar.src}->{ar.dst}: maslov parity")
+        x = cfk.by_name[ar.src]
         chain(f"h[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length,
               x.maslov + 1, 2 * x.alexander + 1, False, "rho3", "rho2")
 
-    xv, xh = cfk.by_name[cfk.xi_v], cfk.by_name[cfk.xi_h]
-    require(xh.alexander == xv.alexander - 2 * cfk.tau,
-            "unstable chain: a(xi_h) != a(xi_v) - 2 tau")
-    require((xh.maslov - xv.maslov) % 2 == 0,
-            "unstable chain: xi_v and xi_h have different m parity")
+    xv = cfk.by_name[cfk.xi_v]
     if cfk.tau == 0:
         delta.append((cfk.xi_v, rho["rho12"], cfk.xi_h))
     elif cfk.tau > 0:

@@ -131,10 +131,13 @@ def _perm_sign(seq) -> int:
 
 
 def sigma_o_sign(k: int, occupied) -> int:
-    """Sign of the permutation (1..k) -> J(o), (k+1..2k) -> J(complement)."""
-    occ = sorted(occupied)
-    comp = sorted(set(range(1, 2 * k + 1)) - set(occupied))
-    return _perm_sign(occ + comp)
+    """Sign of the permutation (1..k) -> J(o), (k+1..2k) -> J(complement).
+
+    The i-th smallest occupied j comes before the j - i complement entries
+    below it, so the inversions number sum(occupied) - m(m+1)/2 for m
+    occupied entries, whatever k is."""
+    m = len(occupied)
+    return -1 if (sum(occupied) - m * (m + 1) // 2) % 2 else 1
 
 
 def enumerate_generators(d: BorderedDiagram) -> list[DiagramGenerator]:

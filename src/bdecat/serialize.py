@@ -326,12 +326,13 @@ def dumps(data) -> str:
 
 
 def load_file(path: str) -> dict:
-    """The parsed JSON at path; bytes that are not text, or text that is not
-    JSON, raise FixtureError naming the file."""
+    """The parsed JSON at path; bytes that are not text, text that is not
+    JSON, or JSON nested too deeply for the parser raise FixtureError naming
+    the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FixtureError(f"{path}: {exc}") from exc
 
 

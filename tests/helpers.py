@@ -7,7 +7,8 @@ intersection matrices, iterated type D deltas, K0 monomials and basis
 classes, the exhaustive A-infinity check over every idempotent chain
 (the reference for the candidate tuples of `check_ainf`), and the diagram
 classes computed without the shared circle reduction (full determinants,
-and a column reduction of the swapped matrix)."""
+and a column reduction of the swapped matrix), and the chords and interval
+triples of the eight named torus elements, written out by hand."""
 
 from __future__ import annotations
 
@@ -18,8 +19,29 @@ from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int
-from bdecat.pmc import PointedMatchedCircle
+from bdecat.pmc import PointedMatchedCircle, ReebChord
 from bdecat.strands import AlgebraElement, AZBasis, StrandsGenerator
+
+
+TORUS_CHORDS = {
+    "rho1": (ReebChord(1, 2),),
+    "rho2": (ReebChord(2, 3),),
+    "rho3": (ReebChord(3, 4),),
+    "rho12": (ReebChord(1, 3),),
+    "rho23": (ReebChord(2, 4),),
+    "rho123": (ReebChord(1, 4),),
+}
+
+TORUS_INTERVALS = {
+    "iota0": (0, 0, 0),
+    "iota1": (0, 0, 0),
+    "rho1": (1, 0, 0),
+    "rho2": (0, 1, 0),
+    "rho3": (0, 0, 1),
+    "rho12": (1, 1, 0),
+    "rho23": (0, 1, 1),
+    "rho123": (1, 1, 1),
+}
 
 
 def zero(n: int) -> AlgebraElement:

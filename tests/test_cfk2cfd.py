@@ -1,8 +1,8 @@
 import pytest
 
-from bdecat.cfk2cfd import (A2NonZero, Arrow, CalibrationConflict, CFKComplex,
-                            CFKGenerator, CFKInvariantViolation, IOTA0, IOTA1,
-                            build_cfd, verify_a1, verify_a2_zero)
+from bdecat.cfk2cfd import (A2NonZero, Arrow, CFKComplex, CFKGenerator,
+                            CFKInvariantViolation, IOTA0, IOTA1, build_cfd,
+                            verify_a1, verify_a2_zero)
 from bdecat.dmodules import check_type_d, is_bounded
 from bdecat.grothendieck import LaurentHalf, class_of
 from bdecat.torus import check_bigrading
@@ -121,19 +121,44 @@ def test_invariant_violations_rejected():
                    [Arrow("a", "b", 1)], [Arrow("b", "a", 1)], 0)
 
 
+def _trefoil(a_maslov=0, c_maslov=-2, vertical=1, horizontal=1, tau=1):
+    """The right trefoil's staircase a <-h- b -v-> c, with one grading,
+    arrow length or tau changed by the caller."""
+    g = [CFKGenerator("a", a_maslov, 1), CFKGenerator("b", -1, 0),
+         CFKGenerator("c", c_maslov, -1)]
+    return g, [Arrow("b", "c", vertical)], [Arrow("b", "a", horizontal)], tau
+
+
 def test_calibration_conflicts_rejected():
-    # vertical arrow whose Alexander drop disagrees with its length
-    g = [CFKGenerator("a", 0, 1), CFKGenerator("b", -1, 0),
-         CFKGenerator("c", -2, 0)]
-    cfk = CFKComplex(g, [Arrow("b", "c", 1)], [Arrow("b", "a", 1)], 1)
-    with pytest.raises(CalibrationConflict):
-        build_cfd(cfk)
-    # unstable chain: a(xi_h) must be a(xi_v) - 2 tau
-    g = [CFKGenerator("a", 0, 1), CFKGenerator("b", -1, 0),
-         CFKGenerator("c", -2, -1)]
-    cfk = CFKComplex(g, [Arrow("b", "c", 1)], [Arrow("b", "a", 1)], 0)
-    with pytest.raises(CalibrationConflict):
-        build_cfd(cfk)
+    """Each bigrading the chains need is checked when the CFKComplex is
+    built, with a message naming the arrow or the unstable chain."""
+    CFKComplex(*_trefoil())
+    cases = [
+        (_trefoil(vertical=2), "vertical b->c: alexander drop != length"),
+        (_trefoil(c_maslov=-3), "vertical b->c: maslov parity"),
+        (_trefoil(horizontal=2), "horizontal b->a: alexander rise != length"),
+        (_trefoil(a_maslov=1), "horizontal b->a: maslov parity"),
+        (_trefoil(tau=0), r"unstable chain: a\(xi_h\) != a\(xi_v\) - 2 tau"),
+    ]
+    for args, message in cases:
+        with pytest.raises(CFKInvariantViolation, match=f"^{message}$"):
+            CFKComplex(*args)
+
+
+def test_distinguished_generators_share_maslov_parity():
+    """xi_v and xi_h always have the parity the unstable chain needs: flip
+    the Maslov grading of xi_h in each shipped complex where it is not xi_v
+    and an arrow parity check rejects it."""
+    flipped = 0
+    for cfk in map(load_fixture, CFK_NAMES):
+        if cfk.xi_h == cfk.xi_v:
+            continue
+        g = [CFKGenerator(x.name, x.maslov + (x.name == cfk.xi_h), x.alexander)
+             for x in cfk.generators]
+        with pytest.raises(CFKInvariantViolation, match="maslov parity$"):
+            CFKComplex(g, cfk.vertical, cfk.horizontal, cfk.tau)
+        flipped += 1
+    assert flipped >= 4
 
 
 def _random_staircase(rng, steps):

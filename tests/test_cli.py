@@ -171,8 +171,8 @@ def test_input_error_exit_codes(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     # bytes that are not UTF-8, text that is not JSON, a failed structure
-    # check (one m flipped in the type D file) and a CFK invariant that
-    # build_cfd rejects after the file was read (tau raised by 5) name the
+    # check (one m flipped in the type D file) and a CFK calibration that
+    # CFKComplex rejects as the file is read (tau raised by 5) name the
     # file, also when the command reads two
     binary = tmp_path / "bin.json"
     binary.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -1,8 +1,8 @@
 """The exit-code contract under bad input: every CLI run on a mutated shipped
 fixture exits 0 (verified), 1 (a theorem check failed, and stderr says so)
 or 2 (bad input, and stderr says `error:`), and no exception escapes
-`cli.run`.  A file cut short so that it is no longer JSON is named on the
-error line."""
+`cli.run`.  A file cut short so that it is no longer JSON, or nested too
+deeply for the JSON parser, is named on the error line."""
 
 import contextlib
 import io
@@ -82,7 +82,7 @@ def _flipped_m():
 def _is_json(text) -> bool:
     try:
         json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return True
 
@@ -96,6 +96,7 @@ def workdir(tmp_path_factory):
 @given(fixture=mutated_fixtures(), check=st.booleans())
 @example(fixture=("typed", "{not json"), check=False)
 @example(fixture=("typed", _flipped_m()), check=False)
+@example(fixture=("typed", "[" * 100_000 + "]" * 100_000), check=False)
 def test_mutated_fixtures_keep_the_exit_code_contract(workdir, fixture, check):
     kind, text = fixture
     path = workdir / "mutated.json"

@@ -170,6 +170,19 @@ def test_sign_multiplicative_on_disjoint_blocks():
             _interleave_sign(g.occupied, g1.occupied, g2.occupied)
 
 
+def test_sigma_o_sign_counts_inversions():
+    """The closed form against the inversion count of J(o) followed by
+    J(complement), on every subset of 1..2k for k <= 5."""
+    for k in range(1, 6):
+        points = range(1, 2 * k + 1)
+        for m in range(2 * k + 1):
+            for occ in itertools.combinations(points, m):
+                seq = list(occ) + [j for j in points if j not in occ]
+                inversions = sum(seq[a] > seq[b] for a, b in
+                                 itertools.combinations(range(2 * k), 2))
+                assert diagram.sigma_o_sign(k, frozenset(occ)) == (-1) ** inversions, (k, occ)
+
+
 def _interleave_sign(occ, occ1, occ2):
     """sigma_o of the union against the product of the block sigma_o's;
     occ1 and occ2 are already block-local."""

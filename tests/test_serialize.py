@@ -10,10 +10,10 @@ from bdecat import serialize as ser
 from bdecat.cfk2cfd import build_cfd
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc, torus_pmc
 from bdecat.strands import az_basis
-from bdecat.torus import ELEMENT_CHORDS, check_bigrading, check_cfa_weights
+from bdecat.torus import check_bigrading, check_cfa_weights
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path, load_fixture)
-from tests.helpers import a_of, pair_idempotent, pinch_coefficient
+from tests.helpers import TORUS_CHORDS, a_of, pair_idempotent, pinch_coefficient
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
 
@@ -164,7 +164,7 @@ def _coefficient_cases():
     names, from every left pair set to every right pair set or None."""
     torus = torus_pmc()
     named = {"iota0": pair_idempotent(torus, {1}), "iota1": pair_idempotent(torus, {2})}
-    named.update((name, a_of(torus, rho, 0)) for name, rho in ELEMENT_CHORDS.items())
+    named.update((name, a_of(torus, rho, 0)) for name, rho in TORUS_CHORDS.items())
     for pmc in (torus, split_pmc(2)):
         n, k = pmc.num_points, pmc.genus
         chords = [ReebChord(s, e) for s in range(1, n + 1) for e in range(s + 1, n + 1)]

@@ -3,11 +3,10 @@ import pytest
 from bdecat.dmodules import ModuleGenerator, TypeDStructure
 from bdecat.grading import m_table
 from bdecat.strands import multiply
-from bdecat.torus import (ELEMENT_CHORDS, BigradingViolation, INTERVALS,
-                          alexander_weight2_cfa, alexander_weight2_cfd,
-                          check_bigrading, check_cfa_weights)
+from bdecat.torus import (BigradingViolation, alexander_weight2_cfa,
+                          alexander_weight2_cfd, check_bigrading, check_cfa_weights)
 from tests.conftest import load_fixture
-from tests.helpers import a_of, pair_idempotent
+from tests.helpers import TORUS_CHORDS, TORUS_INTERVALS, a_of, pair_idempotent
 
 EXPECTED_PRODUCTS = {
     ("rho1", "rho2"): "rho12",
@@ -37,7 +36,7 @@ def expected_product(a: str, b: str) -> str | None:
 def elements(talg):
     """The eight named elements, built from their chords and idempotents."""
     els = {"iota0": pair_idempotent(talg.pmc, {1}), "iota1": pair_idempotent(talg.pmc, {2})}
-    els.update((name, a_of(talg.pmc, rho, 0)) for name, rho in ELEMENT_CHORDS.items())
+    els.update((name, a_of(talg.pmc, rho, 0)) for name, rho in TORUS_CHORDS.items())
     return els
 
 
@@ -59,6 +58,20 @@ def test_full_multiplication_table(elements):
                 assert prod == elements[expected], f"{a}*{b}"
             checked += 1
     assert checked == 64
+
+
+def test_product_table_through_names(talg):
+    """The strands product table read through the derived names: the
+    nonzero chord products are EXPECTED_PRODUCTS, and iota0 + iota1 fixes
+    each element from both sides, exactly one of the two doing so."""
+    names = talg.names
+    table = {(names[i], names[j]): tuple(names[k] for k in p)
+             for (i, j), p in talg.basis.products.items()}
+    assert {ab: c for ab, c in table.items() if "iota" not in ab[0] + ab[1]} == \
+        {ab: (c,) for ab, c in EXPECTED_PRODUCTS.items()}
+    for x in names:
+        assert {table.get((u, x)) for u in ("iota0", "iota1")} == {(x,), None}
+        assert {table.get((x, u)) for u in ("iota0", "iota1")} == {(x,), None}
 
 
 def test_rho2_rho1_vanishes(elements):
@@ -110,10 +123,11 @@ def test_m_values_multiplicative(talg):
     assert m["rho123"] == (m["rho1"] + m["rho2"] + m["rho3"]) % 2
 
 
-def test_intervals_table_matches_grading(elements):
+def test_intervals_table_matches_grading(talg, elements):
     from bdecat.grading import gr_prime
     for name, el in elements.items():
-        assert gr_prime(el).alpha == INTERVALS[name]
+        assert gr_prime(el).alpha == TORUS_INTERVALS[name]
+        assert talg.intervals[talg.index[name]] == TORUS_INTERVALS[name]
 
 
 def test_check_bigrading_accepts_unknot_loop(talg, torus):
@@ -158,3 +172,12 @@ def test_check_cfa_weights_rejects_bad_a(torus, talg):
     with pytest.raises(BigradingViolation,
                        match=r"^op \(w; \.\.\.; u\): a\(u\)=0, expected -1/2$"):
         check_cfa_weights(M, 1)
+
+
+def test_weight_checks_reject_a_module_over_another_circle(split2):
+    from bdecat.dmodules import AInfModule
+    gens = [ModuleGenerator("x", {1, 2}, 0, a2=0)]
+    with pytest.raises(BigradingViolation, match="^module is not over the torus algebra$"):
+        check_bigrading(TypeDStructure(split2, gens, []), 0)
+    with pytest.raises(BigradingViolation, match="^module is not over the torus algebra$"):
+        check_cfa_weights(AInfModule(split2, gens, []), 1)
