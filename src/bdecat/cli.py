@@ -14,7 +14,7 @@ from . import serialize
 from .cfk2cfd import A2NonZero, Mismatch, build_cfd, verify_a1, verify_a2_zero
 from .diagram import (TheoremViolation, cfd_class_from_determinants,
                       intersection_matrix, verify_cfdker)
-from .dmodules import box_tensor, check_ainf, check_type_d, is_bounded
+from .dmodules import PmcMismatch, box_tensor, check_ainf, check_type_d, is_bounded
 from .grading import gr_prime, m_table
 from .grothendieck import class_of, euler_of_complex, pair, substitute
 from .pmc import NAMED_PMCS, PointedMatchedCircle
@@ -92,6 +92,8 @@ def cmd_k0(args) -> int:
 def cmd_pair(args) -> int:
     _, pc = _read(args.cfa, "pattern")
     _, N = _read(args.cfd, "typed")
+    if pc.cfa.pmc != N.pmc:
+        raise PmcMismatch("modules over different pointed matched circles")
     w = args.weight
     product = pair(class_of(pc.cfa), substitute(class_of(N), w))
     report = {"pairing": serialize.laurent_to_json(product),
@@ -139,6 +141,8 @@ def cmd_cfd_from_cfk(args) -> int:
 def cmd_satellite(args) -> int:
     _, pc = _read(args.cfa, "pattern")
     _, cfk = _read(args.cfk, "cfk")
+    if not pc.cfa.basis.is_torus:
+        raise serialize.FixtureError(f"{args.cfa}: module is not over the torus algebra")
     if args.winding is not None:
         pc = PatternClass(pc.cfa, args.winding)
     res = check_satellite_formula(pc, cfk)
@@ -230,8 +234,6 @@ def cmd_check(args) -> int:
         check_bigrading(obj, args.framing)
     elif kind == "pattern" and obj.cfa.basis.is_torus:
         check_cfa_weights(obj.cfa, obj.winding)
-    elif kind == "cfk":
-        build_cfd(obj)
     elif kind == "diagram":
         verify_cfdker(obj)
     print(f"{args.fixture}: valid {kind} fixture")

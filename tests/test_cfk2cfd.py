@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdecat.cfk2cfd import (A2NonZero, Arrow, CFKComplex, CFKGenerator,
                             CFKInvariantViolation, IOTA0, IOTA1, build_cfd,
                             verify_a1, verify_a2_zero)
 from bdecat.dmodules import check_type_d, is_bounded
 from bdecat.grothendieck import LaurentHalf, class_of
-from bdecat.torus import check_bigrading
+from bdecat.torus import check_bigrading, torus_algebra
 from tests.conftest import CFK_NAMES, load_fixture
 from tests.helpers import t2
 
@@ -42,8 +43,7 @@ def test_unknot_structure():
     assert len(cfd.delta) == 1
     src, i, dst = cfd.delta[0]
     assert src == dst == "x"
-    from bdecat.torus import coefficient_name
-    assert coefficient_name(cfd, i) == "rho12"
+    assert torus_algebra().names[i] == "rho12"
     assert class_of(cfd).coefficient(IOTA0) == LaurentHalf.one()
 
 
@@ -161,23 +161,37 @@ def test_distinguished_generators_share_maslov_parity():
     assert flipped >= 4
 
 
-def _random_staircase(rng, steps):
-    """Symmetric positive staircase (vertical lengths mirror horizontal)."""
-    hs = [rng.randint(1, 3) for _ in range(steps)]
-    vs = list(reversed(hs))
-    gens, vertical, horizontal = [], [], []
-    tau = sum(hs)
-    a, m = tau, 0
-    gens.append(CFKGenerator("a0", 0, a))
-    for i in range(steps):
-        lh, lv = hs[i], vs[i]
+def _staircase(hs):
+    """The symmetric positive staircase whose horizontal arrows have lengths
+    hs and whose vertical ones mirror them; with no step, the unknot."""
+    gens, vertical, horizontal = [CFKGenerator("a0", 0, sum(hs))], [], []
+    m, a = 0, sum(hs)
+    for i, (lh, lv) in enumerate(zip(hs, reversed(hs))):
         bm, ba = m + 1 - 2 * lh, a - lh
         gens.append(CFKGenerator(f"b{i + 1}", bm, ba))
         horizontal.append(Arrow(f"b{i + 1}", f"a{i}", lh))
         m, a = bm - 1, ba - lv
         gens.append(CFKGenerator(f"a{i + 1}", m, a))
         vertical.append(Arrow(f"b{i + 1}", f"a{i + 1}", lv))
-    return CFKComplex(gens, vertical, horizontal, tau)
+    return gens, vertical, horizontal
+
+
+def _random_staircase(rng, steps):
+    """A staircase of steps steps, each length drawn from rng."""
+    hs = [rng.randint(1, 3) for _ in range(steps)]
+    return CFKComplex(*_staircase(hs), sum(hs))
+
+
+def _square(prefix, length, maslov):
+    """Four generators like the figure-eight's square: s -> z horizontal and
+    s -> y vertical, then z -> w vertical and y -> w horizontal, with s and w
+    at Alexander grading 0 and every arrow of the given length."""
+    s, y, z, w = (f"{prefix}{c}" for c in "syzw")
+    gens = [CFKGenerator(s, maslov, 0), CFKGenerator(y, maslov - 1, -length),
+            CFKGenerator(z, maslov - 1 + 2 * length, length),
+            CFKGenerator(w, maslov - 2 + 2 * length, 0)]
+    return (gens, [Arrow(s, y, length), Arrow(z, w, length)],
+            [Arrow(s, z, length), Arrow(y, w, length)])
 
 
 def _mirror(cfk):
@@ -189,18 +203,52 @@ def _mirror(cfk):
     return CFKComplex(gens, vertical, horizontal, -cfk.tau)
 
 
-def test_random_staircases_and_mirrors():
-    import random
-    rng = random.Random(777)
-    for _ in range(25):
-        cfk = _random_staircase(rng, rng.randint(1, 3))
-        for c in (cfk, _mirror(cfk)):
-            cfd = build_cfd(c)
-            check_type_d(cfd)
-            check_bigrading(cfd, 0)
-            verify_a1(cfd, c)
-            verify_a2_zero(cfd)
-            assert is_bounded(cfd) == (c.tau != 0)
+def _rename(cfk, old, new):
+    """The complex with generator old named new."""
+    def name(x):
+        return new if x == old else x
+    gens = [CFKGenerator(name(g.name), g.maslov, g.alexander) for g in cfk.generators]
+    vertical = [Arrow(name(a.src), name(a.dst), a.length) for a in cfk.vertical]
+    horizontal = [Arrow(name(a.src), name(a.dst), a.length) for a in cfk.horizontal]
+    return CFKComplex(gens, vertical, horizontal, cfk.tau)
+
+
+@st.composite
+def reduced_cfk(draw):
+    """A staircase (the one-generator unknot when it has no step) plus 0-2
+    disjoint squares, arrow lengths 1-3; sometimes mirrored, so tau < 0,
+    tau = 0 and tau > 0 all occur, and sometimes with a generator renamed
+    to the name of a chain generator of build_cfd."""
+    hs = draw(st.lists(st.integers(1, 3), max_size=3))
+    gens, vertical, horizontal = _staircase(hs)
+    squares = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)), max_size=2))
+    for k, (length, maslov) in enumerate(squares):
+        g, v, h = _square(f"q{k}", length, maslov)
+        gens, vertical, horizontal = gens + g, vertical + v, horizontal + h
+    cfk = CFKComplex(gens, vertical, horizontal, sum(hs))
+    if draw(st.booleans()):
+        cfk = _mirror(cfk)
+    chain_names = ["u1"] + [f"{kind}[{a.src}>{a.dst}]1"
+                            for kind, arrows in (("v", cfk.vertical), ("h", cfk.horizontal))
+                            for a in arrows]
+    if draw(st.booleans()):
+        old = draw(st.sampled_from([g.name for g in cfk.generators]))
+        cfk = _rename(cfk, old, draw(st.sampled_from(chain_names)))
+    return cfk
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_cfk())
+def test_random_staircases_and_mirrors(cfk):
+    """build_cfd checks nothing; every CFD it builds passes the structure
+    checks, and keeps the CFK names."""
+    cfd = build_cfd(cfk)
+    check_type_d(cfd)
+    check_bigrading(cfd, 0)
+    verify_a1(cfd, cfk)
+    verify_a2_zero(cfd)
+    assert is_bounded(cfd) == (cfk.tau != 0)
+    assert {g.name for g in cfk.generators} <= set(cfd.generators)
 
 
 def test_chain_edges_run_against_cfk_arrows():
@@ -208,8 +256,8 @@ def test_chain_edges_run_against_cfk_arrows():
     chains end with rho2 into the target."""
     cfk = load_fixture("cfk_trefoil_right")
     cfd = build_cfd(cfk)
-    from bdecat.torus import coefficient_name
-    edges = {(s, coefficient_name(cfd, i), d) for s, i, d in cfd.delta}
+    names = torus_algebra().names
+    edges = {(s, names[i], d) for s, i, d in cfd.delta}
     assert ("b", "rho1", "v[b>c]1") in edges
     assert ("c", "rho123", "v[b>c]1") in edges
     assert ("b", "rho3", "h[b>a]1") in edges

@@ -87,6 +87,34 @@ def test_pair_box(capsys):
     assert data["pairing"] == data["euler"]
 
 
+def _one_generator(tmp_path, name, pmc, idem, **fields):
+    """A module file over pmc with one generator x of idempotent idem."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"pmc": pmc, **fields, "generators": [
+        {"name": "x", "idem": idem, "m": 0, "a": "0"}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("box", [(), ("--box",)], ids=["class", "box"])
+@pytest.mark.parametrize("pattern", ["genus2", "torus"])
+def test_pair_rejects_modules_over_different_circles(capsys, tmp_path, pattern, box):
+    """The class pairing compares the circles first, as the box tensor does:
+    a genus-2 pattern over another circle than split2's paired to 1, and a
+    torus pattern failed on the genera (error: 1 vs 2)."""
+    cfa = (_one_generator(tmp_path, "cfa", {"matching": [1, 2, 3, 4, 1, 2, 3, 4]},
+                          [1, 2], ops=[], winding=1)
+           if pattern == "genus2" else fixture_path("cfa_core"))
+    cfd = _one_generator(tmp_path, "cfd", "split2", [1, 2], delta=[])
+    assert invoke(capsys, "pair", cfa, cfd, *box) == (
+        2, "", "error: modules over different pointed matched circles\n")
+
+
+def test_satellite_rejects_a_pattern_not_over_the_torus(capsys, tmp_path):
+    cfa = _one_generator(tmp_path, "cfa", "split2", [1, 2], ops=[], winding=1)
+    assert invoke(capsys, "satellite", cfa, fixture_path("cfk_trefoil_right")) == (
+        2, "", f"error: {cfa}: module is not over the torus algebra\n")
+
+
 def test_check_fixture(capsys):
     code, out, _ = invoke(capsys, "check", fixture_path("cfk_torus34"))
     assert code == 0
@@ -334,14 +362,14 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # check_type_d runs inside build_cfd; class_from_terms sums each
-    # module's class once, however many steps read it
+    # a built CFD holds the structure checks by construction, so only the
+    # pattern is checked; class_from_terms sums each module's class once,
+    # however many steps read it
     (["satellite", fixture_path("cfa_trefoil_pattern"), fixture_path("cfk_figure8")],
      {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "decompose": 1,
-      "check_type_d": 1, "check_ainf": 1, "class_from_terms": 2}),
+      "check_ainf": 1, "class_from_terms": 2}),
     (["cfd-from-cfk", fixture_path("cfk_torus34"), "--json"],
-     {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "check_type_d": 1,
-      "class_from_terms": 1}),
+     {"build_cfd": 1, "verify_a1": 1, "verify_a2_zero": 1, "class_from_terms": 1}),
     # the class comes from the beta sweep; enumeration is only a test oracle;
     # the sweep, the determinants and the kernel wedge each sum one class
     (["diagram-kernel", fixture_path("diag_twisted_p3")],
@@ -352,8 +380,10 @@ def _count_calls(monkeypatch):
      {"check_type_d": 1, "check_ainf": 1, "class_from_terms": 2}),
     (["check", fixture_path("typed_triangle")], {"check_type_d": 1}),
     (["check", fixture_path("cfa_with_ops")], {"check_ainf": 1}),
+    # reading a CFK file through CFKComplex is its check; no CFD is built
+    (["check", fixture_path("cfk_torus34")], {}),
 ], ids=["satellite", "cfd-from-cfk", "diagram-kernel", "k0-typed", "k0-ainf", "pair",
-        "check-typed", "check-pattern"])
+        "check-typed", "check-pattern", "check-cfk"])
 def test_each_command_runs_each_step_once(capsys, monkeypatch, argv, expected):
     counts = _count_calls(monkeypatch)
     assert invoke(capsys, *argv)[0] == 0

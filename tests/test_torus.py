@@ -1,6 +1,7 @@
 import pytest
 
-from bdecat.dmodules import ModuleGenerator, TypeDStructure
+from bdecat.dmodules import (GradingIncompatible, ModuleGenerator, TypeDStructure,
+                              check_type_d)
 from bdecat.grading import m_table
 from bdecat.strands import multiply
 from bdecat.torus import (BigradingViolation, alexander_weight2_cfa,
@@ -150,13 +151,16 @@ def test_check_bigrading_rejects_shifted_a(talg, torus):
         check_bigrading(N, 0)
 
 
-def test_check_bigrading_rejects_wrong_m(talg, torus):
-    # rho1 has m = 0, so the edge needs m(x) = m(y) + 1
+def test_check_type_d_rejects_wrong_m(talg, torus):
+    # rho1 has m = 0, so the edge needs m(x) = m(y) + 1; check_bigrading
+    # checks only the Alexander drop, which is right here
     gens = [ModuleGenerator("x", {1}, 0, a2=1),
             ModuleGenerator("y", {2}, 0, a2=0)]
     N = TypeDStructure(torus, gens, [("x", talg.index["rho1"], "y")])
-    with pytest.raises(BigradingViolation):
-        check_bigrading(N, 0)
+    with pytest.raises(GradingIncompatible,
+                       match=r"^x->y: m\(x\)=0 but m\(coeff\)\+m\(y\)\+1=1$"):
+        check_type_d(N)
+    check_bigrading(N, 0)
 
 
 def test_check_cfa_weights_fixture():
