@@ -18,8 +18,12 @@ the bitmask of occupied alpha-curves (arcs first, then circles, the sigma_x
 order), with a signed integer per mask.  Points on the same (alpha, beta)
 merge into their net sign; placing beta b on curve pos adds one inversion to
 sigma_x per occupied curve after pos, since b exceeds every beta placed
-before it.  `enumerate_generators` lists the generators one by one; it is the
-oracle the tests compare the sweep with.
+before it.  A generator occupies g distinct curves, all g - k circles among
+them, so exactly k arcs; the sweep keeps only the partial states with at
+most k arcs, which are exactly those whose missing circles the remaining
+betas can still fill, and every state that survives the last beta is a
+generator class.  `enumerate_generators` lists the generators one by one;
+it is the oracle the tests compare the sweep with.
 
 The signed intersection matrix M(H) has a row per alpha-circle followed by a
 row per alpha-arc and a column per beta-circle.  Deleting the arc rows named
@@ -34,20 +38,25 @@ unimodular column operations U, det U = eps = +-1, give
 and det M(H)_s = eps * det H * det Y_{s^c}, a k x k minor, with Y_{s^c} the
 arc rows outside s.  The same reduction gives |H_1(Y, dY)| = |det H|, the
 rank defect b1 of the circle rows (every coefficient is 0 when b1 > 0), and
-the top wedge of the kernel of H_1(F) -> H_1(Y): the k x k minors of Y with
-its rows swapped in matched pairs, which converts raw intersection counts
-into coordinates dual to the arcs.  A signed permutation of rows commutes
-with column operations, so the swap needs no second reduction.
+the top wedge of the kernel of H_1(F) -> H_1(Y): the k x k minors of
+(J^T)^-1 Y.  Here J (unrelated to the J of sigma_o) is the circle's core
+intersection form, J[i][j] = a_i . a_j = +1 = -J[j][i] when the points of
+pairs i and j come in the order i, j, i, j along the circle, and 0 when the
+pairs do not interleave (`PointedMatchedCircle.core_intersection`).  A
+column of Y counts a class x on the arcs, n_j = x . a_j, so (J^T)^-1 turns
+those counts into the core coordinates of x.  On a split circle (J^T)^-1
+is the signed swap of each matched pair.  A row operation commutes with
+column operations, so the conversion needs no second reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .grothendieck import ExteriorClass, class_from_terms
-from .linalg import column_echelon, det_int, smith_normal_form
+from .linalg import column_echelon, det_int, inverse_unimodular, smith_normal_form
 from .pmc import PointedMatchedCircle
 
 
@@ -107,8 +116,9 @@ class BorderedDiagram:
         # a beta circle meeting no alpha curve is allowed; it just kills
         # every generator and zeroes the intersection matrix column
 
-    @property
+    @cached_property
     def k(self) -> int:
+        """Read once: a diagram is fixed once built."""
         return self.pmc.genus
 
     @cached_property
@@ -216,34 +226,40 @@ def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
 
     One sweep over the betas; the state is the bitmask of occupied
     alpha-curves (bit i - 1 for arc i, bit 2k + j - 1 for circle j) and its
-    value the signed count of the partial generators that occupy it.
+    value the signed count of the partial generators that occupy it.  A
+    generator puts the g betas on g distinct curves and uses all g - k
+    circles, so exactly k arcs: a state holding k arcs takes only circle
+    moves.  A state that survives all g betas then holds g curves, at most
+    k of them arcs, so it holds every circle and needs no final filter.
     """
-    arcs = 2 * d.k
+    k, arcs = d.k, 2 * d.k
     net: list[dict[int, int]] = [{} for _ in range(d.genus)]
     for p in d.points:
         kind, idx = p.alpha
         pos = idx - 1 if kind == "arc" else arcs + idx - 1
         net[p.beta - 1][pos] = net[p.beta - 1].get(pos, 0) + p.sign
+    arc_bits = (1 << arcs) - 1
     counts = {0: 1}
     for row in net:
-        moves = [(pos, c) for pos, c in row.items() if c]
+        # (bit, the curves after pos, c): the betas there are smaller, so
+        # each adds an inversion to sigma_x
+        moves = [(1 << pos, -2 << pos, c) for pos, c in row.items() if c]
+        circle_moves = [m for m in moves if m[0] > arc_bits]
         nxt: dict[int, int] = {}
         for mask, n in counts.items():
-            for pos, c in moves:
-                if not mask >> pos & 1:
-                    # the betas on curves after pos are smaller: inversions
-                    term = -n * c if (mask >> (pos + 1)).bit_count() & 1 else n * c
-                    key = mask | 1 << pos
+            full = (mask & arc_bits).bit_count() == k
+            for bit, after, c in circle_moves if full else moves:
+                if not mask & bit:
+                    term = -n * c if (mask & after).bit_count() & 1 else n * c
+                    key = mask | bit
                     nxt[key] = nxt.get(key, 0) + term
         counts = {mask: n for mask, n in nxt.items() if n}
-    circles = ((1 << d.alpha_circles) - 1) << arcs
     everything = frozenset(range(1, arcs + 1))
     terms = []
     for mask, n in counts.items():
-        if mask & circles == circles:
-            occupied = frozenset(i + 1 for i in range(arcs) if mask >> i & 1)
-            terms.append((everything - occupied, 0, n * sigma_o_sign(d.k, occupied)))
-    return class_from_terms(d.k, terms)
+        occupied = frozenset(i + 1 for i in range(arcs) if mask >> i & 1)
+        terms.append((everything - occupied, 0, n * sigma_o_sign(k, occupied)))
+    return class_from_terms(k, terms)
 
 
 def duality_sign(d: BorderedDiagram, s) -> int:
@@ -260,24 +276,45 @@ class HomologyKernel:
     kernel_wedge: ExteriorClass
 
 
+@cache
+def core_coordinates(pmc: PointedMatchedCircle) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of (J^T)^-1, J = `pmc.core_intersection`: row i lists the
+    (j, v) with v != 0, so that a class x with x . a_j = n_j for every arc j
+    has core coordinate c_i = sum of v * n_j (indices from 0).  J is
+    unimodular, so the inverse is integral.  Kept per matching, since
+    callers build equal circles afresh; there are finitely many within the
+    point cap."""
+    inv = inverse_unimodular([list(col) for col in zip(*pmc.core_intersection)])
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in inv)
+
+
 def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
     """Rank defect, |H_1(Y, dY)|, and the top wedge of ker(H_1(F) -> H_1(Y)),
     read off `circle_reduction`.
 
-    The wedge takes the minors of Y with its rows swapped in matched pairs,
-    with intersection-form signs: row j becomes the coefficient of the j-th
-    handle class in the expansion of each beta-circle.  With the cores
-    paired so that a_{2i-1} . a_{2i} = +1, the coefficient of a_{2i-1} is
-    +(beta . arc 2i) and the coefficient of a_{2i} is -(beta . arc 2i-1).
+    Each column n of Y is a combination of beta-circles that misses every
+    alpha-circle, with n_j its signed count on arc j.  Its class in H_1(F)
+    is sum c_i a_i with n_j = sum c_i (a_i . a_j), that is n = J^T c for the
+    circle's intersection form J (`PointedMatchedCircle.core_intersection`),
+    so c = (J^T)^-1 n, read from the sparse rows of `core_coordinates`.
+    The wedge takes the k x k minors of those core coordinates.  On a split
+    circle (J^T)^-1 is a signed swap in matched pairs: c_{2i-1} = n_{2i} and
+    c_{2i} = -n_{2i-1}.
     """
     k = d.k
     b1, det_h, arcs = d.circle_reduction
     if b1 > 0:
         return HomologyKernel(b1, None, ExteriorClass(k, {}))
-    swapped = [arcs[i] if i % 2 else [-v for v in arcs[i - 2]]
-               for i in range(1, 2 * k + 1)]
+    coords = []
+    for entries in core_coordinates(d.pmc):
+        if len(entries) == 1:
+            (j, v), = entries
+            coords.append(arcs[j] if v == 1 else [v * x for x in arcs[j]])
+        else:
+            coords.append([sum(v * arcs[j][col] for j, v in entries)
+                           for col in range(k)])
     wedge = class_from_terms(k, (
-        (s, 0, det_int([swapped[i - 1] for i in s]))
+        (s, 0, det_int([coords[i - 1] for i in s]))
         for s in itertools.combinations(range(1, 2 * k + 1), k)))
     return HomologyKernel(0, abs(det_h), wedge)
 

@@ -70,7 +70,10 @@ class LaurentHalf:
         return LaurentHalf.from_dict(d)
 
     def scale(self, c: int) -> "LaurentHalf":
-        return LaurentHalf.from_dict({e: c * v for e, v in self.coeffs})
+        """c times this; c != 0 keeps the order and every entry nonzero."""
+        if not c:
+            return LaurentHalf()
+        return LaurentHalf(tuple((e, c * v) for e, v in self.coeffs))
 
     def evaluate_at_one(self) -> int:
         return sum(c for _, c in self.coeffs)
@@ -181,12 +184,23 @@ class ExteriorClass:
 
 
 def class_from_terms(genus: int, terms) -> ExteriorClass:
-    """Sum (subset, doubled exponent, coefficient) terms into one class."""
+    """Sum (subset, doubled exponent, coefficient) terms into one class.
+
+    A subset with a single exponent, as in every diagram class, becomes its
+    one monomial directly (or nothing, when the count is 0)."""
     acc: dict[frozenset, dict[int, int]] = {}
     for s, e, c in terms:
         coeffs = acc.setdefault(frozenset(s), {})
         coeffs[e] = coeffs.get(e, 0) + c
-    return ExteriorClass(genus, {s: LaurentHalf.from_dict(d) for s, d in acc.items()})
+    out = {}
+    for s, d in acc.items():
+        if len(d) > 1:
+            out[s] = LaurentHalf.from_dict(d)
+        else:
+            (e, c), = d.items()
+            if c:
+                out[s] = LaurentHalf(((e, c),))
+    return ExteriorClass(genus, out)
 
 
 def _signed_monomial(gen) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Bareiss determinants, Smith normal form and
+"""Exact integer linear algebra: determinants (closed forms up to 3 x 3,
+Bareiss above), the inverse of a unimodular matrix, Smith normal form and
 unimodular column reduction.  Every entry stays a Python int."""
 
 from __future__ import annotations
@@ -7,10 +8,20 @@ from math import gcd
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
+    """Determinant of a square integer matrix: the cofactor expansion up to
+    3 x 3, where every diagram minor of genus k <= 3 falls, and the Bareiss
+    fraction-free elimination above."""
     n = len(rows)
     if n == 0:
         return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [row[:] for row in rows]
     sign = 1
     prev = 1
@@ -27,6 +38,21 @@ def det_int(rows: list[list[int]]) -> int:
             a[r][col] = 0
         prev = a[col][col]
     return sign * a[-1][-1]
+
+
+def inverse_unimodular(rows: list[list[int]]) -> list[list[int]]:
+    """The integer inverse of a square matrix with determinant +-1: its
+    adjugate times the determinant (fine for the 2k <= 6 of a circle)."""
+    n = len(rows)
+    det = det_int(rows)
+    if det not in (1, -1):
+        raise ValueError(f"determinant {det} is not +-1")
+
+    def minor(i: int, j: int) -> int:
+        return det_int([row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i])
+
+    return [[det * minor(j, i) * (-1 if (i + j) % 2 else 1) for j in range(n)]
+            for i in range(n)]
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:

@@ -10,11 +10,19 @@ Matched pairs are indexed 1..2k.  We require that cutting the circle at all
 4k points and regluing each matched pair by oriented 0-sphere surgery yields
 a single circle; this is exactly the condition for the associated surface to
 be connected of genus k.
+
+Pair i also names the core a_i of the 1-handle attached at its two points;
+the cores are a basis of H_1 of the surface.  Two cores meet once when their
+pairs interleave on the circle and not at all otherwise, so the intersection
+form J has J[i][j] = +1 and J[j][i] = -1 when the points of pairs i and j
+come in the order i, j, i, j, and 0 when the pairs are nested or disjoint.
+On a split circle J pairs a_{2i-1} with a_{2i} by +1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class MalformedMatching(ValueError):
@@ -43,9 +51,19 @@ class PointedMatchedCircle:
     def num_points(self) -> int:
         return len(self.matching)
 
-    @property
+    @cached_property
     def genus(self) -> int:
+        """Read once: a circle is fixed once built."""
         return self.num_points // 4
+
+    @property
+    def core_intersection(self) -> tuple[tuple[int, ...], ...]:
+        """J[i-1][j-1] = a_i . a_j as in the module docstring."""
+        ends = [self.points_of_pair(i) for i in range(1, 2 * self.genus + 1)]
+        return tuple(
+            tuple(1 if p1 < q1 < p2 < q2 else -1 if q1 < p1 < q2 < p2 else 0
+                  for q1, q2 in ends)
+            for p1, p2 in ends)
 
     def pair_of(self, point: int) -> int:
         return self.matching[point - 1]

@@ -40,7 +40,8 @@ CFK_NAMES = ["cfk_unknot", "cfk_trefoil_right", "cfk_trefoil_left",
 
 DIAGRAM_NAMES = ["diag_solid_torus", "diag_solid_torus_slope1",
                  "diag_handlebody_g2_a", "diag_handlebody_g2_b",
-                 "diag_twisted_p2", "diag_twisted_p3", "diag_rank_deficient"]
+                 "diag_twisted_p2", "diag_twisted_p3", "diag_rank_deficient",
+                 "diag_antipodal_g2"]
 
 PATTERN_NAMES = ["cfa_core", "cfa_with_ops", "cfa_trefoil_pattern",
                  "cfa_winding2"]

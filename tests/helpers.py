@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from bdecat.diagram import BorderedDiagram, HomologyKernel, intersection_matrix
+from bdecat.diagram import (BorderedDiagram, HomologyKernel, core_coordinates,
+                            intersection_matrix)
 from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
@@ -237,7 +238,7 @@ def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
 
 def determinant_class_oracle(d: BorderedDiagram) -> ExteriorClass:
     """The coefficient of a_s as the g x g determinant of M(H) with the s arc
-    rows deleted, one full Bareiss determinant per k-subset."""
+    rows deleted, one full determinant per k-subset."""
     m = intersection_matrix(d)
     circles, arcs = m[:d.alpha_circles], m[d.alpha_circles:]
     return class_from_terms(d.k, (
@@ -245,25 +246,23 @@ def determinant_class_oracle(d: BorderedDiagram) -> ExteriorClass:
         for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
 
 
-def swapped_matrix(d: BorderedDiagram) -> list[list[int]]:
-    """M'(H): the arc rows of M(H) swapped in matched pairs, arc 2i first
-    and then minus arc 2i-1, as `homology_kernel` swaps them."""
+def core_matrix(d: BorderedDiagram) -> list[list[int]]:
+    """M'(H): the circle rows of M(H), then the arc rows in core
+    coordinates, row i the sum of v times arc row j over the (j, v) of
+    `core_coordinates(d.pmc)[i]`, as `homology_kernel` converts them."""
     m = intersection_matrix(d)
-    rows = [m[r][:] for r in range(d.alpha_circles)]
-    for i in range(1, 2 * d.k + 1):
-        if i % 2:
-            rows.append(m[d.alpha_circles + i][:])
-        else:
-            rows.append([-v for v in m[d.alpha_circles + i - 2]])
-    return rows
+    arcs = m[d.alpha_circles:]
+    return m[:d.alpha_circles] + [
+        [sum(v * arcs[j][c] for j, v in entries) for c in range(d.genus)]
+        for entries in core_coordinates(d.pmc)]
 
 
 def homology_kernel_oracle(d: BorderedDiagram) -> HomologyKernel:
-    """`homology_kernel` by its own column reduction of the swapped matrix
-    M'(H), not of M(H): pivots give b1 and the order, and the free columns
-    of the arc rows give the kernel wedge."""
+    """`homology_kernel` by its own column reduction of the core-coordinate
+    matrix M'(H), not of M(H): pivots give b1 and the order, and the free
+    columns of the arc rows give the kernel wedge."""
     g, k = d.genus, d.k
-    reduced, pivots, _ = column_echelon(swapped_matrix(d), g - k)
+    reduced, pivots, _ = column_echelon(core_matrix(d), g - k)
     b1 = (g - k) - len(pivots)
     if b1 > 0:
         return HomologyKernel(b1, None, ExteriorClass(k, {}))

@@ -189,7 +189,7 @@ def test_criterion_6_kernel_theorem():
             assert cls == target or cls == -target or (not cls and not target)
         else:
             assert not enumerated_class(d)
-    report(6, "span [CFD] = |H1(Y, dY)| Lambda^k ker(i*) on all seven "
+    report(6, "span [CFD] = |H1(Y, dY)| Lambda^k ker(i*) on all eight "
               "diagram fixtures, with the SNF oracle agreeing on the order")
 
 

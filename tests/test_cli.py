@@ -78,6 +78,16 @@ def test_diagram_kernel(capsys):
     assert "verdict: OK" in out
 
 
+def test_diagram_kernel_over_a_non_split_circle(capsys):
+    """The antipodal genus-2 circle, where every two cores meet: the kernel
+    a1, a2 - a3 is read in that circle's own intersection form."""
+    code, out, err = invoke(capsys, "diagram-kernel",
+                            fixture_path("diag_antipodal_g2"))
+    assert code == 0, err
+    assert "kernel wedge = (1)*a{1,2} + (-1)*a{1,3}" in out
+    assert "verdict: OK" in out
+
+
 def test_pair_box(capsys):
     code, out, _ = invoke(capsys, "pair", fixture_path("cfa_with_ops"),
                           fixture_path("typed_triangle"), "--box", "--json")

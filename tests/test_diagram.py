@@ -10,13 +10,14 @@ from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             enumerate_generators, enumerated_class,
                             h1_rel_order_oracle, homology_kernel,
                             intersection_matrix, verify_cfdker)
-from bdecat.grothendieck import class_from_terms
+from bdecat.grothendieck import LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int, smith_normal_form
-from bdecat.pmc import split_pmc, torus_pmc
+from bdecat.pmc import PointedMatchedCircle, split_pmc, torus_pmc
 from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
 from tests.helpers import (BadIndex, arc_slide_rows, determinant_class_oracle,
                            homology_kernel_oracle)
+from tests.test_grading import GENUS2_CLASSES
 
 
 def arc(i, beta, sign=1, pid=0):
@@ -32,10 +33,13 @@ def circle(i, beta, sign=1, pid=0):
 
 
 def test_det_against_permutation_expansion():
+    """The closed forms (n <= 3) and Bareiss (n = 4, 5), on entries in +-3,
+    which hit zero pivots, and in +-50."""
     rng = random.Random(1)
-    for _ in range(40):
-        n = rng.randint(0, 4)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(120):
+        n = rng.randint(0, 5)
+        bound = rng.choice((3, 50))
+        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         expected = 0
         for perm in itertools.permutations(range(n)):
             sign = 1
@@ -208,7 +212,7 @@ def test_order_agrees_with_snf_oracle(name):
 
 
 def _oracle_diagrams():
-    """The 7 diagram fixtures and 1 200 random diagrams, k = 1..3 and genus
+    """The 8 diagram fixtures and 1 200 random diagrams, k = 1..3 and genus
     k..k+5; about a fifth have circle rows of rank below g - k."""
     rng = random.Random(17)
     yield from (load_fixture(name) for name in DIAGRAM_NAMES)
@@ -228,6 +232,49 @@ def test_classes_from_one_circle_reduction_equal_the_oracles():
         assert hk == homology_kernel_oracle(d)
         deficient += hk.b1_rel > 0
     assert 150 < deficient < 600, deficient
+
+
+def test_diagram_classes_build_no_polynomial_from_a_dict(monkeypatch):
+    """Every diagram class coefficient is one constant, built directly."""
+    calls = []
+    from_dict = LaurentHalf.from_dict
+    monkeypatch.setattr(LaurentHalf, "from_dict",
+                        staticmethod(lambda d: calls.append(d) or from_dict(d)))
+    for name in DIAGRAM_NAMES:
+        d = load_fixture(name)
+        enumerated_class(d)
+        cfd_class_from_determinants(d)
+        homology_kernel(d)
+    assert calls == []
+
+
+@pytest.mark.parametrize("matching", GENUS2_CLASSES)
+def test_kernel_theorem_on_isotropic_betas_over_every_genus2_circle(matching):
+    """Two betas with core classes c1, c2, c1 . c2 = 0 under the circle's
+    form J, meeting arc i in n_i = c . a_i signed points: the kernel wedge
+    is +-c1 ^ c2 and the theorem holds."""
+    pmc = PointedMatchedCircle(matching)
+    J = pmc.core_intersection
+    rng = random.Random(f"isotropic-{matching}")
+    draws = 0
+    while draws < 20:
+        c1, c2 = ([rng.randint(-2, 2) for _ in range(4)] for _ in range(2))
+        if sum(c1[i] * J[i][j] * c2[j] for i in range(4) for j in range(4)):
+            continue
+        wedge = class_from_terms(2, (
+            ((i, j), 0, c1[i - 1] * c2[j - 1] - c1[j - 1] * c2[i - 1])
+            for i, j in itertools.combinations(range(1, 5), 2)))
+        if not wedge:
+            continue
+        points = []
+        for beta, c in ((1, c1), (2, c2)):
+            for i in range(4):
+                n = sum(c[j] * J[j][i] for j in range(4))
+                points += [arc(i + 1, beta, 1 if n > 0 else -1, len(points) + t)
+                           for t in range(abs(n))]
+        hk, _ = verify_cfdker(BorderedDiagram(pmc, 2, 0, points))
+        assert hk.kernel_wedge in (wedge, -wedge)
+        draws += 1
 
 
 def test_both_classes_share_one_reduction(monkeypatch):
@@ -366,6 +413,21 @@ def small_diagrams(draw):
                            [arc(i, b, s, 10 * b + i) for b in range(1, 5)
                             for i in range(1, 7) for s in (1, -1)]
                            + [circle(1, b, 1, 100 + b) for b in range(1, 5)]))
+# split3 at genus 6 and 7 with betas 1-4 (1-5) on every arc: a partial state
+# already holding 3 arcs is offered another arc, which the sweep drops; the
+# classes have 9 and 10 nonzero coefficients
+@example(d=BorderedDiagram(split_pmc(3), 6, 3,
+                           [arc(i, b, (-1) ** ((i + 1) * b // 3), 10 * b + i)
+                            for b in range(1, 5) for i in range(1, 7)]
+                           + [circle(1, b, 1, 100 + b) for b in range(1, 5)]
+                           + [circle(2, 5, 1, 105), circle(3, 5, -1, 106),
+                              circle(2, 6, 1, 107), circle(3, 6, 1, 108)]))
+@example(d=BorderedDiagram(split_pmc(3), 7, 4,
+                           [arc(i, b, (-1) ** ((i + 1) * b // 3), 10 * b + i)
+                            for b in range(1, 6) for i in range(1, 7)]
+                           + [circle(c, b, (-1) ** (b * c // 2), 100 + 10 * b + c)
+                              for b in range(1, 6) for c in (1, 2)]
+                           + [circle(3, 6, 1, 200), circle(4, 7, -1, 201)]))
 def test_sweep_class_equals_enumeration(d):
     assert enumerated_class(d) == _enumeration_class(d)
 

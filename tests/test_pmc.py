@@ -3,10 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdecat.diagram import core_coordinates
+from bdecat.linalg import det_int
 from bdecat.pmc import (DisconnectedSurgery, MalformedMatching,
                         PointedMatchedCircle, reverse, split_pmc, torus_pmc,
                         validate)
 from tests.helpers import plus_point
+from tests.test_grading import GENUS2_CLASSES
 
 
 def test_torus_is_valid():
@@ -97,3 +100,31 @@ def test_max_points_guard():
     with pytest.raises(MalformedMatching):
         split_pmc(4)
     split_pmc(3)
+
+
+@pytest.mark.parametrize("matching", GENUS2_CLASSES)
+def test_core_intersection_is_unimodular_and_antisymmetric(matching):
+    """J on every genus-2 circle, and `core_coordinates` inverts J^T."""
+    pmc = PointedMatchedCircle(matching)
+    J = pmc.core_intersection
+    n = len(J)
+    assert all(J[i][j] == -J[j][i] for i in range(n) for j in range(n))
+    assert det_int([list(row) for row in J]) in (1, -1)
+    inverse = [[0] * n for _ in range(n)]
+    for i, entries in enumerate(core_coordinates(pmc)):
+        for j, v in entries:
+            inverse[i][j] = v
+    assert [[sum(inverse[i][m] * J[j][m] for m in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_core_intersection_on_split_circles_is_the_matched_swap(genus):
+    """a_{2i-1} . a_{2i} = +1, so c_{2i-1} = n_{2i} and c_{2i} = -n_{2i-1}."""
+    pmc = split_pmc(genus)
+    assert pmc.core_intersection == tuple(
+        tuple(1 if i % 2 and j == i + 1 else -1 if not i % 2 and j == i - 1 else 0
+              for j in range(1, 2 * genus + 1))
+        for i in range(1, 2 * genus + 1))
+    assert core_coordinates(pmc) == tuple(
+        ((i + 1, 1),) if i % 2 == 0 else ((i - 1, -1),) for i in range(2 * genus))
