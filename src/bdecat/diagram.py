@@ -305,14 +305,8 @@ def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
     b1, det_h, arcs = d.circle_reduction
     if b1 > 0:
         return HomologyKernel(b1, None, ExteriorClass(k, {}))
-    coords = []
-    for entries in core_coordinates(d.pmc):
-        if len(entries) == 1:
-            (j, v), = entries
-            coords.append(arcs[j] if v == 1 else [v * x for x in arcs[j]])
-        else:
-            coords.append([sum(v * arcs[j][col] for j, v in entries)
-                           for col in range(k)])
+    coords = [[sum(v * arcs[j][col] for j, v in entries) for col in range(k)]
+              for entries in core_coordinates(d.pmc)]
     wedge = class_from_terms(k, (
         (s, 0, det_int([coords[i - 1] for i in s]))
         for s in itertools.combinations(range(1, 2 * k + 1), k)))

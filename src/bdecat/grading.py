@@ -187,14 +187,14 @@ def refine(x: GradingElement, t1, t2, ref: RefinementData) -> GradingElement:
 
 @lru_cache(maxsize=None)
 def _pair_chord_data(pmc: PointedMatchedCircle):
-    """Pair-chord endpoints (lo_i, hi_i) and integer linkings L(rho_i, rho_j)."""
-    n = pmc.num_points
+    """Pair-chord endpoints (lo_i, hi_i) and integer linkings L(rho_i, rho_j).
+
+    The linking of two pair chords is the intersection a_i . a_j of their
+    cores: +1 for the order i, j, i, j along the circle, -1 for j, i, j, i
+    and 0 for nested or disjoint pairs, so it is read from
+    `PointedMatchedCircle.core_intersection`."""
     ends = tuple(pmc.points_of_pair(i) for i in range(1, 2 * pmc.genus + 1))
-    vectors = [chord_vector(n, ReebChord(lo, hi)) for lo, hi in ends]
-    link2 = [[_link2(u, v) for v in vectors] for u in vectors]
-    if any(v % 2 for row in link2 for v in row):
-        raise NotIntegral(f"pair-chord linkings {link2} must be integers")
-    return ends, tuple(tuple(v // 2 for v in row) for row in link2)
+    return ends, pmc.core_intersection
 
 
 def h_coordinates(pmc: PointedMatchedCircle, alpha: tuple[int, ...]) -> tuple[int, ...]:

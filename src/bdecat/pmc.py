@@ -22,7 +22,6 @@ On a split circle J pairs a_{2i-1} with a_{2i} by +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class MalformedMatching(ValueError):
@@ -51,9 +50,8 @@ class PointedMatchedCircle:
     def num_points(self) -> int:
         return len(self.matching)
 
-    @cached_property
+    @property
     def genus(self) -> int:
-        """Read once: a circle is fixed once built."""
         return self.num_points // 4
 
     @property

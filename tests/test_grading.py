@@ -236,6 +236,22 @@ GENUS2_CLASSES = [
 
 
 @pytest.mark.parametrize("matching", GENUS2_CLASSES)
+def test_pair_chord_linkings_are_the_core_intersection_form(matching):
+    """2 L(rho_i, rho_j), summed over the chord vectors, is twice
+    `core_intersection`, the J that `_pair_chord_data` and
+    `diagram.core_coordinates` both read."""
+    from bdecat.pmc import PointedMatchedCircle
+
+    pmc = PointedMatchedCircle(matching)
+    vectors = [chord_vector(8, ReebChord(*pmc.points_of_pair(i)))
+               for i in range(1, 5)]
+    J = pmc.core_intersection
+    assert [[_link2(u, v) for v in vectors] for u in vectors] == [
+        [2 * x for x in row] for row in J]
+    assert grading._pair_chord_data(pmc)[1] == J
+
+
+@pytest.mark.parametrize("matching", GENUS2_CLASSES)
 def test_identities_on_every_genus2_circle(matching):
     """d^2, closure, f(g_i) = 1, and sampled m multiplicativity hold on all
     21 genus-2 pointed matched circles, not just the split one."""
