@@ -150,42 +150,41 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     # every name given so far, with its (m, 2a): the CFK names, then the chains'
     grading = {g.name: (g.maslov, 2 * g.alexander) for g in cfk.generators}
     delta: list[tuple] = []
-
-    def edge(src, i, dst):
-        """Record the edge (src, i, dst) and grade whichever end is still
-        ungraded: across it, (m, 2a) drops by drop[i]."""
-        delta.append((src, i, dst))
-        dm, da2 = drop[i]
-        if dst not in grading:
-            m, a2 = grading[src]
-            grading[dst] = (m - dm, a2 - da2)
-        elif src not in grading:
-            m, a2 = grading[dst]
-            grading[src] = (m + dm, a2 + da2)
+    r23 = rho["rho23"]
 
     def chain(prefix, x, y, length, inward, first, last):
         """length iota1 generators prefix1, prefix2, ... joining x to y, the
         edges between them pointing towards prefix1 when inward (the vertical
         shape of the table) and away from it otherwise (the horizontal
-        shape).  While one of the names is already given, prefix gains a "'"."""
+        shape).  While one of the names is already given, prefix gains a "'".
+        The edge from x grades prefix1, and each rho23 edge the next one:
+        across (src, i, dst), (m, 2a) drops by drop[i]."""
         c = [f"{prefix}{j}" for j in range(1, length + 1)]
         while not grading.keys().isdisjoint(c):
             prefix += "'"
             c = [f"{prefix}{j}" for j in range(1, length + 1)]
-        edge(x, rho[first], c[0])
-        for src, dst in zip(c[1:], c) if inward else zip(c, c[1:]):
-            edge(src, rho["rho23"], dst)
+        first, last = rho[first], rho[last]
+        (m, a2), (dm, da2), (sm, sa2) = grading[x], drop[first], drop[r23]
+        if not inward:
+            sm, sa2 = -sm, -sa2
+        m, a2 = m - dm, a2 - da2
+        for name in c:
+            grading[name] = (m, a2)
+            m, a2 = m + sm, a2 + sa2
+        delta.append((x, first, c[0]))
         if inward:
-            edge(y, rho[last], c[-1])
+            delta.extend((src, r23, dst) for src, dst in zip(c[1:], c))
+            delta.append((y, last, c[-1]))
         else:
-            edge(c[-1], rho[last], y)
+            delta.extend((src, r23, dst) for src, dst in zip(c, c[1:]))
+            delta.append((c[-1], last, y))
 
     for ar in cfk.vertical:
         chain(f"v[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length, True, "rho1", "rho123")
     for ar in cfk.horizontal:
         chain(f"h[{ar.src}>{ar.dst}]", ar.src, ar.dst, ar.length, False, "rho3", "rho2")
     if cfk.tau == 0:
-        edge(cfk.xi_v, rho["rho12"], cfk.xi_h)
+        delta.append((cfk.xi_v, rho["rho12"], cfk.xi_h))
     elif cfk.tau > 0:
         chain("u", cfk.xi_v, cfk.xi_h, 2 * cfk.tau, True, "rho1", "rho3")
     else:

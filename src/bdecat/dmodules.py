@@ -1,16 +1,19 @@
 """Type D structures, A-infinity modules, and the box tensor product.
 
 Both module types are finitely generated over the idempotent ring of a
-pointed matched circle.  Generators carry a k-element idempotent subset (the
-middle summand), a Z/2 grading m, and an optional half-integer Alexander
-grading a, stored as the integer a2 = 2a.  Coefficients are indices into
-the basis `az_basis(pmc)` of A(Z, 0): a type D structure records delta as
-edges (src, index, dst), a sum of basis elements being parallel edges over
-F2; an A-infinity module records its nonzero operations
+pointed matched circle.  Generators are `ModuleGenerator` records, tuples
+(name, idempotent, m, a2): a k-element idempotent subset (the middle
+summand), a Z/2 grading m, and an optional half-integer Alexander grading a,
+stored as the integer a2 = 2a.  Coefficients are indices into the basis
+`az_basis(pmc)` of A(Z, 0): a type D structure records delta as edges
+(src, index, dst), a sum of basis elements being parallel edges over F2; an
+A-infinity module records its nonzero operations
 m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
 take coefficients in that form, check each index's idempotents and reject a
-repeated delta edge or operation; the checkers read the basis tables and
-`m_table` by index.
+repeated delta edge or operation; a type D structure checks each distinct
+idempotent and each distinct (index, source idempotent, target idempotent)
+once, however many generators and edges share it.  The checkers read the
+basis tables and `m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -21,6 +24,7 @@ sum of (m_k tensor id) o (id tensor delta_{k-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grading import m_table
 from .pmc import PointedMatchedCircle
@@ -43,51 +47,67 @@ class PmcMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class ModuleGenerator:
-    """Generator (name, idempotent, m, a) with the Alexander grading a stored
-    as the integer a2 = 2a, as GradingElement stores 4j; a2 is keyword-only,
-    so no call can pass a where a2 belongs."""
-
+class _GeneratorFields(NamedTuple):
     name: str
     idempotent: frozenset[int]
     m: int
     a2: int | None
 
-    def __init__(self, name: str, idempotent, m: int, *, a2: int | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "idempotent", frozenset(idempotent))
-        object.__setattr__(self, "m", m % 2)
-        object.__setattr__(self, "a2", a2)
+
+class ModuleGenerator(_GeneratorFields):
+    """Generator record (name, idempotent, m, a2), a tuple: the idempotent
+    frozen, m reduced mod 2, and the Alexander grading a stored as the
+    integer a2 = 2a, as GradingElement stores 4j; a2 is keyword-only, so no
+    call can pass a where a2 belongs."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, idempotent, m: int, *, a2: int | None = None):
+        return tuple.__new__(cls, (name, frozenset(idempotent), m % 2, a2))
 
 
 def _check_generators(pmc, generators):
+    """name -> generator.  Each distinct idempotent is checked once, and
+    names by count; on a failure the generators are walked in order for the
+    first offender's message."""
     k = pmc.genus
     pairs = frozenset(range(1, 2 * k + 1))
-    table = {}
+    table = {g.name: g for g in generators}
+    if len(table) == len(generators) and all(
+            len(s) == k and s <= pairs for s in {g.idempotent for g in generators}):
+        return table
+    seen = set()
     for g in generators:
         if len(g.idempotent) != k:
             raise ValueError(f"{g.name}: idempotent must have {k} elements")
         if not g.idempotent <= pairs:
             raise ValueError(f"{g.name}: idempotent outside [2k]")
-        if g.name in table:
+        if g.name in seen:
             raise ValueError(f"duplicate generator name {g.name}")
-        table[g.name] = g
-    return table
+        seen.add(g.name)
 
 
 class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
         """delta entries are (src_name, index, dst_name), the index one
         element of `az_basis(pmc)`; no edge may appear twice, as two copies
-        would cancel over F2."""
+        would cancel over F2.  Each distinct (index, source idempotent,
+        target idempotent) is checked once, and repeats by count; on a
+        failure the edges are walked in order for the first offender's
+        message."""
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
         self._k0_class = None
         self.basis = basis = az_basis(pmc)
         idempotents = basis.idempotents
-        self.delta = []
+        self.delta = delta = list(map(tuple, delta))
+        idem = {name: g.idempotent for name, g in self.generators.items()}
+        shapes = {(i, idem.get(src), idem.get(dst)) for src, i, dst in delta}
+        if len(set(delta)) == len(delta) and all(
+                0 <= i < len(idempotents) and idempotents[i] == (s, t)
+                for i, s, t in shapes):
+            return
         seen = set()
         for src, i, dst in delta:
             pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
@@ -97,7 +117,6 @@ class TypeDStructure:
             if (src, i, dst) in seen:
                 raise ValueError(f"repeated delta edge {src}->{dst} (basis index {i})")
             seen.add((src, i, dst))
-            self.delta.append((src, i, dst))
 
     def delta_map(self) -> dict[str, list[tuple[int, str]]]:
         out: dict[str, list] = {name: [] for name in self.generators}

@@ -141,17 +141,17 @@ def normalize_symmetric(p: LaurentHalf) -> NormalizedPolynomial:
 
 @dataclass(frozen=True)
 class ExteriorClass:
-    """Element of Lambda* H_1(F; Z) tensor Z[t^(1/2), t^(-1/2)]."""
+    """Element of Lambda* H_1(F; Z) tensor Z[t^(1/2), t^(-1/2)].
+
+    The keys of coeffs are frozenset subsets of [2k]; construction only
+    drops the zero coefficients.  `class_from_terms`, the one builder fed
+    subsets from outside this module, checks each subset's range."""
 
     genus: int
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {frozenset(s): c for s, c in self.coeffs.items() if c}
-        for s in clean:
-            if not all(1 <= j <= 2 * self.genus for j in s):
-                raise ValueError(f"subset {set(s)} outside [2k]")
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", {s: c for s, c in self.coeffs.items() if c})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -184,7 +184,8 @@ class ExteriorClass:
 
 
 def class_from_terms(genus: int, terms) -> ExteriorClass:
-    """Sum (subset, doubled exponent, coefficient) terms into one class.
+    """Sum (subset, doubled exponent, coefficient) terms into one class;
+    each distinct subset must lie in [2k].
 
     A subset with a single exponent, as in every diagram class, becomes its
     one monomial directly (or nothing, when the count is 0)."""
@@ -194,6 +195,8 @@ def class_from_terms(genus: int, terms) -> ExteriorClass:
         coeffs[e] = coeffs.get(e, 0) + c
     out = {}
     for s, d in acc.items():
+        if not all(1 <= j <= 2 * genus for j in s):
+            raise ValueError(f"subset {set(s)} outside [2k]")
         if len(d) > 1:
             out[s] = LaurentHalf.from_dict(d)
         else:
@@ -211,12 +214,17 @@ def _signed_monomial(gen) -> tuple[int, int]:
 def class_of(module) -> ExteriorClass:
     """[M] = sum over generators of (-1)^m t^a a_{idempotent}.
 
-    A module's generators are fixed when it is built, so the class is
-    summed on the first call and kept in its `_k0_class` for the next ones."""
+    The signs are summed per (idempotent, a2) first, so `class_from_terms`
+    sees one term per distinct key; a record's m is already 0 or 1.  A module's generators are fixed when
+    it is built, so the class is summed on the first call and kept in its
+    `_k0_class` for the next ones."""
     if module._k0_class is None:
+        signs: dict[tuple, int] = {}
+        for _, s, m, a2 in module.generators.values():
+            key = (s, a2 or 0)
+            signs[key] = signs.get(key, 0) + (-1 if m else 1)
         module._k0_class = class_from_terms(
-            module.pmc.genus, ((gen.idempotent, *_signed_monomial(gen))
-                               for gen in module.generators.values()))
+            module.pmc.genus, ((s, e, c) for (s, e), c in signs.items()))
     return module._k0_class
 
 

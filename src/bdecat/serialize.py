@@ -6,8 +6,11 @@ Coefficients of type D deltas and A-infinity operations are either "1" (the
 idempotent of the incident generators), a named torus element (rho1, ...,
 rho123, iota0, iota1), or a chord-set expression "rho(1,3)" / "rho(1,2;3,4)";
 each resolves by its label to one index of `az_basis(pmc)`, whose
-idempotents are then checked against the generators'.  All dumps are
-canonical: sorted keys, no floats anywhere.
+idempotents are then checked against the generators'.  A file resolves each
+distinct (coefficient text, source idempotent, target idempotent) once, and
+validates and freezes each distinct idem list once, however many delta
+edges and generators repeat it.  All dumps are canonical: sorted keys, no
+floats anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from fractions import Fraction
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
 from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
-from .grading import ratio_str
 from .grothendieck import ExteriorClass, LaurentHalf
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
@@ -39,17 +41,18 @@ def _int(value, field: str) -> int:
     raise FixtureError(f"{field} must be an integer, got {value!r}")
 
 
-_HALF = re.compile(r"(-?[0-9]+)(/2)?")
-
-
 def parse_half(value) -> int:
     """The doubled integer of a half-integer: an integer, or a string that
-    Fraction reads as one ("3/2", "-2"); the common forms skip Fraction."""
+    Fraction reads as one ("3/2", "-2").  The forms dump_half writes, an
+    optional "-", ASCII digits and an optional "/2", skip Fraction."""
     if isinstance(value, int) and not isinstance(value, bool):
         return 2 * value
     if isinstance(value, str):
-        if m := _HALF.fullmatch(value):
-            return int(m[1]) * (1 if m[2] else 2)
+        half = value.endswith("/2")
+        num = value[:-2] if half else value
+        digits = num.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(num) if half else 2 * int(num)
         with contextlib.suppress(ValueError, ZeroDivisionError):
             if (f := Fraction(value)).denominator in (1, 2):
                 return int(2 * f)
@@ -57,8 +60,8 @@ def parse_half(value) -> int:
 
 
 def dump_half(a2: int) -> str:
-    """The text of the half-integer a2 / 2."""
-    return ratio_str(a2, 2)
+    """The text of the half-integer a2 / 2, as `ratio_str(a2, 2)` writes it."""
+    return f"{a2}/2" if a2 & 1 else str(a2 >> 1)
 
 
 def pmc_from_json(data) -> PointedMatchedCircle:
@@ -138,46 +141,66 @@ def _name(value) -> str:
 
 
 def _generators_from_json(items):
-    gens = []
+    """The generator records of a file.  Each distinct idem list of integers
+    is validated and frozen once; a list holding anything else (true reads
+    as equal to 1) is validated wherever it occurs."""
+    gens, frozen = [], {}
     for item in items:
         a2 = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
         name, idem = _name(item["name"]), item["idem"]
-        idempotent = frozenset(_int(i, "idem entry") for i in idem)
-        if len(idempotent) != len(idem):
-            raise FixtureError(f"{name}: repeated idem entry in {idem}")
-        gens.append(ModuleGenerator(name, idempotent, _int(item["m"], "m"), a2=a2))
+        key = tuple(idem) if type(idem) is list and set(map(type, idem)) <= {int} else None
+        idempotent = frozen.get(key)
+        if idempotent is None:
+            idempotent = frozenset(_int(i, "idem entry") for i in idem)
+            if len(idempotent) != len(idem):
+                raise FixtureError(f"{name}: repeated idem entry in {idem}")
+            if key is not None:
+                frozen[key] = idempotent
+        m = item["m"]
+        gens.append(ModuleGenerator(name, idempotent, m if type(m) is int else _int(m, "m"),
+                                    a2=a2))
     return gens
 
 
-def _generators_to_json(gens):
+def _generators_to_json(table):
+    """The records of the name -> generator table, by name, with their keys
+    in sorted order; one sorted idem list serves every generator of an
+    idempotent."""
+    idems = {}
     out = []
-    for g in sorted(gens, key=lambda g: g.name):
-        item = {"name": g.name, "idem": sorted(g.idempotent), "m": g.m}
-        if g.a2 is not None:
-            item["a"] = dump_half(g.a2)
-        out.append(item)
+    for name in sorted(table):
+        _, s, m, a2 = table[name]
+        if s not in idems:
+            idems[s] = sorted(s)
+        if a2 is None:
+            out.append({"idem": idems[s], "m": m, "name": name})
+        else:
+            out.append({"a": dump_half(a2), "idem": idems[s], "m": m, "name": name})
     return out
 
 
 def type_d_from_json(data) -> TypeDStructure:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
-    by_name = {g.name: g for g in gens}
-    basis, delta = az_basis(pmc), []
+    idem = {g.name: g.idempotent for g in gens}
+    basis, delta, resolved = az_basis(pmc), [], {}
     for entry in data.get("delta", []):
-        src, dst = entry["src"], entry["dst"]
-        i = parse_coefficient(basis, entry["coeff"],
-                              by_name[src].idempotent, by_name[dst].idempotent)
+        src, dst, expr = entry["src"], entry["dst"], entry["coeff"]
+        left, right = idem[src], idem[dst]
+        # Only text is ever stored: parse_coefficient rejects anything else.
+        i = resolved.get((expr, left, right)) if type(expr) is str else None
+        if i is None:
+            i = resolved[expr, left, right] = parse_coefficient(basis, expr, left, right)
         delta.append((src, i, dst))
     return TypeDStructure(pmc, gens, delta)
 
 
 def type_d_to_json(N: TypeDStructure) -> dict:
+    coeff = {i: dump_coefficient(N.basis, i) for i in {i for _, i, _ in N.delta}}
     return {
         "pmc": pmc_to_json(N.pmc),
-        "generators": _generators_to_json(N.generators.values()),
-        "delta": [{"src": s, "coeff": dump_coefficient(N.basis, i), "dst": d}
-                  for s, i, d in N.delta],
+        "generators": _generators_to_json(N.generators),
+        "delta": [{"coeff": coeff[i], "dst": d, "src": s} for s, i, d in N.delta],
     }
 
 
@@ -206,7 +229,7 @@ def ainf_to_json(M: AInfModule) -> dict:
                     "y": y})
     return {
         "pmc": pmc_to_json(M.pmc),
-        "generators": _generators_to_json(M.generators.values()),
+        "generators": _generators_to_json(M.generators),
         "ops": ops,
     }
 
@@ -275,7 +298,9 @@ def class_to_json(cls: ExteriorClass) -> dict:
                                key=lambda kv: (len(kv[0]), sorted(kv[0])))}
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
+# Every value dumped is built afresh by this module or the CLI, so none holds
+# a cycle for the encoder to look for.
+_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _key(k) -> str:

@@ -4,11 +4,13 @@ built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
 reference the coefficient parser is tested against), the orientation
 reversal of gradings and refinement data, arc-slide row operations on
 intersection matrices, iterated type D deltas, K0 monomials and basis
-classes, the exhaustive A-infinity check over every idempotent chain
-(the reference for the candidate tuples of `check_ainf`), and the diagram
-classes computed without the shared circle reduction (full determinants,
-and a column reduction of the swapped matrix), and the chords and interval
-triples of the eight named torus elements, written out by hand."""
+classes, a module's class summed generator by generator (the reference for
+`class_of`, which sums the signs per key first), the exhaustive A-infinity
+check over every idempotent chain (the reference for the candidate tuples
+of `check_ainf`), and the diagram classes computed without the shared
+circle reduction (full determinants, and a column reduction of the swapped
+matrix), and the chords and interval triples of the eight named torus
+elements, written out by hand."""
 
 from __future__ import annotations
 
@@ -72,6 +74,13 @@ def t2(e2: int, coeff: int = 1) -> LaurentHalf:
 def basis_class(genus: int, s, poly: LaurentHalf | None = None) -> ExteriorClass:
     """poly * a_s, with poly 1 when none is given."""
     return ExteriorClass(genus, {frozenset(s): LaurentHalf.one() if poly is None else poly})
+
+
+def class_by_generator(module) -> ExteriorClass:
+    """[M] with one term (-1)^m t^a a_{idempotent} per generator."""
+    return class_from_terms(module.pmc.genus, (
+        (g.idempotent, g.a2 or 0, -1 if g.m % 2 else 1)
+        for g in module.generators.values()))
 
 
 def generators_of_ank(n: int, k: int):

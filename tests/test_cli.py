@@ -292,6 +292,50 @@ def test_repeated_idem_entry_is_rejected(capsys, tmp_path):
     assert err == f"error: {doubled}: x1: repeated idem entry in [2, 2]\n"
 
 
+def _set(index, **fields):
+    """An edit setting fields of the generator at index."""
+    return lambda d: d["generators"][index].update(fields)
+
+
+# typed_triangle has x1 at [2], x2 at [1] and x3 at [2], and the edges
+# x1 -rho2-> x2, x1 -1-> x3, x2 -rho1-> x3.
+MALFORMED_CFD = {
+    "boolean idem entry": (_set(0, idem=[True]), "idem entry must be an integer, got True"),
+    "boolean idem entry after an equal integer one": (
+        _set(2, idem=[True]), "idem entry must be an integer, got True"),
+    "float idem entry after an equal integer one": (
+        _set(2, idem=[2.0]), "idem entry must be an integer, got 2.0"),
+    "repeated idem entry": (_set(0, idem=[2, 2]), "x1: repeated idem entry in [2, 2]"),
+    "m as a float": (_set(0, m=1.0), "m must be an integer, got 1.0"),
+    "non-string name": (_set(0, name=3), "generator name must be a string, got 3"),
+    "duplicate generator name": (lambda d: d["generators"].append(dict(d["generators"][0])),
+                                 "duplicate generator name x1"),
+    "list as coeff": (lambda d: d["delta"][0].update(coeff=["rho2"]),
+                      "coefficient must be a string, got ['rho2']"),
+    "repeated delta edge": (lambda d: d["delta"].append(dict(d["delta"][0])),
+                            "repeated delta edge x1->x2 (basis index 5)"),
+    "coefficient that does not fit the idempotents": (
+        lambda d: d["delta"][0].update(coeff="rho1"),
+        "coefficient 'rho1' vanishes between {2} and {1}"),
+    "coefficient read on an earlier edge that does not fit a later one": (
+        lambda d: d["delta"][2].update(coeff="rho2"),
+        "coefficient 'rho2' vanishes between {1} and {2}"),
+    "a as 1/3": (_set(0, a="1/3"), "not a half-integer: '1/3'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CFD))
+def test_malformed_cfd_messages(capsys, tmp_path, case):
+    """Each distinct coefficient and idem list is read once per file; a
+    malformed value still gets the message it got when every one was read
+    where it occurs, from both commands that read a type D file."""
+    edit, message = MALFORMED_CFD[case]
+    path = _fixture_with(tmp_path, "typed_triangle", edit)
+    for argv in (["check", path],
+                 ["pair", fixture_path("cfa_with_ops"), path, "--box"]):
+        assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv
+
+
 def test_check_validates_pattern_alexander_weights(capsys, tmp_path):
     bad = _fixture_with(tmp_path, "cfa_with_ops",
                         lambda d: d["generators"][1].update(a="3/2"))

@@ -1,7 +1,10 @@
 """`--json` output keeps its content under `json.loads` while `dumps` lays
-it out one record per line, and files in the indented layout
-(`json.dumps(indent=2, sort_keys=True)`) read as they always did."""
+it out one record per line, files in the indented layout
+(`json.dumps(indent=2, sort_keys=True)`) read as they always did, and the
+bytes that cfd-from-cfk, pair --box and satellite print are pinned by their
+SHA-256 on the CFK fixtures and on torus-knot staircases."""
 
+import hashlib
 import json
 import random
 
@@ -9,6 +12,8 @@ import pytest
 
 from bdecat import serialize
 from tests.conftest import CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES, fixture_path
+from bdecat.cfk2cfd import CFKComplex
+from tests import test_cfk2cfd
 from tests.test_cfk2cfd import _random_staircase
 from tests.test_cli import invoke
 
@@ -73,3 +78,97 @@ def test_indented_cfd_files_read_the_same(capsys, tmp_path, name):
         outputs = [invoke(capsys, *(a.format(path) for a in argv)) for path in (new, old)]
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
+
+
+def _torus_knot(p, q, mirror):
+    """CFK^- of T(p,q), or of its mirror: the staircase whose step lengths are
+    the gaps between the exponents of its Alexander polynomial, which is
+    (1 - t) times the sum of t^s over the semigroup of p and q, cut at 2g."""
+    semigroup = {a * p + b * q for a in range(q) for b in range(p)}
+    exps = [e for e in range((p - 1) * (q - 1), -1, -1)
+            if (e in semigroup) != (e - 1 in semigroup)]
+    hs = [hi - lo for hi, lo in zip(exps[::2], exps[1::2])]
+    cfk = CFKComplex(*test_cfk2cfd._staircase(hs), sum(hs))
+    return test_cfk2cfd._mirror(cfk) if mirror else cfk
+
+
+KNOTS = {"T(4,25)": (4, 25, False), "T(13,89) mirror": (13, 89, True),
+         "T(8,13)": (8, 13, False), "T(3,37) mirror": (3, 37, True)}
+
+# SHA-256 of the --json output of cfd-from-cfk, pair --box (at the pattern's
+# winding) and satellite, recorded before the type D round trip was made
+# cheaper.  T(8,13) and T(3,37) have 180-220 CFD generators, T(4,25) 181 and
+# T(13,89) 2687.
+PINNED = {
+    ("cfk_unknot", "cfa_core"): (
+        "e39c42a0ef17bdc5676c4637af8265b12877bb9a7e20a59f7e22807e385f9731",
+        "44edc09a4111da3fe20b3a5052ab6e8a19c9bb6e646ad3d87522b0d34b32fdf5",
+        "fb7368d971796127bcbfa9699dd7064a23c573fa019524ed9e1462f934f02f81",
+    ),
+    ("cfk_trefoil_right", "cfa_with_ops"): (
+        "811e1f3d936e3eb6a5fe104c7177fabb4e883f64f501b0d3c54f8025288a519c",
+        "2c25c08e59f93973916b0487aae95e5851f39399603e3c5af3793cb6e2d79f1a",
+        "e46603d0eec0e22467a54a3c5fd5e8b8cc0bc87c0a25316c2cc7d09c4534a80c",
+    ),
+    ("cfk_trefoil_left", "cfa_trefoil_pattern"): (
+        "03dccca9307f809a741ebdaa1fb2e270643a9d61bfcc84731ccceae8407ca708",
+        "cb289fb40800537df02da55e28a2c1953e8629d0ffe0c1766f2d9c5461310c0f",
+        "3be5cf85b0d53fa2ba6a8e78e58188b06ca827a9637ed2c651da40eb065d7ee9",
+    ),
+    ("cfk_figure8", "cfa_winding2"): (
+        "477eff65fc7a7681a2d05f54710f32e1ebc48e01cdea50c253d1e23942b8d55f",
+        "9f2e4f9ca118a0b031123b391910f035d4faf266d10c7edc00221af5cff01fad",
+        "876ac9c0b64a534cc632df66b45540d1a585b6bd716d2a0851451289f453b3b5",
+    ),
+    ("cfk_torus34", "cfa_with_ops"): (
+        "c0ba2e315b9c423525456d888e88a8847e7eb95cca6a42dae577885e2ed5cd73",
+        "7c379f8bdab035be092e9b2e78d074b3c58e5d66a53ecf8664d814d3d50b6c00",
+        "36ee73a1c34c7129f7c227ae6303dc3a10907d8f5dc8c8c71caf92af6bb216dc",
+    ),
+    ("cfk_cable2m1_left_trefoil", "cfa_trefoil_pattern"): (
+        "36d70ae70156c8cdd63472cfa9b67497f650f015650503252fe05f0715cda790",
+        "7c379f8bdab035be092e9b2e78d074b3c58e5d66a53ecf8664d814d3d50b6c00",
+        "e7f248a999b333e9ab7b7e602330dbf28071cfa9339ea88efec418035171b023",
+    ),
+    ("T(4,25)", "cfa_with_ops"): (
+        "8b025605f1ffbf4262104ad8c19347ae87cab51a61bfee9ce7da681afe8cfc87",
+        "f865428fb5a3cb473059d2568b28005e8718f30d81333a9e03527c7351fa0c4e",
+        "cc9b1728357b7e20e8d08b9e26316149da0f15140cafb3dd29de82bdb8ddcb8c",
+    ),
+    ("T(13,89) mirror", "cfa_trefoil_pattern"): (
+        "4e8d417b599e700f39732f90a44971513dba136bdc9d1e629fe9f8c3eb4ca072",
+        "0635a021ef5629c85bcb2ccd2aa197d549fe0ce318416164b44f4d38bd7e83cf",
+        "8f2dc0efb6423951590c66cf7a8c7c2d6d29688595da9a3b05f016477eedfc20",
+    ),
+    ("T(8,13)", "cfa_winding2"): (
+        "873d05829506a73751bc30df524a6201270597712206542c00a22358959753dc",
+        "d045b10c7c5795a9abc944625cafe711f88911bc9818c24d4439ba5adc2f71b5",
+        "93667f7430edf756fafcc50259bcec35780a758c93303a129d247284d37a75fd",
+    ),
+    ("T(3,37) mirror", "cfa_core"): (
+        "9d786a0fda20865a01c0e9135c38f783bacdd0e2dafd3d11daa5475817b494d6",
+        "77e78b84d4494fc0d34ce72592b0a106f65bbd4298a6ab888a47da96d768944e",
+        "0eaafb253d617787c62fc24874fe0fef26bc18dbe0946db4d83e137bbb53df23",
+    ),
+}
+
+
+@pytest.mark.parametrize("knot, pattern", sorted(PINNED))
+def test_json_output_bytes_are_pinned(capsys, tmp_path, knot, pattern):
+    if knot in KNOTS:
+        cfk = tmp_path / "cfk.json"
+        cfk.write_text(json.dumps(serialize.cfk_to_json(_torus_knot(*KNOTS[knot]))))
+    else:
+        cfk = fixture_path(knot)
+    cfd, pattern_path = tmp_path / "cfd.json", fixture_path(pattern)
+    winding = serialize.load_file(pattern_path).get("winding", 1)
+    outputs = []
+    for argv in (["cfd-from-cfk", str(cfk), "--json"],
+                 ["pair", pattern_path, str(cfd), "--box", "--weight", str(winding), "--json"],
+                 ["satellite", pattern_path, str(cfk), "--json"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "cfd-from-cfk":
+            cfd.write_text(out)
+        outputs.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(outputs) == PINNED[knot, pattern]

@@ -5,15 +5,19 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from bdecat import serialize as ser
 from bdecat.cfk2cfd import build_cfd
+from bdecat.grothendieck import class_of
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc, torus_pmc
 from bdecat.strands import az_basis
 from bdecat.torus import check_bigrading, check_cfa_weights
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path, load_fixture)
-from tests.helpers import TORUS_CHORDS, a_of, pair_idempotent, pinch_coefficient
+from tests.helpers import (TORUS_CHORDS, a_of, class_by_generator, pair_idempotent,
+                           pinch_coefficient)
+from tests.test_cfk2cfd import reduced_cfk
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
 
@@ -233,3 +237,24 @@ def test_the_torus_circle_is_compared_per_module_not_per_edge(monkeypatch):
     # a named element still needs the torus circle
     with pytest.raises(ser.FixtureError, match="needs the torus pmc"):
         ser.parse_coefficient(az_basis(split_pmc(2)), "rho1", frozenset({1, 2}))
+
+
+def _assert_type_d_round_trip(cfd):
+    """The dumped text of cfd reads back as equal generator records and the
+    same delta list, and class_of, which sums the signs per (idempotent, a2)
+    first, gives the class summed generator by generator."""
+    back = ser.type_d_from_json(json.loads(ser.dumps(ser.type_d_to_json(cfd))))
+    assert back.generators == cfd.generators
+    assert back.delta == cfd.delta
+    assert class_of(back) == class_of(cfd) == class_by_generator(cfd)
+
+
+@pytest.mark.parametrize("name", CFK_NAMES)
+def test_type_d_round_trip_on_the_cfk_fixtures(name):
+    _assert_type_d_round_trip(build_cfd(load_fixture(name)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduced_cfk())
+def test_type_d_round_trip_on_generated_staircases(cfk):
+    _assert_type_d_round_trip(build_cfd(cfk))
