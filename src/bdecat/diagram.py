@@ -15,15 +15,22 @@ inside S_{2k}.
 [CFD(H)] sums these signs per unoccupied arc set.  `enumerated_class`
 computes it without listing a generator: it sweeps the betas in order over
 the bitmask of occupied alpha-curves (arcs first, then circles, the sigma_x
-order), with a signed integer per mask.  Points on the same (alpha, beta)
-merge into their net sign; placing beta b on curve pos adds one inversion to
-sigma_x per occupied curve after pos, since b exceeds every beta placed
-before it.  A generator occupies g distinct curves, all g - k circles among
-them, so exactly k arcs; the sweep keeps only the partial states with at
-most k arcs, which are exactly those whose missing circles the remaining
-betas can still fill, and every state that survives the last beta is a
-generator class.  `enumerate_generators` lists the generators one by one;
-it is the oracle the tests compare the sweep with.
+order), with a signed integer per mask and the net signs as its moves;
+placing beta b on curve pos adds one inversion to sigma_x per occupied
+curve after pos, since b exceeds every beta placed before it.  A generator
+occupies g distinct curves, all g - k circles among them, so exactly k
+arcs; the sweep keeps only the partial states with at most k arcs, which
+are exactly those whose missing circles the remaining betas can still
+fill, and every state that survives the last beta is a generator class.
+`enumerate_generators` lists the generators one by one; it is the oracle
+the tests compare the sweep with.
+
+The sweep and M(H) below see the points only through their net signs.  A
+diagram checks its points and folds them once, as it is built, into
+`net_signs`: per beta b, a dict from curve to the sum of the signs of the
+points on (that curve, b), the curves numbered as the sweep's bits (arc i
+is i - 1, circle j is 2k + j - 1).  A curve whose points cancel keeps the
+entry 0, which the sweep skips.
 
 The signed intersection matrix M(H) has a row per alpha-circle followed by a
 row per alpha-arc and a column per beta-circle.  Deleting the arc rows named
@@ -54,6 +61,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .grothendieck import ExteriorClass, class_from_terms
 from .linalg import column_echelon, det_int, inverse_unimodular, smith_normal_form
@@ -68,19 +76,27 @@ class TheoremViolation(AssertionError):
 # diagrams
 
 
-@dataclass(frozen=True)
-class DiagramPoint:
+class _PointFields(NamedTuple):
     alpha: tuple[str, int]  # ("arc", i) with i in [2k], or ("circle", i)
     beta: int
     sign: int
-    id: int = 0
+    id: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+
+class DiagramPoint(_PointFields):
+    """Intersection point record (alpha, beta, sign, id), a tuple whose sign
+    and alpha kind are checked as it is made; the diagram checks the
+    indices against its own genus."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: tuple[str, int], beta: int, sign: int, id: int = 0):
+        if sign not in (1, -1):
             raise ValueError("point sign must be +1 or -1")
-        kind, _ = self.alpha
+        kind, _ = alpha
         if kind not in ("arc", "circle"):
             raise ValueError(f"bad alpha kind {kind}")
+        return tuple.__new__(cls, (alpha, beta, sign, id))
 
 
 @dataclass(frozen=True)
@@ -95,24 +111,35 @@ class BorderedDiagram:
     pmc: PointedMatchedCircle
     genus: int
     alpha_circles: int
-    points: list[DiagramPoint] = field(default_factory=list)
+    points: tuple[DiagramPoint, ...] = ()
+    # beta b - 1 -> {curve: net sign}, as in the module docstring
+    net_signs: list[dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.pmc.genus
-        if self.genus < k:
-            raise ValueError(f"genus {self.genus} is below the boundary genus {k}")
-        if self.alpha_circles != self.genus - k:
-            raise ValueError(
-                f"need g - k = {self.genus - k} alpha-circles, "
-                f"got {self.alpha_circles}")
-        for p in self.points:
-            kind, idx = p.alpha
-            if kind == "arc" and not 1 <= idx <= 2 * k:
-                raise ValueError(f"arc index {idx} outside [2k]")
-            if kind == "circle" and not 1 <= idx <= self.alpha_circles:
+        """Check each point's indices, in order, and fold the points into
+        `net_signs` in the same pass.  The points are kept as a tuple, since
+        everything read from them is computed once."""
+        k, h, g = self.pmc.genus, self.alpha_circles, self.genus
+        if g < k:
+            raise ValueError(f"genus {g} is below the boundary genus {k}")
+        if h != g - k:
+            raise ValueError(f"need g - k = {g - k} alpha-circles, got {h}")
+        arcs = 2 * k
+        self.points = tuple(self.points)
+        self.net_signs = table = [{} for _ in range(g)]
+        for (kind, idx), beta, sign, _ in self.points:
+            if kind == "arc":
+                if not 1 <= idx <= arcs:
+                    raise ValueError(f"arc index {idx} outside [2k]")
+                pos = idx - 1
+            elif 1 <= idx <= h:
+                pos = arcs + idx - 1
+            else:
                 raise ValueError(f"circle index {idx} out of range")
-            if not 1 <= p.beta <= self.genus:
-                raise ValueError(f"beta index {p.beta} out of range")
+            if not 1 <= beta <= g:
+                raise ValueError(f"beta index {beta} out of range")
+            row = table[beta - 1]
+            row[pos] = row.get(pos, 0) + sign
         # a beta circle meeting no alpha curve is allowed; it just kills
         # every generator and zeroes the intersection matrix column
 
@@ -202,45 +229,48 @@ def enumerate_generators(d: BorderedDiagram) -> list[DiagramGenerator]:
 
 def intersection_matrix(d: BorderedDiagram) -> list[list[int]]:
     """(g+k) x g signed counts: alpha-circle rows, then alpha-arc rows."""
-    rows = [[0] * d.genus for _ in range(d.alpha_circles + 2 * d.k)]
-    for p in d.points:
-        kind, idx = p.alpha
-        r = idx - 1 if kind == "circle" else d.alpha_circles + idx - 1
-        rows[r][p.beta - 1] += p.sign
+    h, arcs = d.alpha_circles, 2 * d.k
+    rows = [[0] * d.genus for _ in range(h + arcs)]
+    for b, row in enumerate(d.net_signs):
+        for pos, c in row.items():
+            rows[pos - arcs if pos >= arcs else h + pos][b] = c
     return rows
 
 
 def cfd_class_from_determinants(d: BorderedDiagram) -> ExteriorClass:
     """Coefficient of a_s is det of M(H) with the s arc rows deleted,
-    eps * det H times the k x k minor of Y on the arc rows outside s."""
+    eps * det H times the k x k minor of Y on the arc rows outside s.
+
+    The complements of the k-subsets of [2k], taken in lexicographic order,
+    are the k-subsets in reverse lexicographic order, so the kept rows come
+    from one reversed run of combinations."""
+    k = d.k
     _, det_h, arcs = d.circle_reduction
     if not det_h:
-        return ExteriorClass(d.k, {})
-    return class_from_terms(d.k, (
-        (s, 0, det_h * det_int([row for i, row in enumerate(arcs, 1) if i not in s]))
-        for s in itertools.combinations(range(1, 2 * d.k + 1), d.k)))
+        return ExteriorClass(k, {})
+    kept = reversed(list(itertools.combinations(arcs, k)))
+    return class_from_terms(k, (
+        (s, 0, det_h * det_int(rows))
+        for s, rows in zip(itertools.combinations(range(1, 2 * k + 1), k), kept)))
 
 
 def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
     """[CFD(H)]: signed generator count per unoccupied arc set.
 
-    One sweep over the betas; the state is the bitmask of occupied
-    alpha-curves (bit i - 1 for arc i, bit 2k + j - 1 for circle j) and its
-    value the signed count of the partial generators that occupy it.  A
-    generator puts the g betas on g distinct curves and uses all g - k
-    circles, so exactly k arcs: a state holding k arcs takes only circle
-    moves.  A state that survives all g betas then holds g curves, at most
-    k of them arcs, so it holds every circle and needs no final filter.
+    One sweep over the betas of `net_signs`; the state is the bitmask of
+    occupied alpha-curves (bit i - 1 for arc i, bit 2k + j - 1 for circle
+    j) and its value the signed count of the partial generators that occupy
+    it.  A generator puts the g betas on g distinct curves and uses all
+    g - k circles, so exactly k arcs: a state holding k arcs takes only
+    circle moves.  A state that survives all g betas then holds g curves,
+    at most k of them arcs, so it holds every circle and needs no final
+    filter.  Its k free arcs s name the coefficient, and sigma_o has
+    sum(occupied) - k(k+1)/2 = k(3k+1)/2 - sum(s) inversions.
     """
     k, arcs = d.k, 2 * d.k
-    net: list[dict[int, int]] = [{} for _ in range(d.genus)]
-    for p in d.points:
-        kind, idx = p.alpha
-        pos = idx - 1 if kind == "arc" else arcs + idx - 1
-        net[p.beta - 1][pos] = net[p.beta - 1].get(pos, 0) + p.sign
     arc_bits = (1 << arcs) - 1
     counts = {0: 1}
-    for row in net:
+    for row in d.net_signs:
         # (bit, the curves after pos, c): the betas there are smaller, so
         # each adds an inversion to sigma_x
         moves = [(1 << pos, -2 << pos, c) for pos, c in row.items() if c]
@@ -254,19 +284,23 @@ def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
                     key = mask | bit
                     nxt[key] = nxt.get(key, 0) + term
         counts = {mask: n for mask, n in nxt.items() if n}
-    everything = frozenset(range(1, arcs + 1))
+    base = k * (3 * k + 1) // 2
     terms = []
     for mask, n in counts.items():
-        occupied = frozenset(i + 1 for i in range(arcs) if mask >> i & 1)
-        terms.append((everything - occupied, 0, n * sigma_o_sign(k, occupied)))
+        s = [i for i in range(1, arcs + 1) if not mask >> (i - 1) & 1]
+        terms.append((s, 0, -n if (base - sum(s)) & 1 else n))
     return class_from_terms(k, terms)
 
 
 def duality_sign(d: BorderedDiagram, s) -> int:
-    """The constant relating det M(H)_s to the signed generator count."""
-    comp = frozenset(range(1, 2 * d.k + 1)) - frozenset(s)
-    block = -1 if (d.k * d.alpha_circles) % 2 else 1
-    return block * sigma_o_sign(d.k, comp)
+    """The constant relating det M(H)_s to the signed generator count, for a
+    collection s of distinct arcs: sigma_o of the complement of s, whose m
+    = 2k - |s| entries sum to k(2k + 1) - sum(s), times the circle block's
+    sign (-1)^(k(g-k))."""
+    k = d.k
+    m = 2 * k - len(s)
+    inversions = k * (2 * k + 1) - sum(s) - m * (m + 1) // 2 + k * d.alpha_circles
+    return -1 if inversions & 1 else 1
 
 
 @dataclass
@@ -308,8 +342,9 @@ def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
     coords = [[sum(v * arcs[j][col] for j, v in entries) for col in range(k)]
               for entries in core_coordinates(d.pmc)]
     wedge = class_from_terms(k, (
-        (s, 0, det_int([coords[i - 1] for i in s]))
-        for s in itertools.combinations(range(1, 2 * k + 1), k)))
+        (s, 0, det_int(rows))
+        for s, rows in zip(itertools.combinations(range(1, 2 * k + 1), k),
+                           itertools.combinations(coords, k))))
     return HomologyKernel(0, abs(det_h), wedge)
 
 

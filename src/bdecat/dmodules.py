@@ -69,7 +69,9 @@ class ModuleGenerator(_GeneratorFields):
 def _check_generators(pmc, generators):
     """name -> generator.  Each distinct idempotent is checked once, and
     names by count; on a failure the generators are walked in order for the
-    first offender's message."""
+    first offender's message, a repeated name before its idempotent.  This
+    is where every idempotent a module's class is summed over gets checked
+    against [2k]."""
     k = pmc.genus
     pairs = frozenset(range(1, 2 * k + 1))
     table = {g.name: g for g in generators}
@@ -78,12 +80,12 @@ def _check_generators(pmc, generators):
         return table
     seen = set()
     for g in generators:
+        if g.name in seen:
+            raise ValueError(f"duplicate generator name {g.name}")
         if len(g.idempotent) != k:
             raise ValueError(f"{g.name}: idempotent must have {k} elements")
         if not g.idempotent <= pairs:
             raise ValueError(f"{g.name}: idempotent outside [2k]")
-        if g.name in seen:
-            raise ValueError(f"duplicate generator name {g.name}")
         seen.add(g.name)
 
 

@@ -139,13 +139,19 @@ def normalize_symmetric(p: LaurentHalf) -> NormalizedPolynomial:
     return NormalizedPolynomial(centered, True)
 
 
+_ZERO = LaurentHalf()  # immutable, so every missing coefficient can share it
+
+
 @dataclass(frozen=True)
 class ExteriorClass:
     """Element of Lambda* H_1(F; Z) tensor Z[t^(1/2), t^(-1/2)].
 
     The keys of coeffs are frozenset subsets of [2k]; construction only
-    drops the zero coefficients.  `class_from_terms`, the one builder fed
-    subsets from outside this module, checks each subset's range."""
+    drops the zero coefficients and checks no subset.  Subsets are validated
+    where they enter: a module's idempotents by `dmodules._check_generators`
+    as the module is built, and a diagram's by construction, since its
+    classes draw their subsets from range(1, 2k + 1) or from bit masks of
+    the 2k arcs."""
 
     genus: int
     coeffs: dict = field(default_factory=dict)
@@ -157,14 +163,15 @@ class ExteriorClass:
         return bool(self.coeffs)
 
     def coefficient(self, s) -> LaurentHalf:
-        return self.coeffs.get(frozenset(s), LaurentHalf.zero())
+        """The coefficient of a_s; one shared zero when s has none."""
+        return self.coeffs.get(frozenset(s), _ZERO)
 
     def __add__(self, other: "ExteriorClass") -> "ExteriorClass":
         if self.genus != other.genus:
             raise GenusMismatch(f"{self.genus} vs {other.genus}")
         d = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            d[s] = d.get(s, LaurentHalf.zero()) + c
+            d[s] = d.get(s, _ZERO) + c
         return ExteriorClass(self.genus, d)
 
     def __neg__(self) -> "ExteriorClass":
@@ -184,19 +191,24 @@ class ExteriorClass:
 
 
 def class_from_terms(genus: int, terms) -> ExteriorClass:
-    """Sum (subset, doubled exponent, coefficient) terms into one class;
-    each distinct subset must lie in [2k].
+    """Sum (subset, doubled exponent, coefficient) terms into one class.
 
-    A subset with a single exponent, as in every diagram class, becomes its
-    one monomial directly (or nothing, when the count is 0)."""
+    No subset is checked here: every caller draws its subsets from
+    range(1, 2k + 1) or arc bit masks (the diagram classes) or from module
+    idempotents that `dmodules._check_generators` checked as the module was
+    read (`class_of`).  A subset with a single exponent, as in every diagram
+    class, becomes its one monomial directly (or nothing, when the count is
+    0)."""
     acc: dict[frozenset, dict[int, int]] = {}
     for s, e, c in terms:
-        coeffs = acc.setdefault(frozenset(s), {})
-        coeffs[e] = coeffs.get(e, 0) + c
+        s = frozenset(s)
+        coeffs = acc.get(s)
+        if coeffs is None:
+            acc[s] = {e: c}
+        else:
+            coeffs[e] = coeffs.get(e, 0) + c
     out = {}
     for s, d in acc.items():
-        if not all(1 <= j <= 2 * genus for j in s):
-            raise ValueError(f"subset {set(s)} outside [2k]")
         if len(d) > 1:
             out[s] = LaurentHalf.from_dict(d)
         else:

@@ -7,10 +7,10 @@ from __future__ import annotations
 from math import gcd
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: the cofactor expansion up to
-    3 x 3, where every diagram minor of genus k <= 3 falls, and the Bareiss
-    fraction-free elimination above."""
+def det_int(rows: list[list[int]] | tuple[list[int], ...]) -> int:
+    """Determinant of a square integer matrix, given as a list or tuple of
+    rows: the cofactor expansion up to 3 x 3, where every diagram minor of
+    genus k <= 3 falls, and the Bareiss fraction-free elimination above."""
     n = len(rows)
     if n == 0:
         return 1

@@ -9,8 +9,10 @@ each resolves by its label to one index of `az_basis(pmc)`, whose
 idempotents are then checked against the generators'.  A file resolves each
 distinct (coefficient text, source idempotent, target idempotent) once, and
 validates and freezes each distinct idem list once, however many delta
-edges and generators repeat it.  All dumps are canonical: sorted keys, no
-floats anywhere.
+edges and generators repeat it.  A faulty generator is reported before any
+edge or op that meets it, and an edge or op naming no generator says so.
+A diagram point's alpha is "arc:N" or "circle:N" with N in ASCII digits.
+All dumps are canonical: sorted keys, no floats anywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
-from .dmodules import AInfModule, ModuleGenerator, TypeDStructure
+from .dmodules import AInfModule, ModuleGenerator, TypeDStructure, _check_generators
 from .grothendieck import ExteriorClass, LaurentHalf
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
@@ -179,19 +181,39 @@ def _generators_to_json(table):
     return out
 
 
+@contextlib.contextmanager
+def _generators_first(pmc, gens):
+    """Run the reading of a module's edges or ops so that a faulty
+    generator is reported before them.  The module's constructor checks
+    the generators once the edges are read; when reading one fails first,
+    often because it meets a faulty generator, the generators are checked
+    here, and their fault, if any, is the one raised."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError):
+        # the errors `read` reports as bad input
+        _check_generators(pmc, gens)
+        raise
+
+
 def type_d_from_json(data) -> TypeDStructure:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
     idem = {g.name: g.idempotent for g in gens}
     basis, delta, resolved = az_basis(pmc), [], {}
-    for entry in data.get("delta", []):
-        src, dst, expr = entry["src"], entry["dst"], entry["coeff"]
-        left, right = idem[src], idem[dst]
-        # Only text is ever stored: parse_coefficient rejects anything else.
-        i = resolved.get((expr, left, right)) if type(expr) is str else None
-        if i is None:
-            i = resolved[expr, left, right] = parse_coefficient(basis, expr, left, right)
-        delta.append((src, i, dst))
+    with _generators_first(pmc, gens):
+        for entry in data.get("delta", []):
+            src, dst, expr = entry["src"], entry["dst"], entry["coeff"]
+            try:
+                left, right = idem[src], idem[dst]
+            except KeyError as exc:
+                raise FixtureError(f"delta edge {src}->{dst}: unknown generator "
+                                   f"{exc.args[0]}") from None
+            # Only text is ever stored: parse_coefficient rejects anything else.
+            i = resolved.get((expr, left, right)) if type(expr) is str else None
+            if i is None:
+                i = resolved[expr, left, right] = parse_coefficient(basis, expr, left, right)
+            delta.append((src, i, dst))
     return TypeDStructure(pmc, gens, delta)
 
 
@@ -207,17 +229,21 @@ def type_d_to_json(N: TypeDStructure) -> dict:
 def ainf_from_json(data) -> AInfModule:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
-    by_name = {g.name: g for g in gens}
+    idem = {g.name: g.idempotent for g in gens}
     basis = az_basis(pmc)
     ops = []
-    for entry in data.get("ops", []):
-        x, y = entry["x"], entry["y"]
-        ids = []
-        left = by_name[x].idempotent
-        for expr in entry.get("algs", []):
-            ids.append(parse_coefficient(basis, expr, left))
-            left = basis.idempotents[ids[-1]][1]
-        ops.append((x, ids, y))
+    with _generators_first(pmc, gens):
+        for entry in data.get("ops", []):
+            x, y = entry["x"], entry["y"]
+            for name in (x, y):
+                if name not in idem:
+                    raise FixtureError(f"op {x} -> {y}: unknown generator {name}")
+            ids = []
+            left = idem[x]
+            for expr in entry.get("algs", []):
+                ids.append(parse_coefficient(basis, expr, left))
+                left = basis.idempotents[ids[-1]][1]
+            ops.append((x, ids, y))
     return AInfModule(pmc, gens, ops)
 
 
@@ -267,12 +293,21 @@ def cfk_to_json(cfk: CFKComplex) -> dict:
     }
 
 
+def _alpha(value) -> tuple[str, int]:
+    """(kind, index) of an alpha field "kind:N", N in ASCII digits; the
+    diagram checks the kind and the index's range."""
+    if isinstance(value, str):
+        kind, sep, idx = value.partition(":")
+        if sep and idx.isascii() and idx.isdigit():
+            return kind, int(idx)
+    raise FixtureError(f"alpha must be 'arc:N' or 'circle:N', got {value!r}")
+
+
 def diagram_from_json(data) -> BorderedDiagram:
     pmc = pmc_from_json(data["pmc"])
     points = []
     for i, p in enumerate(data.get("points", [])):
-        kind, _, idx = p["alpha"].partition(":")
-        points.append(DiagramPoint((kind, int(idx)), _int(p["beta"], "beta"),
+        points.append(DiagramPoint(_alpha(p["alpha"]), _int(p["beta"], "beta"),
                                    _int(p["sign"], "sign"), i))
     return BorderedDiagram(pmc, _int(data["genus"], "genus"),
                            _int(data["alpha_circles"], "alpha_circles"), points)

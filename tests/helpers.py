@@ -9,15 +9,16 @@ classes, a module's class summed generator by generator (the reference for
 check over every idempotent chain (the reference for the candidate tuples
 of `check_ainf`), and the diagram classes computed without the shared
 circle reduction (full determinants, and a column reduction of the swapped
-matrix), and the chords and interval triples of the eight named torus
-elements, written out by hand."""
+matrix), a sampler of diagrams whose betas are isotropic in homology, and
+the chords and interval triples of the eight named torus elements, written
+out by hand."""
 
 from __future__ import annotations
 
 import itertools
 
-from bdecat.diagram import (BorderedDiagram, HomologyKernel, core_coordinates,
-                            intersection_matrix)
+from bdecat.diagram import (BorderedDiagram, DiagramPoint, HomologyKernel,
+                            core_coordinates, intersection_matrix)
 from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
@@ -283,3 +284,68 @@ def homology_kernel_oracle(d: BorderedDiagram) -> HomologyKernel:
     return HomologyKernel(0, order, class_from_terms(k, (
         (s, 0, det_int([a_block[i - 1] for i in s]))
         for s in itertools.combinations(range(1, 2 * k + 1), k))))
+
+
+def _core_lagrangian(J) -> list[list[int]]:
+    """k independent vectors with entries in {0, 1, -1} spanning an
+    isotropic subspace of the core form J, chosen greedily."""
+    n = len(J)
+    chosen: list[list[int]] = []
+    for vec in itertools.product((0, 1, -1), repeat=n):
+        trial = chosen + [list(vec)]
+        if any(sum(vec[i] * J[i][j] * w[j] for i in range(n) for j in range(n))
+               for w in trial):
+            continue
+        if any(det_int([[row[c] for c in cols] for row in trial])
+               for cols in itertools.combinations(range(n), len(trial))):
+            chosen = trial
+            if 2 * len(chosen) == n:
+                return chosen
+    raise ValueError(f"no isotropic basis found for {J}")
+
+
+def isotropic_diagram(rng, pmc: PointedMatchedCircle, genus: int) -> BorderedDiagram:
+    """A genus-g diagram over pmc whose betas are isotropic in H_1 of the
+    closed surface, so that the kernel theorem holds for it.
+
+    A beta class is (u, v, c): u and v its coordinates along the g - k
+    alpha-circles and their duals, c its core coordinates; the form is
+    sum(u v' - v u') + c^T J c' for the circle's J.  The betas start as the
+    duals of the alpha-circles and an isotropic basis of J, take 1 to 4
+    transvections x -> x + omega(x, t) t (which keep the form), and are
+    shuffled.  Beta b then meets alpha-circle i in v_i signed points and
+    arc j in (J^T c)_j, with a cancelling pair of points on a random curve
+    for about half of the betas."""
+    k, h = pmc.genus, genus - pmc.genus
+    J = pmc.core_intersection
+
+    def omega(x, y):
+        (u, v, c), (u2, v2, c2) = x, y
+        return (sum(a * d - b * e for a, b, d, e in zip(u, v, v2, u2))
+                + sum(c[i] * J[i][j] * c2[j] for i in range(2 * k) for j in range(2 * k)))
+
+    betas = [([0] * h, [int(i == j) for j in range(h)], [0] * (2 * k)) for i in range(h)]
+    betas += [([0] * h, [0] * h, c) for c in _core_lagrangian(J)]
+    for _ in range(rng.randint(1, 4)):
+        t = tuple([rng.randint(-1, 1) for _ in range(n)] for n in (h, h, 2 * k))
+        betas = [tuple([a + omega(x, t) * b for a, b in zip(part, tpart)]
+                       for part, tpart in zip(x, t)) for x in betas]
+    rng.shuffle(betas)
+    points: list[DiagramPoint] = []
+
+    def add(alpha, beta, n):
+        points.extend(DiagramPoint(alpha, beta, 1 if n > 0 else -1, len(points))
+                      for _ in range(abs(n)))
+
+    for beta, (_, v, c) in enumerate(betas, 1):
+        for i in range(h):
+            add(("circle", i + 1), beta, v[i])
+        for j in range(2 * k):
+            add(("arc", j + 1), beta, sum(c[i] * J[i][j] for i in range(2 * k)))
+        if rng.random() < 0.5:
+            kind = rng.choice(("arc", "circle") if h else ("arc",))
+            alpha = (kind, rng.randint(1, 2 * k if kind == "arc" else h))
+            add(alpha, beta, 1)
+            add(alpha, beta, -1)
+    rng.shuffle(points)
+    return BorderedDiagram(pmc, genus, h, points)

@@ -321,6 +321,17 @@ MALFORMED_CFD = {
         lambda d: d["delta"][2].update(coeff="rho2"),
         "coefficient 'rho2' vanishes between {1} and {2}"),
     "a as 1/3": (_set(0, a="1/3"), "not a half-integer: '1/3'"),
+    # a faulty generator is named before the coefficients that meet it
+    "copy of x3 at an idempotent outside [2k]": (
+        lambda d: d["generators"].append(dict(d["generators"][2], idem=[3])),
+        "duplicate generator name x3"),
+    "x1 at an idempotent outside [2k]": (_set(0, idem=[3]), "x1: idempotent outside [2k]"),
+    "delta edge from an unknown generator": (
+        lambda d: d["delta"].append({"coeff": "1", "dst": "x1", "src": "nope"}),
+        "delta edge nope->x1: unknown generator nope"),
+    "delta edge to an unknown generator": (
+        lambda d: d["delta"].append({"coeff": "1", "dst": "nope", "src": "x1"}),
+        "delta edge x1->nope: unknown generator nope"),
 }
 
 
@@ -333,6 +344,77 @@ def test_malformed_cfd_messages(capsys, tmp_path, case):
     path = _fixture_with(tmp_path, "typed_triangle", edit)
     for argv in (["check", path],
                  ["pair", fixture_path("cfa_with_ops"), path, "--box"]):
+        assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv
+
+
+# cfa_with_ops has u at [1] and w at [2], and the op m2(w, rho2) = u.
+MALFORMED_CFA = {
+    "copy of w at an idempotent outside [2k]": (
+        lambda d: d["generators"].append(dict(d["generators"][1], idem=[3])),
+        "duplicate generator name w"),
+    "w at an idempotent outside [2k]": (_set(1, idem=[3]), "w: idempotent outside [2k]"),
+    "op from an unknown generator": (
+        lambda d: d["ops"].append({"algs": ["rho2"], "x": "nope", "y": "u"}),
+        "op nope -> u: unknown generator nope"),
+    "op to an unknown generator": (
+        lambda d: d["ops"].append({"algs": ["rho2"], "x": "w", "y": "nope"}),
+        "op w -> nope: unknown generator nope"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CFA))
+def test_malformed_cfa_messages(capsys, tmp_path, case):
+    """The A-infinity reader, like the type D one, names a faulty generator
+    before an op input that meets it, and an op endpoint that is no
+    generator."""
+    edit, message = MALFORMED_CFA[case]
+    path = _fixture_with(tmp_path, "cfa_with_ops", edit)
+    for argv in (["check", path], ["check", "--kind", "ainf", path],
+                 ["pair", path, fixture_path("typed_triangle"), "--box"]):
+        assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv
+
+
+# (fixture, generator, --kind): one module file of each kind
+IDEMPOTENT_HOLDERS = {"typed": ("typed_triangle", 1, "typed"),
+                      "ainf": ("cfa_core", 0, "ainf"),
+                      "pattern": ("cfa_with_ops", 0, "pattern")}
+
+
+@pytest.mark.parametrize("kind", sorted(IDEMPOTENT_HOLDERS))
+def test_idempotent_outside_2k_is_rejected_as_the_module_is_read(capsys, tmp_path, kind):
+    """`class_from_terms` checks no subset; a module's idempotents are
+    checked against [2k] as its file is read, before any class is summed."""
+    name, index, flag = IDEMPOTENT_HOLDERS[kind]
+    path = _fixture_with(tmp_path, name, _set(index, idem=[3]))
+    gen = serialize.load_file(path)["generators"][index]["name"]
+    line = f"error: {path}: {gen}: idempotent outside [2k]\n"
+    for argv in (["check", "--kind", flag, path], ["k0", path]):
+        assert invoke(capsys, *argv) == (2, "", line), argv
+
+
+# diag_solid_torus is genus 1 over the torus with one point, arc:1 on beta 1.
+MALFORMED_DIAGRAM = {
+    "sign 0": ({"sign": 0}, "point sign must be +1 or -1"),
+    "sign true": ({"sign": True}, "sign must be an integer, got True"),
+    "bad kind": ({"alpha": "curve:1"}, "bad alpha kind curve"),
+    "beta 0": ({"beta": 0}, "beta index 0 out of range"),
+    "arc:9": ({"alpha": "arc:9"}, "arc index 9 outside [2k]"),
+    "circle:1 with no circle": ({"alpha": "circle:1"}, "circle index 1 out of range"),
+    "arc:-1": ({"alpha": "arc:-1"}, "alpha must be 'arc:N' or 'circle:N', got 'arc:-1'"),
+    "arc": ({"alpha": "arc"}, "alpha must be 'arc:N' or 'circle:N', got 'arc'"),
+    "arc:1.5": ({"alpha": "arc:1.5"}, "alpha must be 'arc:N' or 'circle:N', got 'arc:1.5'"),
+    "arc: 1": ({"alpha": "arc: 1"}, "alpha must be 'arc:N' or 'circle:N', got 'arc: 1'"),
+    "full-width digit": ({"alpha": "arc:\uff11"},
+                         "alpha must be 'arc:N' or 'circle:N', got 'arc:\uff11'"),
+    "non-string alpha": ({"alpha": 1}, "alpha must be 'arc:N' or 'circle:N', got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIAGRAM))
+def test_malformed_diagram_messages(capsys, tmp_path, case):
+    fields, message = MALFORMED_DIAGRAM[case]
+    path = _fixture_with(tmp_path, "diag_solid_torus", lambda d: d["points"][0].update(fields))
+    for argv in (["check", path], ["diagram-kernel", path]):
         assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv
 
 

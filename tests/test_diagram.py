@@ -16,7 +16,7 @@ from bdecat.pmc import PointedMatchedCircle, split_pmc, torus_pmc
 from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
 from tests.helpers import (BadIndex, arc_slide_rows, determinant_class_oracle,
-                           homology_kernel_oracle)
+                           homology_kernel_oracle, isotropic_diagram)
 from tests.test_grading import GENUS2_CLASSES
 
 
@@ -275,6 +275,58 @@ def test_kernel_theorem_on_isotropic_betas_over_every_genus2_circle(matching):
         hk, _ = verify_cfdker(BorderedDiagram(pmc, 2, 0, points))
         assert hk.kernel_wedge in (wedge, -wedge)
         draws += 1
+
+
+# Every genus-2 circle, and three genus-3 ones: split3, the antipodal circle
+# (each pair interleaves every other) and one with a split handle beside
+# four pairs that interleave.
+OFF_SPLIT_CIRCLES = [*GENUS2_CLASSES, (1, 2, 1, 2, 3, 4, 3, 4, 5, 6, 5, 6),
+                     (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6),
+                     (1, 2, 1, 2, 3, 4, 5, 6, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("matching", OFF_SPLIT_CIRCLES)
+def test_sweep_and_reduction_over_every_circle(matching):
+    """Random diagrams with 0 to 2 alpha-circles over the circle: the sweep
+    against the generator enumeration, and the determinant class and the
+    kernel of the shared reduction against their oracles."""
+    pmc = PointedMatchedCircle(matching)
+    rng = random.Random(f"off-split-{matching}")
+    for _ in range(10):
+        d = random_diagram(rng, pmc, pmc.genus + rng.randint(0, 2))
+        assert enumerated_class(d) == _enumeration_class(d)
+        assert cfd_class_from_determinants(d) == determinant_class_oracle(d)
+        assert homology_kernel(d) == homology_kernel_oracle(d)
+
+
+@pytest.mark.parametrize("matching", OFF_SPLIT_CIRCLES)
+def test_kernel_theorem_on_isotropic_betas_with_alpha_circles(matching):
+    """Betas isotropic in H_1 of the closed surface (`isotropic_diagram`),
+    with 0 to 3 alpha-circles: the theorem holds, and most draws have a
+    nonzero class."""
+    pmc = PointedMatchedCircle(matching)
+    rng = random.Random(f"isotropic-circles-{matching}")
+    nonzero = 0
+    for _ in range(20):
+        d = isotropic_diagram(rng, pmc, pmc.genus + rng.randint(0, 3))
+        _, cls = verify_cfdker(d)
+        nonzero += bool(cls)
+    assert nonzero >= 15
+
+
+def test_intersection_matrix_sums_the_point_signs():
+    """M(H), read from the folded net signs, against a sum over the points
+    themselves, on diagrams whose points on one (alpha, beta) often
+    cancel."""
+    rng = random.Random(24)
+    for _ in range(200):
+        pmc = PointedMatchedCircle(rng.choice(OFF_SPLIT_CIRCLES + [torus_pmc().matching]))
+        d = random_diagram(rng, pmc, pmc.genus + rng.randint(0, 3))
+        expected = [[0] * d.genus for _ in range(d.alpha_circles + 2 * d.k)]
+        for (kind, idx), beta, sign, _ in d.points:
+            row = idx - 1 if kind == "circle" else d.alpha_circles + idx - 1
+            expected[row][beta - 1] += sign
+        assert intersection_matrix(d) == expected
 
 
 def test_both_classes_share_one_reduction(monkeypatch):

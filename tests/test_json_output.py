@@ -2,19 +2,25 @@
 it out one record per line, files in the indented layout
 (`json.dumps(indent=2, sort_keys=True)`) read as they always did, and the
 bytes that cfd-from-cfk, pair --box and satellite print are pinned by their
-SHA-256 on the CFK fixtures and on torus-knot staircases."""
+SHA-256 on the CFK fixtures and on torus-knot staircases, as are those of
+diagram-kernel on the diagram fixtures and seeded diagrams, and those of
+`scripts/duality_experiment.py 1 200`."""
 
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 from bdecat import serialize
+from bdecat.pmc import split_pmc, torus_pmc
+from scripts.duality_experiment import random_diagram
 from tests.conftest import CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES, fixture_path
 from bdecat.cfk2cfd import CFKComplex
 from tests import test_cfk2cfd
 from tests.test_cfk2cfd import _random_staircase
+from tests.helpers import isotropic_diagram
 from tests.test_cli import invoke
 
 
@@ -172,3 +178,100 @@ def test_json_output_bytes_are_pinned(capsys, tmp_path, knot, pattern):
             cfd.write_text(out)
         outputs.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(outputs) == PINNED[knot, pattern]
+
+
+# diagram-kernel, text and --json: the 8 diagram fixtures, and per circle
+# five seeded random diagrams (genus k to k + 4, `random_diagram` of the
+# duality experiment) and three isotropic ones (genus k to k + 2), whose
+# outputs are hashed together.  Many random diagrams break the kernel
+# theorem, so the pinned bytes hold verdict lines on stderr as well as
+# reports.
+DIAGRAM_PINNED = {
+    "diag_antipodal_g2": (
+        "8327722458021a04638d172b0ed725af44d7a5120131f27589466bc082dbc3c9",
+        "e39f7abeb6cbc189a6963523e5faba01894644b396343e517f7e8f938ada13b2",
+    ),
+    "diag_handlebody_g2_a": (
+        "08583294092d7b0d2f3448b329a75841abe2cad86089cd7921e185d72aaeb639",
+        "23446228df9746aecc10770d3f54d7064086433d5005af678a9e47b5761d4fea",
+    ),
+    "diag_handlebody_g2_b": (
+        "4813ec5acad1c1fa7581954b13c2202b80668b7074c99abde5e62487269c42f4",
+        "bd3735507a5676c9e08f934bbd43f58d18bfec0f438e6f22bc54caa47c83a839",
+    ),
+    "diag_rank_deficient": (
+        "07c710715865ca0fee0c602b217e68ea55fb96c11924b3380316adef4639fd61",
+        "37a9eefa1a78ee51f6738f6552fdd9909ad36eccd89194da945936e6ff3ca59b",
+    ),
+    "diag_solid_torus": (
+        "34a724fce9920108a95caca871f68da0f97d7743f83602b2f1240d24a566d0ee",
+        "d5192fdf38f4c9044fc4db8793d7bec04b7a62061418616e80b2198df94d28c5",
+    ),
+    "diag_solid_torus_slope1": (
+        "ccc362c00bc35ae46a5a08eeef76844ad8f2c7412a945f3022f7e7f5763fe146",
+        "9dc293444a4e3077c429652380930e13b47ce196f55228e9a41c3ddc1b7ec8d3",
+    ),
+    "diag_twisted_p2": (
+        "f990e20ccc9fbd43df7f8c4abc92e3070727d86a160aba40b5fe10cffd747119",
+        "8ce14af75cb28273a9f8f62d0eacb9367f6aab71db1b4708634750030983cf0a",
+    ),
+    "diag_twisted_p3": (
+        "3a7396af6875230364f1c5cc4effed4815cdcbafa0186f0e4f32e6b0ef917553",
+        "f98798e849e806e118fbdc6b5bb7af7f10bb98b863909c45569e350f4a8672cd",
+    ),
+    "split2": (
+        "d1a28218c84dba0e2142138999a6fca63bd857d8d072f7dfc0f10c04158aa49b",
+        "c44797d2651f2965198cb029de0047dc8ed2d52774dae646c384853f447ead29",
+    ),
+    "split3": (
+        "455145f0e99bd7f0fde74d5998af9bceacb16d789e7c32c0ce81e608f0db1694",
+        "0eb934efce10b82af93f864c250e3cd57eb4b19318797c4ccabbc06e9f9ea3b2",
+    ),
+    "torus": (
+        "7dc454eb589fce50aeda0e37de382b9511342140adf1b9ac54f89c11b64ecda9",
+        "32291cd44eff40b13467dee41b004669a3a8321cfdaf7bdee961f068fc0db3c2",
+    ),
+}
+
+
+def _diagram_kernel_files(tmp_path, name):
+    """The diagram files of one pinned case: a fixture, or the seeded
+    diagrams over torus, split2 or split3."""
+    if name in DIAGRAM_NAMES:
+        return [fixture_path(name)]
+    pmc = torus_pmc() if name == "torus" else split_pmc(int(name[-1]))
+    rng = random.Random(f"diagram-kernel-{name}")
+    diagrams = [random_diagram(rng, pmc, rng.randint(pmc.genus, pmc.genus + 4))
+                for _ in range(5)]
+    diagrams += [isotropic_diagram(rng, pmc, rng.randint(pmc.genus, pmc.genus + 2))
+                 for _ in range(3)]
+    paths = []
+    for i, d in enumerate(diagrams):
+        paths.append(tmp_path / f"{name}_{i}.json")
+        paths[-1].write_text(json.dumps(serialize.diagram_to_json(d)))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAM_PINNED))
+def test_diagram_kernel_bytes_are_pinned(capsys, tmp_path, name):
+    digests = []
+    for flags in ((), ("--json",)):
+        h = hashlib.sha256()
+        for path in _diagram_kernel_files(tmp_path, name):
+            code, out, err = invoke(capsys, "diagram-kernel", path, *flags)
+            h.update(f"{code}\n{out}\n{err}\n".encode())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == DIAGRAM_PINNED[name]
+
+
+# SHA-256 of the stdout of `scripts/duality_experiment.py 1 200`.
+DUALITY_EXPERIMENT_PINNED = (
+    "17d65759758e605c9b319ff588b06cbdae637428701321e9eeeaadad8dfc22bd")
+
+
+def test_duality_experiment_output_is_pinned(capsys, monkeypatch):
+    from scripts import duality_experiment
+    monkeypatch.setattr(sys, "argv", ["duality_experiment.py", "1", "200"])
+    assert duality_experiment.main() == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUALITY_EXPERIMENT_PINNED
