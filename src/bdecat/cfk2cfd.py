@@ -190,9 +190,9 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     else:
         chain("u", cfk.xi_v, cfk.xi_h, -2 * cfk.tau, False, "rho123", "rho2")
 
-    n0 = len(cfk.generators)
+    n0, make = len(cfk.generators), ModuleGenerator._make
     return TypeDStructure(alg.pmc, [
-        ModuleGenerator(name, IOTA0 if k < n0 else IOTA1, m, a2=a2)
+        make((name, IOTA0 if k < n0 else IOTA1, m & 1, a2))
         for k, (name, (m, a2)) in enumerate(grading.items())], delta)
 
 

@@ -122,11 +122,10 @@ def cmd_cfd_from_cfk(args) -> int:
     delta_a1 = verify_a1(cfd, cfk)
     verify_a2_zero(cfd)
     if args.json:
-        out = serialize.type_d_to_json(cfd)
-        out["class"] = serialize.class_to_json(class_of(cfd))
-        out["alexander_polynomial"] = serialize.laurent_to_json(delta_a1)
-        out["bounded"] = is_bounded(cfd)
-        print(serialize.dumps(out), end="")
+        print(serialize.dump_type_d(cfd, {
+            "class": serialize.class_to_json(class_of(cfd)),
+            "alexander_polynomial": serialize.laurent_to_json(delta_a1),
+            "bounded": is_bounded(cfd)}), end="")
     else:
         print(f"CFD has {len(cfd.generators)} generators "
               f"({sum(1 for g in cfd.generators.values() if g.idempotent == frozenset({1}))} iota0)")

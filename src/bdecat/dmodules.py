@@ -18,7 +18,10 @@ basis tables and `m_table` by index.
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
 complementarity condition) and assembles the differential from the finite
-sum of (m_k tensor id) o (id tensor delta_{k-1}).
+sum of (m_k tensor id) o (id tensor delta_{k-1}).  The type D generators are
+bucketed by idempotent once, so each A-side generator meets only its own
+bucket, and the complex is keyed by (x, y) name pairs: the "x*y" names of
+two pairs can coincide.
 """
 
 from __future__ import annotations
@@ -58,7 +61,13 @@ class ModuleGenerator(_GeneratorFields):
     """Generator record (name, idempotent, m, a2), a tuple: the idempotent
     frozen, m reduced mod 2, and the Alexander grading a stored as the
     integer a2 = 2a, as GradingElement stores 4j; a2 is keyword-only, so no
-    call can pass a where a2 belongs."""
+    call can pass a where a2 belongs.
+
+    A record whose fields are already in this normal form (a frozenset
+    idempotent, m 0 or 1, a2 an int or None) may be built with the tuple's
+    own `ModuleGenerator._make((name, idempotent, m, a2))`, which skips the
+    normalising `__new__`; the CFD build, the box tensor and the file
+    reader do, after their checks."""
 
     __slots__ = ()
 
@@ -179,19 +188,22 @@ class AInfModule:
 
 @dataclass
 class ChainComplex:
-    """F2 chain complex with Z/2 (and optional Alexander) graded generators."""
+    """F2 chain complex with Z/2 (and optional Alexander) graded generators,
+    keyed by any hashable value; messages name generators by their records'
+    names."""
 
     generators: dict = field(default_factory=dict)
-    differential: frozenset = frozenset()  # frozenset of (src, dst)
+    differential: frozenset = frozenset()  # frozenset of (src key, dst key)
 
     def __post_init__(self):
+        gens = self.generators
         for src, dst in self.differential:
-            gs, gd = self.generators[src], self.generators[dst]
+            gs, gd = gens[src], gens[dst]
             if (gs.m - gd.m) % 2 != 1:
                 raise GradingIncompatible(
-                    f"differential {src}->{dst} does not lower m by 1")
-        sq: set[tuple[str, str]] = set()
-        adj: dict[str, set[str]] = {}
+                    f"differential {gs.name}->{gd.name} does not lower m by 1")
+        sq: set[tuple] = set()
+        adj: dict = {}
         for src, dst in self.differential:
             adj.setdefault(src, set()).add(dst)
         for src, dst in self.differential:
@@ -199,7 +211,8 @@ class ChainComplex:
                 key = (src, dst2)
                 sq ^= {key}
         if sq:
-            raise ValueError(f"differential does not square to zero: {sorted(sq)}")
+            names = sorted((gens[a].name, gens[b].name) for a, b in sq)
+            raise ValueError(f"differential does not square to zero: {names}")
 
 
 def check_type_d(N: TypeDStructure) -> None:
@@ -336,43 +349,54 @@ def check_ainf(M: AInfModule) -> None:
 
 
 def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComplex:
-    """M box N with m additive and a(x ox y) = a(x) + weight * a(y).
+    """M box N with m additive and a(x ox y) = a(x) + weight * a(y), keyed
+    by the (x, y) name pairs and named "x*y".
 
-    A finite operation list always bounds the A-side, so the differential
-    sum stops at the maximal recorded arity even when N has delta cycles.
+    N's generators are bucketed by idempotent once, and each x meets only
+    the y of its bucket.  The differential is read from the operations
+    out: each recorded m_k(x, b_1..b_{k-1}) follows, from each y, only the
+    delta chains labelled b_1..b_{k-1} (an F2 set of ends, as paths count
+    mod 2), so an x with no operation costs nothing and m_1(x, ()) is one
+    table read per x.  Once an operation has an input, unitality adds
+    m_2(x, I) = x as one more operation of each x; the differential sum
+    stops at the largest arity, so a finite operation list bounds it even
+    when N has delta cycles.
     """
     if M.pmc != N.pmc:
         raise PmcMismatch("modules over different pointed matched circles")
-    max_chain = M.max_arity() - 1
+    bucket: dict[frozenset[int], list[ModuleGenerator]] = {}
+    for y in N.generators.values():
+        bucket.setdefault(y.idempotent, []).append(y)
 
+    make = ModuleGenerator._make
     gens = {}
-    for xm in M.generators.values():
-        for yn in N.generators.values():
-            if xm.idempotent == yn.idempotent:
-                a2 = None
-                if xm.a2 is not None or yn.a2 is not None:
-                    a2 = (xm.a2 or 0) + weight * (yn.a2 or 0)
-                gens[(xm.name, yn.name)] = ModuleGenerator(
-                    f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2=a2)
+    for xn, s, xm, xa2 in M.generators.values():
+        for yn, _, ym, ya2 in bucket.get(s, ()):
+            a2 = None if xa2 is None and ya2 is None else (xa2 or 0) + weight * (ya2 or 0)
+            gens[xn, yn] = make((f"{xn}*{yn}", s, (xm + ym) & 1, a2))
 
-    dmap = N.delta_map()
+    ops: dict[str, list] = {}
+    for (xn, ids), outs in M._table.items():
+        ops.setdefault(xn, []).append((ids, outs))
+    step: dict[tuple[str, int], list[str]] = {}
+    if M.max_arity() > 1:
+        for xn, s, _, _ in M.generators.values():
+            ops.setdefault(xn, []).append(((N.basis.by_label[(), s],), (xn,)))
+        for src, i, dst in N.delta:
+            step.setdefault((src, i), []).append(dst)
     diff: set[tuple] = set()
-    for (xn, yn) in gens:
-        # chains y -> y1 -> ... of length k-1 in N, consumed by m_k on the A side
-        chains: set[tuple] = {((), yn)}
-        for length in range(0, max_chain + 1):
-            for ids, yend in chains:
-                for out in M.eval_m(xn, ids):
-                    if (out, yend) in gens:
-                        diff ^= {((xn, yn), (out, yend))}
-            if length == max_chain:
-                break
-            nxt: set[tuple] = set()
-            for ids, yend in chains:
-                for b, z in dmap[yend]:
-                    nxt ^= {(ids + (b,), z)}
-            chains = nxt
+    for xn, s, _, _ in M.generators.values():
+        for ids, outs in ops.get(xn, ()):
+            for y in bucket.get(s, ()):
+                ends = {y.name}
+                for b in ids:
+                    nxt: set[str] = set()
+                    for e in ends:
+                        nxt.symmetric_difference_update(step.get((e, b), ()))
+                    ends = nxt
+                for z in ends:
+                    for out in outs:
+                        if (out, z) in gens:
+                            diff ^= {((xn, y.name), (out, z))}
 
-    return ChainComplex(
-        generators={gens[k].name: gens[k] for k in gens},
-        differential=frozenset((gens[a].name, gens[b].name) for a, b in diff))
+    return ChainComplex(generators=gens, differential=frozenset(diff))

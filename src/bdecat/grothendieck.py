@@ -94,8 +94,12 @@ class LaurentHalf:
 
 
 def substitute(x, w: int):
-    """Replace t by t^w (exponent scaling); works on polynomials and classes."""
+    """Replace t by t^w (exponent scaling); works on polynomials and classes.
+    At w = 0 every exponent meets at 0, and the polynomial becomes the
+    constant p(1)."""
     if isinstance(x, LaurentHalf):
+        if not w:
+            return LaurentHalf.from_dict({0: x.evaluate_at_one()})
         return LaurentHalf.from_dict({w * e: c for e, c in x.coeffs})
     if isinstance(x, ExteriorClass):
         return ExteriorClass(x.genus,

@@ -12,7 +12,9 @@ validates and freezes each distinct idem list once, however many delta
 edges and generators repeat it.  A faulty generator is reported before any
 edge or op that meets it, and an edge or op naming no generator says so.
 A diagram point's alpha is "arc:N" or "circle:N" with N in ASCII digits.
-All dumps are canonical: sorted keys, no floats anywhere.
+All dumps are canonical: sorted keys, no floats anywhere.  A type D file is
+written by `dump_type_d`, one f-string per generator and delta record,
+straight to the text that `dumps` writes for `type_d_to_json`'s data.
 """
 
 from __future__ import annotations
@@ -143,12 +145,20 @@ def _name(value) -> str:
 
 
 def _generators_from_json(items):
-    """The generator records of a file.  Each distinct idem list of integers
-    is validated and frozen once; a list holding anything else (true reads
-    as equal to 1) is validated wherever it occurs."""
-    gens, frozen = [], {}
+    """The generator records of a file, built in normal form.  Each distinct
+    a text is read once, and each distinct idem list of integers validated
+    and frozen once; a list holding anything else (true reads as equal to
+    1) is validated wherever it occurs."""
+    gens, frozen, halves = [], {}, {}
+    make = ModuleGenerator._make
     for item in items:
-        a2 = parse_half(item["a"]) if "a" in item and item["a"] is not None else None
+        a = item["a"] if "a" in item else None
+        if type(a) is str:
+            a2 = halves.get(a)
+            if a2 is None:
+                a2 = halves[a] = parse_half(a)
+        else:
+            a2 = None if a is None else parse_half(a)
         name, idem = _name(item["name"]), item["idem"]
         key = tuple(idem) if type(idem) is list and set(map(type, idem)) <= {int} else None
         idempotent = frozen.get(key)
@@ -159,8 +169,7 @@ def _generators_from_json(items):
             if key is not None:
                 frozen[key] = idempotent
         m = item["m"]
-        gens.append(ModuleGenerator(name, idempotent, m if type(m) is int else _int(m, "m"),
-                                    a2=a2))
+        gens.append(make((name, idempotent, (m if type(m) is int else _int(m, "m")) & 1, a2)))
     return gens
 
 
@@ -218,6 +227,7 @@ def type_d_from_json(data) -> TypeDStructure:
 
 
 def type_d_to_json(N: TypeDStructure) -> dict:
+    """The type D file of N as JSON data; `dump_type_d` writes its text."""
     coeff = {i: dump_coefficient(N.basis, i) for i in {i for _, i, _ in N.delta}}
     return {
         "pmc": pmc_to_json(N.pmc),
@@ -383,6 +393,41 @@ def dumps(data) -> str:
     line is written by the C encoder; an indented dump would go through the
     pure-Python one, which took several times as long."""
     return _spread(data, "", 2) + "\n"
+
+
+def _records(lines: list[str]) -> str:
+    """The text `_spread` writes for a list of records one level down."""
+    return "[\n    %s\n  ]" % ",\n    ".join(lines) if lines else "[]"
+
+
+def dump_type_d(N: TypeDStructure, extra: dict) -> str:
+    """The text of `dumps(type_d_to_json(N) | extra)`, extra holding no
+    generators or delta key.  Each generator and delta record is one
+    f-string: names and coefficient texts are escaped by the encoder's own
+    `encode_basestring_ascii` (each distinct one once), a is `dump_half`'s
+    text, and no dict is built for a record.  pmc and the members of extra
+    go through `_spread`."""
+    quote = json.encoder.encode_basestring_ascii
+    names = {name: quote(name) for name in N.generators}
+    idems: dict[frozenset[int], str] = {}
+    generators = []
+    for name in sorted(N.generators):
+        _, s, m, a2 = N.generators[name]
+        idem = idems.get(s)
+        if idem is None:
+            idem = idems[s] = _ENCODE(sorted(s))
+        if a2 is None:
+            generators.append(f'{{"idem": {idem}, "m": {m}, "name": {names[name]}}}')
+        else:
+            generators.append(f'{{"a": "{dump_half(a2)}", "idem": {idem}, "m": {m}, '
+                              f'"name": {names[name]}}}')
+    coeff = {i: quote(dump_coefficient(N.basis, i)) for i in {i for _, i, _ in N.delta}}
+    members = {key: _spread(value, "  ", 1)
+               for key, value in ({"pmc": pmc_to_json(N.pmc)} | extra).items()}
+    members["generators"] = _records(generators)
+    members["delta"] = _records([f'{{"coeff": {coeff[i]}, "dst": {names[d]}, '
+                                 f'"src": {names[s]}}}' for s, i, d in N.delta])
+    return "{\n  %s\n}\n" % ",\n  ".join(f"{_key(k)}: {members[k]}" for k in sorted(members))
 
 
 def load_file(path: str) -> dict:

@@ -7,9 +7,10 @@ intersection matrices, iterated type D deltas, K0 monomials and basis
 classes, a module's class summed generator by generator (the reference for
 `class_of`, which sums the signs per key first), the exhaustive A-infinity
 check over every idempotent chain (the reference for the candidate tuples
-of `check_ainf`), and the diagram classes computed without the shared
-circle reduction (full determinants, and a column reduction of the swapped
-matrix), a sampler of diagrams whose betas are isotropic in homology, and
+of `check_ainf`), the box tensor over every pair of generators (the
+reference for the bucketed `box_tensor`), and the diagram classes
+computed without the shared circle reduction (full determinants, and a
+column reduction of the swapped matrix), a sampler of diagrams whose betas are isotropic in homology, and
 the chords and interval triples of the eight named torus elements, written
 out by hand."""
 
@@ -19,7 +20,8 @@ import itertools
 
 from bdecat.diagram import (BorderedDiagram, DiagramPoint, HomologyKernel,
                             core_coordinates, intersection_matrix)
-from bdecat.dmodules import AInfModule, TypeDStructure, _residual, is_bounded
+from bdecat.dmodules import (AInfModule, ChainComplex, ModuleGenerator, PmcMismatch,
+                             TypeDStructure, _residual, is_bounded)
 from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int
@@ -244,6 +246,45 @@ def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
             for x, gx in M.generators.items()
             for ids in chains(M.basis, gx.idempotent, n - 1)
             if _residual(M, x, ids)]
+
+
+def box_tensor_oracle(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComplex:
+    """M box N over every pair of generators: each (x, y) with equal
+    idempotents walks every delta chain from y, of up to the largest
+    recorded arity minus one edges, and asks `eval_m` for m_k(x, chain)."""
+    if M.pmc != N.pmc:
+        raise PmcMismatch("modules over different pointed matched circles")
+    max_chain = M.max_arity() - 1
+
+    gens = {}
+    for xm in M.generators.values():
+        for yn in N.generators.values():
+            if xm.idempotent == yn.idempotent:
+                a2 = None
+                if xm.a2 is not None or yn.a2 is not None:
+                    a2 = (xm.a2 or 0) + weight * (yn.a2 or 0)
+                gens[(xm.name, yn.name)] = ModuleGenerator(
+                    f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2=a2)
+
+    dmap = N.delta_map()
+    diff: set[tuple] = set()
+    for (xn, yn) in gens:
+        # chains y -> y1 -> ... of length k-1 in N, consumed by m_k on the A side
+        chains: set[tuple] = {((), yn)}
+        for length in range(0, max_chain + 1):
+            for ids, yend in chains:
+                for out in M.eval_m(xn, ids):
+                    if (out, yend) in gens:
+                        diff ^= {((xn, yn), (out, yend))}
+            if length == max_chain:
+                break
+            nxt: set[tuple] = set()
+            for ids, yend in chains:
+                for b, z in dmap[yend]:
+                    nxt ^= {(ids + (b,), z)}
+            chains = nxt
+
+    return ChainComplex(generators=gens, differential=frozenset(diff))
 
 
 def determinant_class_oracle(d: BorderedDiagram) -> ExteriorClass:

@@ -11,7 +11,7 @@ import bdecat.grothendieck as grothendieck
 import bdecat.satellite as satellite
 from bdecat import serialize
 from bdecat.cli import run
-from tests.conftest import fixture_path
+from tests.conftest import CFK_NAMES, PATTERN_NAMES, fixture_path
 
 
 def invoke(capsys, *argv):
@@ -95,6 +95,34 @@ def test_pair_box(capsys):
     data = json.loads(out)
     assert data["equal"] is True
     assert data["pairing"] == data["euler"]
+
+
+def test_pair_box_keeps_box_generators_whose_names_coincide(capsys, tmp_path):
+    """p box (q*r) and (p*q) box r are both named p*q*r; the complex keeps
+    both, so chi equals the pairing."""
+    def gens(*items):
+        return [{"name": n, "idem": [1], "m": 0, "a": a} for n, a in items]
+    pattern, typed = tmp_path / "pat.json", tmp_path / "typed.json"
+    pattern.write_text(json.dumps({"pmc": "torus", "winding": 1, "ops": [],
+                                   "generators": gens(("p", "0"), ("p*q", "0"))}))
+    typed.write_text(json.dumps({"pmc": "torus", "delta": [],
+                                 "generators": gens(("q*r", "0"), ("r", "1"))}))
+    code, out, err = invoke(capsys, "pair", str(pattern), str(typed), "--box")
+    assert (code, err) == (0, ""), out
+    assert "chi(M box N)       = 2*t + 2" in out and "verdict: OK" in out
+
+
+@pytest.mark.parametrize("pattern", PATTERN_NAMES)
+def test_pair_box_at_weight_zero(capsys, tmp_path, pattern):
+    """At weight 0 the pairing reads N's class at t = 1, as chi does."""
+    for cfk in CFK_NAMES:
+        _, out, _ = invoke(capsys, "cfd-from-cfk", fixture_path(cfk), "--json")
+        path = tmp_path / f"{cfk}.json"
+        path.write_text(out)
+        code, out, err = invoke(capsys, "pair", fixture_path(pattern), str(path),
+                                "--box", "--weight", "0")
+        assert (code, err) == (0, ""), (cfk, out)
+        assert "verdict: OK" in out
 
 
 def _one_generator(tmp_path, name, pmc, idem, **fields):

@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from bdecat import dmodules, grading, serialize, strands
 from bdecat.cfk2cfd import build_cfd
@@ -15,8 +16,9 @@ from bdecat.grothendieck import class_of, euler_of_complex, pair, substitute
 from bdecat.strands import AZBasis, az_basis
 from tests.conftest import (CFK_NAMES, FIXTURES, PATTERN_NAMES, load_fixture,
                             random_ainf, random_type_d)
-from tests.helpers import (Unbounded, ainf_failures, chains, delta_k, element,
-                           idempotent)
+from tests.helpers import (Unbounded, ainf_failures, box_tensor_oracle, chains,
+                           delta_k, element, idempotent)
+from tests.test_cfk2cfd import reduced_cfk
 
 
 @pytest.fixture()
@@ -317,7 +319,7 @@ def test_box_tensor_idempotent_matching(triangle):
     names = {(x.name, y.name)
              for x in M.generators.values() for y in triangle.generators.values()
              if x.idempotent == y.idempotent}
-    assert {tuple(n.split("*")) for n in C.generators} == names
+    assert set(C.generators) == names
 
 
 def test_box_tensor_differential_and_euler(triangle):
@@ -338,6 +340,81 @@ def test_box_tensor_weighted_euler(triangle):
             C = box_tensor(M, triangle, weight=w)
             assert euler_of_complex(C) == pair(class_of(M),
                                                substitute(class_of(triangle), w))
+
+
+WEIGHTS = (-1, 0, 1, 2)
+
+
+def _box_outcome(box, M, N, weight):
+    """The generators, in order, and the differential of M box N, or the
+    type of the error its construction raised."""
+    try:
+        C = box(M, N, weight=weight)
+    except ValueError as exc:
+        return type(exc)
+    return list(C.generators.items()), C.differential
+
+
+def _assert_box_is_the_oracle(M, N):
+    """box_tensor builds the complex the all-pairs oracle builds at every
+    weight; returns its differential, the same at every weight, or None
+    when the construction fails."""
+    for w in WEIGHTS:
+        got = _box_outcome(box_tensor, M, N, w)
+        assert got == _box_outcome(box_tensor_oracle, M, N, w)
+    return got[1] if isinstance(got, tuple) else None
+
+
+def _patterns():
+    return [load_fixture(name).cfa for name in PATTERN_NAMES]
+
+
+def test_box_tensor_is_the_oracle_on_the_patterns_and_typed_fixtures(triangle):
+    """Every shipped pattern against the triangle, whose 1 coefficient is a
+    unit input for cfa_with_ops's m_2, and against the CFDs of the CFK
+    fixtures."""
+    cfds = [build_cfd(load_fixture(name)) for name in CFK_NAMES]
+    nonzero = 0
+    for M in _patterns():
+        for N in [triangle, *cfds]:
+            nonzero += bool(_assert_box_is_the_oracle(M, N))
+    assert nonzero
+
+
+def _diamond(talg, torus):
+    """y -rho1-> p -rho2-> z and y -rho1-> q -rho2-> z: two chains with the
+    same labels and ends, which cancel over F2."""
+    rho = talg.index
+    return TypeDStructure(torus, [ModuleGenerator(n, {i}, 0, a2=0)
+                                  for n, i in (("y", 1), ("p", 2), ("q", 2), ("z", 1))],
+                          [("y", rho["rho1"], "p"), ("y", rho["rho1"], "q"),
+                           ("p", rho["rho2"], "z"), ("q", rho["rho2"], "z")])
+
+
+def test_box_tensor_is_the_oracle_on_random_modules(talg, torus):
+    """Random modules with m_1 ops only, with m_1 and m_2 ops, and with ops
+    up to m_3, against random type D structures, the triangle and a
+    diamond of cancelling chains; some of the complexes fail their d^2 or
+    m check, and the oracle's fails the same way."""
+    rng = random.Random(25)
+    triangle, diamond = load_fixture("typed_triangle"), _diamond(talg, torus)
+    outcomes = []
+    for max_inputs in (0, 1, 1, 2):
+        for _ in range(60):
+            M = _random_module(rng, torus, max_inputs)
+            for N in (triangle, diamond, random_type_d(rng)):
+                _assert_box_is_the_oracle(M, N)
+                outcomes.append(_box_outcome(box_tensor, M, N, 1))
+    built = [o for o in outcomes if isinstance(o, tuple)]
+    assert any(diff for _, diff in built) and len(built) < len(outcomes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_cfk())
+def test_box_tensor_is_the_oracle_on_generated_staircases(cfk):
+    N = build_cfd(cfk)
+    for M in _patterns():
+        _assert_box_is_the_oracle(M, N)
 
 
 def test_pmc_mismatch(split2, triangle):

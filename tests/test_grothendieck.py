@@ -40,6 +40,14 @@ def test_substitute_is_a_ring_homomorphism(a, b, w):
     assert substitute(x * y, w) == substitute(x, w) * substitute(y, w)
 
 
+@settings(deadline=None, max_examples=150)
+@given(laurents)
+def test_substitute_at_zero_is_the_value_at_one(d):
+    """t^0 = 1 sends every exponent to 0, where the coefficients add up."""
+    p = from_dict(d)
+    assert substitute(p, 0) == LaurentHalf.from_dict({0: p.evaluate_at_one()})
+
+
 def test_normalize_flags_coefficient_asymmetry():
     # -t^2 + t: centering gives -t^(1/2) + t^(-1/2), whose coefficient
     # pattern is antisymmetric; no monomial shift symmetrizes it

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from bdecat import serialize as ser
-from bdecat.cfk2cfd import build_cfd
+from bdecat.cfk2cfd import IOTA0, CFKComplex, CFKGenerator, build_cfd
+from bdecat.dmodules import ModuleGenerator, TypeDStructure, is_bounded
 from bdecat.grothendieck import class_of
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc, torus_pmc
 from bdecat.strands import az_basis
@@ -17,7 +18,7 @@ from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path, load_fixture)
 from tests.helpers import (TORUS_CHORDS, a_of, class_by_generator, pair_idempotent,
                            pinch_coefficient)
-from tests.test_cfk2cfd import reduced_cfk
+from tests.test_cfk2cfd import _rename, reduced_cfk
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
 
@@ -258,3 +259,72 @@ def test_type_d_round_trip_on_the_cfk_fixtures(name):
 @given(reduced_cfk())
 def test_type_d_round_trip_on_generated_staircases(cfk):
     _assert_type_d_round_trip(build_cfd(cfk))
+
+
+def _assert_writer_is_dumps(N):
+    """dump_type_d writes the text dumps writes for the same members."""
+    extra = {"class": ser.class_to_json(class_of(N)),
+             "alexander_polynomial": [["-1/2", 1], ["0", -2]], "bounded": is_bounded(N)}
+    for members in (extra, {}):
+        assert ser.dump_type_d(N, members) == ser.dumps(ser.type_d_to_json(N) | members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduced_cfk())
+def test_type_d_writer_on_generated_staircases(cfk):
+    _assert_writer_is_dumps(build_cfd(cfk))
+
+
+# (fixture, renames): the figure-eight's a-e get names the encoder escapes;
+# the right trefoil's a named like its vertical chain or its unstable chain
+# makes that chain take a "'"
+AWKWARD_NAMES = {
+    "escaped": ("cfk_figure8", {"a": 'say "hi"', "b": "back\\slash", "c": "\u00f1and\u00fa",
+                                "d": "bell\x07", "e": ""}),
+    "vertical chain name": ("cfk_trefoil_right", {"a": "v[b>c]1"}),
+    "unstable chain name": ("cfk_trefoil_right", {"a": "u1", "c": "\U0001d4b3"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AWKWARD_NAMES))
+def test_type_d_writer_escapes_names_as_dumps_does(case):
+    fixture, names = AWKWARD_NAMES[case]
+    cfk = load_fixture(fixture)
+    for old, new in names.items():
+        cfk = _rename(cfk, old, new)
+    cfd = build_cfd(cfk)
+    assert set(names.values()) <= set(cfd.generators)
+    _assert_writer_is_dumps(cfd)
+
+
+def test_type_d_writer_on_typed_files_and_records_without_a(torus):
+    _assert_writer_is_dumps(load_fixture("typed_triangle"))
+    _assert_writer_is_dumps(TypeDStructure(torus, [
+        ModuleGenerator("x", {1}, 1), ModuleGenerator("y", {2}, 0, a2=-3)], []))
+
+
+def _assert_normal(g, name, idem, m, a2):
+    """g is the record the normalising constructor builds from the raw fields."""
+    assert type(g) is ModuleGenerator and g == ModuleGenerator(name, idem, m, a2=a2)
+    assert type(g.idempotent) is frozenset and type(g.m) is int
+    assert g.a2 is None or type(g.a2) is int
+
+
+@pytest.mark.parametrize("m", [-3, 0, 2, 5])
+def test_read_and_built_records_are_in_normal_form(m):
+    fields = [("x", [1], m, "3/2"), ("y", [2], m, "3/2"), ("z", [1], m + 1, 2),
+              ("w", [2], m, None)]
+    N = ser.type_d_from_json({"pmc": "torus", "delta": [], "generators": [
+        {"name": n, "idem": idem, "m": gm, **({} if a is None else {"a": a})}
+        for n, idem, gm, a in fields]})
+    for n, idem, gm, a in fields:
+        _assert_normal(N.generators[n], n, idem, gm, None if a is None else ser.parse_half(a))
+
+    cfk = load_fixture("cfk_figure8")
+    cfk = CFKComplex([CFKGenerator(g.name, g.maslov + m, g.alexander) for g in cfk.generators],
+                     cfk.vertical, cfk.horizontal, cfk.tau)
+    cfd = build_cfd(cfk)
+    for g in cfk.generators:
+        _assert_normal(cfd.generators[g.name], g.name, IOTA0, g.maslov, 2 * g.alexander)
+    for g in cfd.generators.values():
+        _assert_normal(g, g.name, g.idempotent, g.m, g.a2)
