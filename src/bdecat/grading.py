@@ -29,11 +29,11 @@ every pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .pmc import PointedMatchedCircle, ReebChord
+from .pmc import PointedMatchedCircle
 from .strands import AlgebraElement, StrandsGenerator, az_basis, left_right_pairs
 
 
@@ -61,11 +61,6 @@ class NotIntegral(ValueError):
     """A grading quantity that must be an integer is not."""
 
 
-def chord_vector(n: int, chord: ReebChord) -> tuple[int, ...]:
-    """The interval vector of a single chord: +1 on intervals start..end-1."""
-    return tuple(1 if chord.start <= i < chord.end else 0 for i in range(1, n))
-
-
 def _odd_jumps(alpha: tuple[int, ...]) -> int:
     """The number of points where alpha has half-integer multiplicity."""
     count = prev = 0
@@ -86,20 +81,24 @@ def _link2(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return total + a_prev * b_prev
 
 
-@dataclass(frozen=True, init=False)
-class GradingElement:
-    """(j; alpha) in G'(4k), stored as the integer j4 = 4j and the vector alpha."""
-
+class _GradingFields(NamedTuple):
     j4: int
     alpha: tuple[int, ...]
 
-    def __init__(self, j4: int, alpha: tuple[int, ...]):
+
+class GradingElement(_GradingFields):
+    """(j; alpha) in G'(4k), a tuple (j4 = 4j, alpha) checked as it is made.
+    `GradingElement._make((j4, alpha))` skips the check: only for values known
+    to satisfy it, or for a test that needs one that does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, j4: int, alpha: tuple[int, ...]):
         if (j4 - _odd_jumps(alpha)) % 4:
             raise ValueError(
                 f"Maslov component {ratio_str(j4, 4)} violates the "
                 f"quarter-integer constraint for alpha={alpha}")
-        object.__setattr__(self, "j4", j4)
-        object.__setattr__(self, "alpha", alpha)
+        return tuple.__new__(cls, (j4, alpha))
 
     def __str__(self):
         return f"({ratio_str(self.j4, 4)}; {','.join(map(str, self.alpha))})"
@@ -115,10 +114,17 @@ def lam(n: int) -> GradingElement:
 
 
 def gmul(x: GradingElement, y: GradingElement) -> GradingElement:
-    if len(x.alpha) != len(y.alpha):
+    """(j + j' + L(alpha, beta); alpha + beta), with 2L as in `_link2`, in one pass."""
+    (xj4, xa), (yj4, ya) = x, y
+    if len(xa) != len(ya):
         raise ValueError("ambient mismatch")
-    alpha = tuple(a + b for a, b in zip(x.alpha, y.alpha))
-    return GradingElement(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
+    alpha = []
+    link2 = a_prev = b_prev = 0
+    for a, b in zip(xa, ya):
+        link2 += (a_prev - a) * (b_prev + b)
+        alpha.append(a + b)
+        a_prev, b_prev = a, b
+    return GradingElement(xj4 + yj4 + 2 * (link2 + a_prev * b_prev), tuple(alpha))
 
 
 def ginv(x: GradingElement) -> GradingElement:
@@ -152,8 +158,7 @@ def gr_prime(x: AlgebraElement) -> GradingElement:
     return next(iter(grades))
 
 
-@dataclass(frozen=True)
-class RefinementData:
+class RefinementData(NamedTuple):
     base: frozenset[int]
     psi: dict  # k-element frozenset of pairs -> GradingElement
 

@@ -21,7 +21,7 @@ On a split circle J pairs a_{2i-1} with a_{2i} by +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MalformedMatching(ValueError):
@@ -36,15 +36,35 @@ class DisconnectedSurgery(ValueError):
 MAX_POINTS = 12
 
 
-@dataclass(frozen=True)
 class PointedMatchedCircle:
-    """Matching is a tuple of length 4k; entry p-1 is the pair index of point p."""
+    """Matching is a tuple of length 4k; entry p-1 is the pair index of point p.
+    Immutable and compared by its matching; its hash (it keys every
+    per-circle cache) and each pair's two points are computed once."""
 
-    matching: tuple[int, ...]
+    __slots__ = ("matching", "_hash", "_points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matching", tuple(self.matching))
+    def __init__(self, matching):
+        matching = tuple(matching)
+        points: dict = {}
+        for p, pair in enumerate(matching, start=1):
+            points.setdefault(pair, []).append(p)
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "_points", {pair: tuple(ps) for pair, ps in points.items()})
         validate(self)
+        object.__setattr__(self, "_hash", hash((matching,)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return (self.matching == other.matching if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"PointedMatchedCircle(matching={self.matching!r})"
 
     @property
     def num_points(self) -> int:
@@ -52,7 +72,7 @@ class PointedMatchedCircle:
 
     @property
     def genus(self) -> int:
-        return self.num_points // 4
+        return len(self.matching) // 4
 
     @property
     def core_intersection(self) -> tuple[tuple[int, ...], ...]:
@@ -68,9 +88,7 @@ class PointedMatchedCircle:
 
     def points_of_pair(self, pair: int) -> tuple[int, int]:
         """The two points of a matched pair, in circle order."""
-        pts = tuple(p for p in range(1, self.num_points + 1)
-                    if self.matching[p - 1] == pair)
-        return pts
+        return self._points.get(pair, ())
 
     def partner(self, point: int) -> int:
         a, b = self.points_of_pair(self.pair_of(point))
@@ -81,16 +99,23 @@ class PointedMatchedCircle:
         return self.points_of_pair(pair)[0]
 
 
-@dataclass(frozen=True, order=True)
-class ReebChord:
-    """The oriented interval [start, end] in Z minus the basepoint."""
-
+class _ChordFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError(f"chord must run with the orientation: {self}")
+
+class ReebChord(_ChordFields):
+    """The oriented interval [start, end] in Z minus the basepoint, a tuple
+    checked as it is made.  `ReebChord._make((start, end))` skips the check;
+    it is for callers that know start < end."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int):
+        chord = tuple.__new__(cls, (start, end))
+        if not start < end:
+            raise ValueError(f"chord must run with the orientation: {chord}")
+        return chord
 
 
 def validate(pmc: PointedMatchedCircle) -> None:
@@ -107,23 +132,15 @@ def validate(pmc: PointedMatchedCircle) -> None:
     if n > MAX_POINTS:
         raise MalformedMatching(f"{n} points exceeds the {MAX_POINTS}-point cap")
     k2 = n // 2
-    counts = {}
-    for v in pmc.matching:
-        counts[v] = counts.get(v, 0) + 1
-    if sorted(counts) != list(range(1, k2 + 1)) or set(counts.values()) != {2}:
+    points = pmc._points
+    if sorted(points) != list(range(1, k2 + 1)) or {len(p) for p in points.values()} != {2}:
         raise MalformedMatching(
             f"matching must take each value in 1..{k2} exactly twice")
-
-    partner = {}
-    for pair in range(1, k2 + 1):
-        pts = [p for p in range(1, n + 1) if pmc.matching[p - 1] == pair]
-        partner[pts[0]], partner[pts[1]] = pts[1], pts[0]
 
     # successor(arc ending at x) = arc starting at partner(x); arcs are
     # indexed by their start point, with arc n the one through z.
     def succ(arc: int) -> int:
-        endpoint = arc + 1 if arc < n else 1
-        return partner[endpoint]
+        return pmc.partner(arc + 1 if arc < n else 1)
 
     unvisited = set(range(1, n + 1))
     circles = 0

@@ -29,28 +29,34 @@ from .pmc import PointedMatchedCircle, split_pmc, torus_pmc
 from .strands import AZBasis, az_basis
 
 HOM_PAIRS = 1000
-# rng.choice over these reads the random stream exactly as randint(-2, 2) and
-# randint(-3, 3) do (both take one _randbelow of the length), in fewer calls
-_PAIR_COEFFICIENTS = tuple(range(-2, 3))
-_J4_SHIFTS = tuple(4 * j for j in range(-3, 4))
 
 
 def _random_gz_element(pmc, rng) -> GradingElement:
     """sum_i c_i g_i over the pair chords, each c_i drawn from -2..2, with a
-    Maslov component in (1/2)Z drawn from 7 values."""
+    Maslov component in (1/2)Z drawn from 7 values.
+
+    randint(-2, 2) and randint(-3, 3), like rng.choice over 5 or 7 values,
+    draw through Random._randbelow: getrandbits(3), drawn again while out of
+    range.  Drawing that way here keeps their random stream, as
+    test_the_f_pairs_are_the_randint_draws_for_seeds_0_to_4 checks."""
     ends, _ = _pair_chord_data(pmc)
-    choice = rng.choice
+    bits = rng.getrandbits
     jumps = [0] * (pmc.num_points + 1)  # alpha_p - alpha_{p-1} at each point p
     for lo, hi in ends:
-        c = choice(_PAIR_COEFFICIENTS)
-        jumps[lo] += c
-        jumps[hi] -= c
+        c = bits(3)
+        while c >= 5:
+            c = bits(3)
+        jumps[lo] += c - 2
+        jumps[hi] -= c - 2
     alpha = tuple(itertools.accumulate(jumps[1:-1]))
     # 4j must equal the number of half-integer points mod 4, and j lands in (1/2)Z
     half_pts = sum(c & 1 for c in jumps)
     if half_pts % 2:
         raise NotInGZ(f"alpha={alpha} is not in G(Z)")
-    return GradingElement(half_pts % 4 + choice(_J4_SHIFTS), alpha)
+    j = bits(3)
+    while j >= 7:
+        j = bits(3)
+    return GradingElement(half_pts % 4 + 4 * (j - 3), alpha)
 
 
 def _sum(parts) -> set[int]:

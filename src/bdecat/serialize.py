@@ -257,27 +257,8 @@ def ainf_from_json(data) -> AInfModule:
     return AInfModule(pmc, gens, ops)
 
 
-def ainf_to_json(M: AInfModule) -> dict:
-    ops = []
-    for x, ids, y in M.ops:
-        ops.append({"x": x,
-                    "algs": [dump_coefficient(M.basis, i) for i in ids],
-                    "y": y})
-    return {
-        "pmc": pmc_to_json(M.pmc),
-        "generators": _generators_to_json(M.generators),
-        "ops": ops,
-    }
-
-
 def pattern_from_json(data) -> PatternClass:
     return PatternClass(ainf_from_json(data), _int(data.get("winding", 1), "winding"))
-
-
-def pattern_to_json(pc: PatternClass) -> dict:
-    out = ainf_to_json(pc.cfa)
-    out["winding"] = pc.winding
-    return out
 
 
 def cfk_from_json(data) -> CFKComplex:
@@ -289,18 +270,6 @@ def cfk_from_json(data) -> CFKComplex:
                 for a in data.get(key, [])]
     return CFKComplex(gens, arrows("vertical"), arrows("horizontal"),
                       _int(data.get("tau", 0), "tau"))
-
-
-def cfk_to_json(cfk: CFKComplex) -> dict:
-    return {
-        "generators": [{"name": g.name, "maslov": g.maslov,
-                        "alexander": g.alexander} for g in cfk.generators],
-        "vertical": [{"src": a.src, "dst": a.dst, "length": a.length}
-                     for a in cfk.vertical],
-        "horizontal": [{"src": a.src, "dst": a.dst, "length": a.length}
-                       for a in cfk.horizontal],
-        "tau": cfk.tau,
-    }
 
 
 def _alpha(value) -> tuple[str, int]:
@@ -321,16 +290,6 @@ def diagram_from_json(data) -> BorderedDiagram:
                                    _int(p["sign"], "sign"), i))
     return BorderedDiagram(pmc, _int(data["genus"], "genus"),
                            _int(data["alpha_circles"], "alpha_circles"), points)
-
-
-def diagram_to_json(d: BorderedDiagram) -> dict:
-    return {
-        "pmc": pmc_to_json(d.pmc),
-        "genus": d.genus,
-        "alpha_circles": d.alpha_circles,
-        "points": [{"alpha": f"{p.alpha[0]}:{p.alpha[1]}", "beta": p.beta,
-                    "sign": p.sign} for p in d.points],
-    }
 
 
 def laurent_to_json(p: LaurentHalf) -> list:

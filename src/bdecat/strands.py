@@ -22,9 +22,9 @@ alone, and its product table builds no strand diagram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .pmc import PointedMatchedCircle, ReebChord, torus_pmc
 
@@ -33,38 +33,41 @@ class AmbientMismatch(ValueError):
     """Operands live in strands algebras with different point counts."""
 
 
-@dataclass(frozen=True, order=True)
-class StrandsGenerator:
-    """A basis element (S, T, phi) of A(n, k).
-
-    phi is stored as the tuple of images of the sorted source S.
-    """
-
+class _StrandFields(NamedTuple):
     n: int
     S: tuple[int, ...]
     T: tuple[int, ...]
     phi: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (len(self.S) == len(self.T) == len(self.phi)):
+
+class StrandsGenerator(_StrandFields):
+    """A basis element (S, T, phi) of A(n, k), a tuple checked as it is made.
+
+    phi is stored as the tuple of images of the sorted source S.  A record
+    known to be valid (S and T sorted, phi an upward bijection S -> T inside
+    [n]) may be built with `StrandsGenerator._make((n, S, T, phi))`, which
+    skips the checks; the basis of A(Z) and the differential do.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, S, T, phi):
+        if not (len(S) == len(T) == len(phi)):
             raise ValueError("S, T, phi size mismatch")
-        if tuple(sorted(self.S)) != self.S or tuple(sorted(self.T)) != self.T:
+        if tuple(sorted(S)) != S or tuple(sorted(T)) != T:
             raise ValueError("S and T must be sorted")
-        if tuple(sorted(self.phi)) != self.T:
+        if tuple(sorted(phi)) != T:
             raise ValueError("phi must be a bijection onto T")
-        for s, t in zip(self.S, self.phi):
+        for s, t in zip(S, phi):
             if t < s:
                 raise ValueError(f"downward strand {s}->{t}")
-            if not (1 <= s <= self.n and 1 <= t <= self.n):
+            if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError("strand endpoint out of range")
+        return tuple.__new__(cls, (n, S, T, phi))
 
     @property
     def strands(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.S, self.phi))
-
-    @property
-    def moving_strands(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s, t) for s, t in self.strands if s != t)
 
     def inversions(self) -> int:
         phi = self.phi
@@ -81,21 +84,34 @@ class StrandsGenerator:
         return f"{src}->{dst}:{img}"
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """An F2-linear combination of strands generators, homogeneous in k."""
+    """An F2-linear combination of strands generators, homogeneous in k;
+    immutable, compared and hashed by (n, terms)."""
 
-    n: int
-    terms: frozenset[StrandsGenerator]
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        sizes = {len(g.S) for g in self.terms}
-        if len(sizes) > 1:
+    def __init__(self, n: int, terms):
+        terms = frozenset(terms)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        if len({len(g.S) for g in terms}) > 1:
             raise ValueError("mixed strand counts in one element")
-        for g in self.terms:
-            if g.n != self.n:
+        for g in terms:
+            if g.n != n:
                 raise AmbientMismatch("term with wrong ambient point count")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return ((self.n, self.terms) == (other.n, other.terms)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.terms))
+
+    def __repr__(self):
+        return f"AlgebraElement(n={self.n!r}, terms={self.terms!r})"
 
     def __bool__(self):
         return bool(self.terms)
@@ -138,20 +154,22 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def differential_generator(a: StrandsGenerator) -> set[StrandsGenerator]:
-    """Resolutions of single crossings that drop inv by exactly one."""
+    """Resolutions of single crossings that drop inv by exactly one.  Swapping
+    the images of a crossing i < j keeps S, T and the bijection, and both new
+    strands run upward (phi[j] >= S[j] > S[i], phi[i] > phi[j] >= S[j]), so
+    every resolution is a generator and is built unchecked."""
     out: set[StrandsGenerator] = set()
     inv = a.inversions()
+    n, S, T, _ = a
     phi = list(a.phi)
+    make = StrandsGenerator._make
     m = len(phi)
     for i in range(m):
         for j in range(i + 1, m):
             if phi[j] < phi[i]:
                 swapped = phi[:]
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                try:
-                    res = StrandsGenerator(a.n, a.S, a.T, tuple(swapped))
-                except ValueError:
-                    continue
+                res = make((n, S, T, tuple(swapped)))
                 if res.inversions() == inv - 1:
                     out ^= {res}
     return out
@@ -175,16 +193,10 @@ def left_right_pairs(pmc: PointedMatchedCircle, x: AlgebraElement) -> tuple[froz
     return next(iter(ss)), next(iter(ts))
 
 
-def chord_signature(pmc: PointedMatchedCircle, g: StrandsGenerator):
-    """The (rho, s) basis label of a generator of A(Z)."""
-    rho = tuple(sorted(ReebChord(s, t) for s, t in g.moving_strands))
-    s = frozenset(pmc.pair_of(p) for p in g.S)
-    return rho, s
-
-
 def _basis_element(pmc: PointedMatchedCircle, rho, s) -> AlgebraElement:
-    """a(rho, s): all completions of rho by sections of the leftover pairs."""
-    n = pmc.num_points
+    """a(rho, s): all completions of rho by sections of the leftover pairs,
+    each a valid generator by construction, so built unchecked."""
+    n, make = pmc.num_points, StrandsGenerator._make
     extra = sorted(s - {pmc.pair_of(c.start) for c in rho})
     choices = [pmc.points_of_pair(p) for p in extra]
     acc = set()
@@ -192,15 +204,14 @@ def _basis_element(pmc: PointedMatchedCircle, rho, s) -> AlgebraElement:
         strands = sorted([(c.start, c.end) for c in rho] + [(p, p) for p in pick])
         S = tuple(x for x, _ in strands)
         phi = tuple(y for _, y in strands)
-        T = tuple(sorted(phi))
-        acc.add(StrandsGenerator(n, S, T, phi))
+        acc.add(make((n, S, tuple(sorted(phi)), phi)))
     return AlgebraElement(n, frozenset(acc))
 
 
 def _chord_sets(pmc: PointedMatchedCircle, max_size: int):
     """Chord sets with distinct starts, distinct ends, and M injective on both."""
     n = pmc.num_points
-    chords = [ReebChord(s, e) for s in range(1, n + 1) for e in range(s + 1, n + 1)]
+    chords = [ReebChord._make((s, e)) for s in range(1, n + 1) for e in range(s + 1, n + 1)]
     out = [()]
     def extend(prefix, used_starts, used_ends, start_pairs, end_pairs, begin):
         if len(prefix) == max_size:

@@ -10,14 +10,17 @@ check over every idempotent chain (the reference for the candidate tuples
 of `check_ainf`), the box tensor over every pair of generators (the
 reference for the bucketed `box_tensor`), and the diagram classes
 computed without the shared circle reduction (full determinants, and a
-column reduction of the swapped matrix), a sampler of diagrams whose betas are isotropic in homology, and
+column reduction of the swapped matrix), a sampler of diagrams whose betas are isotropic in homology,
 the chords and interval triples of the eight named torus elements, written
-out by hand."""
+out by hand, the interval vector of a chord and the (rho, s) label of a
+generator, and the JSON writers of the formats that only the tests write
+(A-infinity modules, patterns, CFK complexes and diagrams)."""
 
 from __future__ import annotations
 
 import itertools
 
+from bdecat.cfk2cfd import CFKComplex
 from bdecat.diagram import (BorderedDiagram, DiagramPoint, HomologyKernel,
                             core_coordinates, intersection_matrix)
 from bdecat.dmodules import (AInfModule, ChainComplex, ModuleGenerator, PmcMismatch,
@@ -26,6 +29,8 @@ from bdecat.grading import GradingElement, RefinementData, ginv
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int
 from bdecat.pmc import PointedMatchedCircle, ReebChord
+from bdecat.satellite import PatternClass
+from bdecat.serialize import _generators_to_json, dump_coefficient, pmc_to_json
 from bdecat.strands import AlgebraElement, AZBasis, StrandsGenerator
 
 
@@ -390,3 +395,56 @@ def isotropic_diagram(rng, pmc: PointedMatchedCircle, genus: int) -> BorderedDia
             add(alpha, beta, -1)
     rng.shuffle(points)
     return BorderedDiagram(pmc, genus, h, points)
+
+
+def chord_vector(n: int, chord: ReebChord) -> tuple[int, ...]:
+    """The interval vector of a single chord: +1 on intervals start..end-1."""
+    return tuple(1 if chord.start <= i < chord.end else 0 for i in range(1, n))
+
+
+def chord_signature(pmc: PointedMatchedCircle, g: StrandsGenerator):
+    """The (rho, s) basis label of a generator of A(Z)."""
+    rho = tuple(sorted(ReebChord(s, t) for s, t in g.strands if s != t))
+    s = frozenset(pmc.pair_of(p) for p in g.S)
+    return rho, s
+
+
+def ainf_to_json(M: AInfModule) -> dict:
+    ops = []
+    for x, ids, y in M.ops:
+        ops.append({"x": x,
+                    "algs": [dump_coefficient(M.basis, i) for i in ids],
+                    "y": y})
+    return {
+        "pmc": pmc_to_json(M.pmc),
+        "generators": _generators_to_json(M.generators),
+        "ops": ops,
+    }
+
+
+def pattern_to_json(pc: PatternClass) -> dict:
+    out = ainf_to_json(pc.cfa)
+    out["winding"] = pc.winding
+    return out
+
+
+def cfk_to_json(cfk: CFKComplex) -> dict:
+    return {
+        "generators": [{"name": g.name, "maslov": g.maslov,
+                        "alexander": g.alexander} for g in cfk.generators],
+        "vertical": [{"src": a.src, "dst": a.dst, "length": a.length}
+                     for a in cfk.vertical],
+        "horizontal": [{"src": a.src, "dst": a.dst, "length": a.length}
+                       for a in cfk.horizontal],
+        "tau": cfk.tau,
+    }
+
+
+def diagram_to_json(d: BorderedDiagram) -> dict:
+    return {
+        "pmc": pmc_to_json(d.pmc),
+        "genus": d.genus,
+        "alpha_circles": d.alpha_circles,
+        "points": [{"alpha": f"{p.alpha[0]}:{p.alpha[1]}", "beta": p.beta,
+                    "sign": p.sign} for p in d.points],
+    }

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdecat import grading
 from bdecat.grading import (GradingElement, NotInGZ, NotMiddleSummand, _link2,
-                            chord_vector, default_refinement, f_s,
+                            default_refinement, f_s,
                             ginv, gmul, gpow, gr_prime, gr_prime_generator,
                             h_coordinates, identity_grading, lam,
                             m_of, m_table, ratio_str, refine)
@@ -18,7 +18,7 @@ from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import (basis_of_AZ, left_right_pairs, multiply,
                             differential)
 from tests import grading_oracle as oracle
-from tests.helpers import a_of, element, idempotent, reverse_refinement
+from tests.helpers import a_of, chord_vector, element, idempotent, reverse_refinement
 
 
 def test_ratio_str_writes_what_fraction_writes():

@@ -104,10 +104,7 @@ def test_m_raises_on_every_call_for_rejected_elements(torus):
 def _unchecked(j4, alpha) -> GradingElement:
     """A GradingElement that skips the quarter-integer check, so that f_s
     meets a non-integral value."""
-    x = object.__new__(GradingElement)
-    object.__setattr__(x, "j4", j4)
-    object.__setattr__(x, "alpha", alpha)
-    return x
+    return GradingElement._make((j4, alpha))
 
 
 def test_f_s_matches_oracle_for_every_base_pair_set(torus, split2, split3):

@@ -20,7 +20,7 @@ from tests.conftest import CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES, fixture_path
 from bdecat.cfk2cfd import CFKComplex
 from tests import test_cfk2cfd
 from tests.test_cfk2cfd import _random_staircase
-from tests.helpers import isotropic_diagram
+from tests.helpers import cfk_to_json, diagram_to_json, isotropic_diagram
 from tests.test_cli import invoke
 
 
@@ -63,7 +63,7 @@ def _staircase(name):
     """CFK JSON of a shipped staircase, or of a random one with n steps."""
     if name.startswith("random"):
         rng = random.Random(13)
-        return serialize.cfk_to_json(_random_staircase(rng, int(name[len("random"):])))
+        return cfk_to_json(_random_staircase(rng, int(name[len("random"):])))
     return serialize.load_file(fixture_path(name))
 
 
@@ -163,7 +163,7 @@ PINNED = {
 def test_json_output_bytes_are_pinned(capsys, tmp_path, knot, pattern):
     if knot in KNOTS:
         cfk = tmp_path / "cfk.json"
-        cfk.write_text(json.dumps(serialize.cfk_to_json(_torus_knot(*KNOTS[knot]))))
+        cfk.write_text(json.dumps(cfk_to_json(_torus_knot(*KNOTS[knot]))))
     else:
         cfk = fixture_path(knot)
     cfd, pattern_path = tmp_path / "cfd.json", fixture_path(pattern)
@@ -248,7 +248,7 @@ def _diagram_kernel_files(tmp_path, name):
     paths = []
     for i, d in enumerate(diagrams):
         paths.append(tmp_path / f"{name}_{i}.json")
-        paths[-1].write_text(json.dumps(serialize.diagram_to_json(d)))
+        paths[-1].write_text(json.dumps(diagram_to_json(d)))
     return [str(p) for p in paths]
 
 

@@ -16,17 +16,18 @@ from bdecat.strands import az_basis
 from bdecat.torus import check_bigrading, check_cfa_weights
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path, load_fixture)
-from tests.helpers import (TORUS_CHORDS, a_of, class_by_generator, pair_idempotent,
-                           pinch_coefficient)
+from tests.helpers import (TORUS_CHORDS, a_of, ainf_to_json, cfk_to_json,
+                           class_by_generator, diagram_to_json, pair_idempotent,
+                           pattern_to_json, pinch_coefficient)
 from tests.test_cfk2cfd import _rename, reduced_cfk
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
 
 DUMPERS = {
     "typed": ser.type_d_to_json,
-    "pattern": ser.pattern_to_json,
-    "cfk": ser.cfk_to_json,
-    "diagram": ser.diagram_to_json,
+    "pattern": pattern_to_json,
+    "cfk": cfk_to_json,
+    "diagram": diagram_to_json,
     "pmc": ser.pmc_to_json,
 }
 
@@ -228,9 +229,9 @@ def test_the_torus_circle_is_compared_per_module_not_per_edge(monkeypatch):
     assert counts["cfk_trefoil_right"] == counts["cfk_torus34"] <= 3, counts
     for name, pattern in patterns.items():
         calls.clear()
-        ops = ser.ainf_to_json(pattern.cfa)
+        ops = ainf_to_json(pattern.cfa)
         M = ser.ainf_from_json(ops)
-        assert ser.ainf_to_json(M) == ops
+        assert ainf_to_json(M) == ops
         check_cfa_weights(M, pattern.winding)
         counts[name] = len(calls)
     assert [len(M.ops) for M in (p.cfa for p in patterns.values())] == [0, 1]

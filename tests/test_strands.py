@@ -6,10 +6,9 @@ import pytest
 from bdecat import strands
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc
 from bdecat.strands import (AZBasis, StrandsGenerator, basis_of_AZ,
-                            chord_signature, differential, left_right_pairs,
-                            multiply)
-from tests.helpers import (EndpointClash, a0, a_of, element, generators_of_ank,
-                           idempotent, pair_idempotent, zero)
+                            differential, left_right_pairs, multiply)
+from tests.helpers import (EndpointClash, a0, a_of, chord_signature, element,
+                           generators_of_ank, idempotent, pair_idempotent, zero)
 from tests.test_grading import GENUS2_CLASSES
 
 
