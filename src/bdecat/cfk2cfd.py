@@ -39,13 +39,16 @@ chain and the source of another; each generator touches at most one
 horizontal arrow and xi_h touches none.  Through an iota1 generator, only
 rho1*rho2 and rho1*rho23 are nonzero, and rho1 enters only the first
 generator of an inward chain, which has no outgoing edge.  So build_cfd
-checks nothing: the tests run the structure checks on every shipped and
-many generated complexes.
+checks nothing, and builds with `TypeDStructure.built`: its names are unique
+(a chain's prefix gains "'" until they are) and each coefficient fits its
+ends by the table above.  The tests run every check on many complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 from .dmodules import ModuleGenerator, TypeDStructure
 from .grading import m_table
@@ -65,15 +68,14 @@ class A2NonZero(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CFKGenerator:
+# The records are tuples, built unchecked; CFKComplex checks them.
+class CFKGenerator(NamedTuple):
     name: str
     maslov: int
     alexander: int
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: str
     dst: str
     length: int
@@ -147,8 +149,10 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     rho = alg.index
     drop = [(m + 1, alexander_weight2_cfd(r, 0))
             for m, r in zip(m_table(alg.pmc), alg.intervals)]
-    # every name given so far, with its (m, 2a): the CFK names, then the chains'
-    grading = {g.name: (g.maslov, 2 * g.alexander) for g in cfk.generators}
+    make = ModuleGenerator._make
+    # every generator made so far: the CFK generators, then the chains'
+    table = {g.name: make((g.name, IOTA0, g.maslov & 1, 2 * g.alexander))
+             for g in cfk.generators}
     delta: list[tuple] = []
     r23 = rho["rho23"]
 
@@ -160,23 +164,23 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         The edge from x grades prefix1, and each rho23 edge the next one:
         across (src, i, dst), (m, 2a) drops by drop[i]."""
         c = [f"{prefix}{j}" for j in range(1, length + 1)]
-        while not grading.keys().isdisjoint(c):
+        while not table.keys().isdisjoint(c):
             prefix += "'"
             c = [f"{prefix}{j}" for j in range(1, length + 1)]
         first, last = rho[first], rho[last]
-        (m, a2), (dm, da2), (sm, sa2) = grading[x], drop[first], drop[r23]
+        (_, _, m, a2), (dm, da2), (sm, sa2) = table[x], drop[first], drop[r23]
         if not inward:
             sm, sa2 = -sm, -sa2
         m, a2 = m - dm, a2 - da2
         for name in c:
-            grading[name] = (m, a2)
+            table[name] = make((name, IOTA1, m & 1, a2))
             m, a2 = m + sm, a2 + sa2
         delta.append((x, first, c[0]))
         if inward:
-            delta.extend((src, r23, dst) for src, dst in zip(c[1:], c))
+            delta.extend(zip(c[1:], repeat(r23), c))
             delta.append((y, last, c[-1]))
         else:
-            delta.extend((src, r23, dst) for src, dst in zip(c, c[1:]))
+            delta.extend(zip(c, repeat(r23), c[1:]))
             delta.append((c[-1], last, y))
 
     for ar in cfk.vertical:
@@ -189,11 +193,7 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
         chain("u", cfk.xi_v, cfk.xi_h, 2 * cfk.tau, True, "rho1", "rho3")
     else:
         chain("u", cfk.xi_v, cfk.xi_h, -2 * cfk.tau, False, "rho123", "rho2")
-
-    n0, make = len(cfk.generators), ModuleGenerator._make
-    return TypeDStructure(alg.pmc, [
-        make((name, IOTA0 if k < n0 else IOTA1, m & 1, a2))
-        for k, (name, (m, a2)) in enumerate(grading.items())], delta)
+    return TypeDStructure.built(alg.pmc, table, delta)
 
 
 def verify_a1(cfd: TypeDStructure, cfk: CFKComplex) -> LaurentHalf:

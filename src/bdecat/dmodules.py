@@ -64,12 +64,12 @@ class ModuleGenerator(_GeneratorFields):
     call can pass a where a2 belongs.
 
     A record whose fields are already in this normal form (a frozenset
-    idempotent, m 0 or 1, a2 an int or None) may be built with the tuple's
-    own `ModuleGenerator._make((name, idempotent, m, a2))`, which skips the
-    normalising `__new__`; the CFD build, the box tensor and the file
-    reader do, after their checks."""
+    idempotent, m 0 or 1, a2 an int or None) may be built with the C-level
+    `ModuleGenerator._make((name, idempotent, m, a2))`, `tuple.__new__`, which
+    checks nothing; the CFD build, the box tensor and the file reader do."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, name: str, idempotent, m: int, *, a2: int | None = None):
         return tuple.__new__(cls, (name, frozenset(idempotent), m % 2, a2))
@@ -105,14 +105,30 @@ class TypeDStructure:
         would cancel over F2.  Each distinct (index, source idempotent,
         target idempotent) is checked once, and repeats by count; on a
         failure the edges are walked in order for the first offender's
-        message."""
+        message.  Construction is a build step and a check step (the
+        generators, then the edges); `built` runs the build step alone."""
+        self._build(pmc, _check_generators(pmc, generators), list(map(tuple, delta)))
+        self._check_delta()
+
+    @classmethod
+    def built(cls, pmc: PointedMatchedCircle, generators: dict, delta: list):
+        """The build step alone, for a caller whose construction guarantees
+        what the checks find (`cfk2cfd.build_cfd`): normal-form records, tuple
+        edges."""
+        N = cls.__new__(cls)
+        N._build(pmc, generators, delta)
+        return N
+
+    def _build(self, pmc, generators, delta):
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
-        self.generators = _check_generators(pmc, generators)
+        self.generators = generators
         self._k0_class = None
-        self.basis = basis = az_basis(pmc)
-        idempotents = basis.idempotents
-        self.delta = delta = list(map(tuple, delta))
+        self.basis = az_basis(pmc)
+        self.delta = delta
+
+    def _check_delta(self):
+        idempotents, delta = self.basis.idempotents, self.delta
         idem = {name: g.idempotent for name, g in self.generators.items()}
         shapes = {(i, idem.get(src), idem.get(dst)) for src, i, dst in delta}
         if len(set(delta)) == len(delta) and all(

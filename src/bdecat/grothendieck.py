@@ -13,7 +13,6 @@ touches a float or a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -25,11 +24,29 @@ class ZeroPolynomial(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LaurentHalf:
-    """Sparse Laurent polynomial in t^(1/2); keys are doubled exponents."""
+    """Sparse Laurent polynomial in t^(1/2): coeffs holds (doubled exponent,
+    nonzero coefficient) pairs, exponents ascending; immutable."""
 
-    coeffs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, int], ...] = ()):
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"LaurentHalf(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return LaurentHalf, (self.coeffs,)
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "LaurentHalf":
@@ -93,6 +110,9 @@ class LaurentHalf:
         return " ".join([head] + parts[1:])
 
 
+_set_coeffs = LaurentHalf.coeffs.__set__  # per monomial, cheaper than object.__setattr__
+
+
 def substitute(x, w: int):
     """Replace t by t^w (exponent scaling); works on polynomials and classes.
     At w = 0 every exponent meets at 0, and the polynomial becomes the
@@ -146,7 +166,6 @@ def normalize_symmetric(p: LaurentHalf) -> NormalizedPolynomial:
 _ZERO = LaurentHalf()  # immutable, so every missing coefficient can share it
 
 
-@dataclass(frozen=True)
 class ExteriorClass:
     """Element of Lambda* H_1(F; Z) tensor Z[t^(1/2), t^(-1/2)].
 
@@ -155,13 +174,27 @@ class ExteriorClass:
     where they enter: a module's idempotents by `dmodules._check_generators`
     as the module is built, and a diagram's by construction, since its
     classes draw their subsets from range(1, 2k + 1) or from bit masks of
-    the 2k arcs."""
+    the 2k arcs.  Immutable, and unhashable as coeffs is a dict."""
 
-    genus: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("genus", "coeffs")
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", {s: c for s, c in self.coeffs.items() if c})
+    def __init__(self, genus: int, coeffs: dict | None = None):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "coeffs", {s: c for s, c in (coeffs or {}).items() if c})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return (self.genus, self.coeffs) == (other.genus, other.coeffs) \
+            if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"ExteriorClass(genus={self.genus!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return ExteriorClass, (self.genus, self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -202,7 +235,8 @@ def class_from_terms(genus: int, terms) -> ExteriorClass:
     idempotents that `dmodules._check_generators` checked as the module was
     read (`class_of`).  A subset with a single exponent, as in every diagram
     class, becomes its one monomial directly (or nothing, when the count is
-    0)."""
+    0).  One with several may still sum to zero, as the a2 component of
+    every CFD does; the class's constructor drops it."""
     acc: dict[frozenset, dict[int, int]] = {}
     for s, e, c in terms:
         s = frozenset(s)
@@ -222,25 +256,16 @@ def class_from_terms(genus: int, terms) -> ExteriorClass:
     return ExteriorClass(genus, out)
 
 
-def _signed_monomial(gen) -> tuple[int, int]:
-    """(doubled exponent, sign) of one generator's term (-1)^m t^a."""
-    return gen.a2 or 0, -1 if gen.m % 2 else 1
-
-
 def class_of(module) -> ExteriorClass:
     """[M] = sum over generators of (-1)^m t^a a_{idempotent}.
 
-    The signs are summed per (idempotent, a2) first, so `class_from_terms`
-    sees one term per distinct key; a record's m is already 0 or 1.  A module's generators are fixed when
-    it is built, so the class is summed on the first call and kept in its
-    `_k0_class` for the next ones."""
+    `class_from_terms` sums one term per generator, by idempotent, in one
+    pass; a record's m is already 0 or 1.  A module's generators are fixed
+    when it is built, so the class is summed on the first call and kept in
+    its `_k0_class` for the next ones."""
     if module._k0_class is None:
-        signs: dict[tuple, int] = {}
-        for _, s, m, a2 in module.generators.values():
-            key = (s, a2 or 0)
-            signs[key] = signs.get(key, 0) + (-1 if m else 1)
-        module._k0_class = class_from_terms(
-            module.pmc.genus, ((s, e, c) for (s, e), c in signs.items()))
+        module._k0_class = class_from_terms(module.pmc.genus, (
+            (s, a2 or 0, -1 if m else 1) for _, s, m, a2 in module.generators.values()))
     return module._k0_class
 
 
@@ -256,9 +281,8 @@ def pair(x: ExteriorClass, y: ExteriorClass) -> LaurentHalf:
 
 
 def euler_of_complex(complex_) -> LaurentHalf:
-    """chi = sum over generators of (-1)^m t^a."""
+    """chi = sum over generators of (-1)^m t^a; a record's m is 0 or 1."""
     acc: dict[int, int] = {}
-    for gen in complex_.generators.values():
-        e, sign = _signed_monomial(gen)
-        acc[e] = acc.get(e, 0) + sign
+    for _, _, m, a2 in complex_.generators.values():
+        acc[a2 or 0] = acc.get(a2 or 0, 0) + (-1 if m else 1)
     return LaurentHalf.from_dict(acc)

@@ -67,21 +67,11 @@ def _sum(parts) -> set[int]:
     return total
 
 
-def _add(sums: dict, key, value) -> None:
-    """sums[key] += value over F2, value a tuple of basis indices; a key met
-    once keeps its tuple."""
-    old = sums.get(key)
-    sums[key] = value if old is None else frozenset(old).symmetric_difference(value)
-
-
-def _compare(lhs: dict, rhs: dict) -> tuple[bool, int]:
-    """Whether the F2 sums agree at every key, and at how many keys either
-    side is nonzero."""
-    ok, nonzero = True, 0
-    for key in lhs.keys() | rhs.keys():
-        left, right = frozenset(lhs.get(key, ())), frozenset(rhs.get(key, ()))
-        ok, nonzero = ok and left == right, nonzero + bool(left or right)
-    return ok, nonzero
+def _odd(terms: list) -> set:
+    """The F2 sum of a list of terms; a list without repeats, the usual
+    case, is its own."""
+    once = set(terms)
+    return once if len(once) == len(terms) else _sum((t,) for t in terms)
 
 
 def _after(products) -> dict:
@@ -100,17 +90,11 @@ def _leibniz(basis: AZBasis) -> bool:
     diffs, d_of = basis.differentials, basis.d_preimages
     after = _after(basis.products)
     for a, da in enumerate(diffs):
-        lhs, rhs = {}, {}
-        for b, ab in after.get(a, ()):
-            for r in ab:
-                _add(lhs, b, diffs[r])
-        for r in da:
-            for b, rb in after.get(r, ()):
-                _add(rhs, b, rb)
-        for r, ar in after.get(a, ()):
-            for b in d_of.get(r, ()):
-                _add(rhs, b, ar)
-        if not _compare(lhs, rhs)[0]:
+        row = after.get(a, ())
+        lhs = [(b, x) for b, ab in row for r in ab for x in diffs[r]]
+        rhs = [(b, x) for r in da for b, rb in after.get(r, ()) for x in rb]
+        rhs += [(b, x) for r, ar in row for b in d_of.get(r, ()) for x in ar]
+        if _odd(lhs) != _odd(rhs):
             return False
     return True
 
@@ -123,17 +107,12 @@ def _associativity(basis: AZBasis) -> tuple[bool, int]:
     from a nonzero product of a; on every other triple both sides are 0."""
     after, made_of = _after(basis.products), basis.factorizations
     ok, nonzero = True, 0
-    for a, row in after.items():
-        lhs, rhs = {}, {}
-        for b, ab in row:
-            for r in ab:
-                for c, rc in after.get(r, ()):
-                    _add(lhs, (b, c), rc)
-        for r, ar in row:
-            for bc in made_of.get(r, ()):
-                _add(rhs, bc, ar)
-        ok_a, nonzero_a = _compare(lhs, rhs)
-        ok, nonzero = ok and ok_a, nonzero + nonzero_a
+    for row in after.values():
+        lhs = _odd([(b, c, x) for b, ab in row for r in ab
+                    for c, rc in after.get(r, ()) for x in rc])
+        rhs = _odd([(b, c, x) for r, ar in row for b, c in made_of.get(r, ()) for x in ar])
+        ok = ok and lhs == rhs
+        nonzero += len({(b, c) for b, c, _ in lhs | rhs})
     return ok, nonzero
 
 

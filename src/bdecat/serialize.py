@@ -145,10 +145,10 @@ def _name(value) -> str:
 
 
 def _generators_from_json(items):
-    """The generator records of a file, built in normal form.  Each distinct
-    a text is read once, and each distinct idem list of integers validated
-    and frozen once; a list holding anything else (true reads as equal to
-    1) is validated wherever it occurs."""
+    """The records of a file in normal form, each field checked once as it is
+    read (a, name, idem, m).  Each distinct a text is read once, and each idem
+    list of integers validated and frozen once, keyed by its one entry or its
+    tuple; any other list (true reads as equal to 1) is validated where it is."""
     gens, frozen, halves = [], {}, {}
     make = ModuleGenerator._make
     for item in items:
@@ -159,8 +159,14 @@ def _generators_from_json(items):
                 a2 = halves[a] = parse_half(a)
         else:
             a2 = None if a is None else parse_half(a)
-        name, idem = _name(item["name"]), item["idem"]
-        key = tuple(idem) if type(idem) is list and set(map(type, idem)) <= {int} else None
+        name = item["name"]
+        if type(name) is not str:
+            name = _name(name)
+        idem = item["idem"]
+        if type(idem) is list and len(idem) == 1 and type(idem[0]) is int:
+            key = idem[0]
+        else:
+            key = tuple(idem) if type(idem) is list and set(map(type, idem)) <= {int} else None
         idempotent = frozen.get(key)
         if idempotent is None:
             idempotent = frozenset(_int(i, "idem entry") for i in idem)
@@ -219,9 +225,10 @@ def type_d_from_json(data) -> TypeDStructure:
                 raise FixtureError(f"delta edge {src}->{dst}: unknown generator "
                                    f"{exc.args[0]}") from None
             # Only text is ever stored: parse_coefficient rejects anything else.
-            i = resolved.get((expr, left, right)) if type(expr) is str else None
+            key = (expr, left, right)
+            i = resolved.get(key) if type(expr) is str else None
             if i is None:
-                i = resolved[expr, left, right] = parse_coefficient(basis, expr, left, right)
+                i = resolved[key] = parse_coefficient(basis, expr, left, right)
             delta.append((src, i, dst))
     return TypeDStructure(pmc, gens, delta)
 
@@ -262,11 +269,15 @@ def pattern_from_json(data) -> PatternClass:
 
 
 def cfk_from_json(data) -> CFKComplex:
-    gens = [CFKGenerator(_name(g["name"]), _int(g["maslov"], "maslov"),
-                         _int(g["alexander"], "alexander"))
+    # each field checked as it is read, each record built by tuple.__new__
+    new = tuple.__new__
+    gens = [new(CFKGenerator, (n if type(n := g["name"]) is str else _name(n),
+                               m if type(m := g["maslov"]) is int else _int(m, "maslov"),
+                               a if type(a := g["alexander"]) is int else _int(a, "alexander")))
             for g in data["generators"]]
     def arrows(key):
-        return [Arrow(a["src"], a["dst"], _int(a["length"], "length"))
+        return [new(Arrow, (a["src"], a["dst"],
+                            n if type(n := a["length"]) is int else _int(n, "length")))
                 for a in data.get(key, [])]
     return CFKComplex(gens, arrows("vertical"), arrows("horizontal"),
                       _int(data.get("tau", 0), "tau"))

@@ -13,14 +13,17 @@ computed without the shared circle reduction (full determinants, and a
 column reduction of the swapped matrix), a sampler of diagrams whose betas are isotropic in homology,
 the chords and interval triples of the eight named torus elements, written
 out by hand, the interval vector of a chord and the (rho, s) label of a
-generator, and the JSON writers of the formats that only the tests write
-(A-infinity modules, patterns, CFK complexes and diagrams)."""
+generator, the JSON writers of the formats that only the tests write
+(A-infinity modules, patterns, CFK complexes and diagrams), and the type D
+generator and CFK readers as they were before their per-record fast paths
+(the references for `serialize._generators_from_json` and
+`serialize.cfk_from_json`)."""
 
 from __future__ import annotations
 
 import itertools
 
-from bdecat.cfk2cfd import CFKComplex
+from bdecat.cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from bdecat.diagram import (BorderedDiagram, DiagramPoint, HomologyKernel,
                             core_coordinates, intersection_matrix)
 from bdecat.dmodules import (AInfModule, ChainComplex, ModuleGenerator, PmcMismatch,
@@ -30,7 +33,8 @@ from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int
 from bdecat.pmc import PointedMatchedCircle, ReebChord
 from bdecat.satellite import PatternClass
-from bdecat.serialize import _generators_to_json, dump_coefficient, pmc_to_json
+from bdecat.serialize import (FixtureError, _generators_to_json, _int, _name,
+                              dump_coefficient, parse_half, pmc_to_json)
 from bdecat.strands import AlgebraElement, AZBasis, StrandsGenerator
 
 
@@ -448,3 +452,45 @@ def diagram_to_json(d: BorderedDiagram) -> dict:
         "points": [{"alpha": f"{p.alpha[0]}:{p.alpha[1]}", "beta": p.beta,
                     "sign": p.sign} for p in d.points],
     }
+
+
+def generators_from_json_oracle(items):
+    """The generator records of a type D or A-infinity file, read as the
+    reader did before its fast path for one-entry idem lists: the idem list
+    keyed by its tuple, the name through `_name`, and each record through
+    the normalising constructor."""
+    gens, frozen, halves = [], {}, {}
+    for item in items:
+        a = item["a"] if "a" in item else None
+        if type(a) is str:
+            a2 = halves.get(a)
+            if a2 is None:
+                a2 = halves[a] = parse_half(a)
+        else:
+            a2 = None if a is None else parse_half(a)
+        name, idem = _name(item["name"]), item["idem"]
+        key = tuple(idem) if type(idem) is list and set(map(type, idem)) <= {int} else None
+        idempotent = frozen.get(key)
+        if idempotent is None:
+            idempotent = frozenset(_int(i, "idem entry") for i in idem)
+            if len(idempotent) != len(idem):
+                raise FixtureError(f"{name}: repeated idem entry in {idem}")
+            if key is not None:
+                frozen[key] = idempotent
+        m = item["m"]
+        gens.append(ModuleGenerator(name, idempotent, m if type(m) is int else _int(m, "m"),
+                                    a2=a2))
+    return gens
+
+
+def cfk_from_json_oracle(data) -> CFKComplex:
+    """The CFK reader as it was before it checked fields inline: every
+    field through `_name` and `_int`, every record through its class."""
+    gens = [CFKGenerator(_name(g["name"]), _int(g["maslov"], "maslov"),
+                         _int(g["alexander"], "alexander"))
+            for g in data["generators"]]
+    def arrows(key):
+        return [Arrow(a["src"], a["dst"], _int(a["length"], "length"))
+                for a in data.get(key, [])]
+    return CFKComplex(gens, arrows("vertical"), arrows("horizontal"),
+                      _int(data.get("tau", 0), "tau"))

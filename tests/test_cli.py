@@ -646,3 +646,50 @@ def test_integer_fields_reject_floats_and_booleans(capsys, tmp_path, field):
         code, _, err = invoke(capsys, "check", path)
         assert code == 2, (field, bad)
         assert err.startswith(f"error: {path}: {field}") and err.count("\n") == 1, err
+
+
+def _cfk_edit(key, index, **fields):
+    """An edit setting fields of record index of key in a CFK file."""
+    return lambda d: d[key][index].update(fields)
+
+
+# cfk_trefoil_right has a (0, 1), b (-1, 0) and c (-2, -1) as (maslov,
+# alexander), the vertical arrow b -> c, the horizontal b -> a and tau = 1.
+MALFORMED_CFK = {
+    "non-string name": (_cfk_edit("generators", 0, name=3),
+                        "generator name must be a string, got 3"),
+    "boolean maslov": (_cfk_edit("generators", 1, maslov=True),
+                       "maslov must be an integer, got True"),
+    "float maslov": (_cfk_edit("generators", 1, maslov=-1.0),
+                     "maslov must be an integer, got -1.0"),
+    "boolean alexander": (_cfk_edit("generators", 2, alexander=False),
+                          "alexander must be an integer, got False"),
+    "float alexander": (_cfk_edit("generators", 2, alexander=-1.0),
+                        "alexander must be an integer, got -1.0"),
+    "boolean length": (_cfk_edit("vertical", 0, length=True),
+                       "length must be an integer, got True"),
+    "float length": (_cfk_edit("horizontal", 0, length=1.0),
+                     "length must be an integer, got 1.0"),
+    "unknown arrow end": (_cfk_edit("horizontal", 0, dst="nope"), "unknown generator nope"),
+    "non-string arrow end": (_cfk_edit("vertical", 0, src=7), "unknown generator 7"),
+    "duplicate name": (lambda d: d["generators"].append(dict(d["generators"][0])),
+                       "duplicate generator names"),
+    "float tau": (lambda d: d.update(tau=1.0), "tau must be an integer, got 1.0"),
+    "boolean tau": (lambda d: d.update(tau=True), "tau must be an integer, got True"),
+    "tau off the Alexander gradings": (lambda d: d.update(tau=2),
+                                       "unstable chain: a(xi_h) != a(xi_v) - 2 tau"),
+    "no maslov": (lambda d: d["generators"][1].pop("maslov") and None,
+                  "malformed cfk fixture (KeyError: 'maslov')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CFK))
+def test_malformed_cfk_messages(capsys, tmp_path, case):
+    """The CFK reader checks each field inline; every malformed file still
+    gets the message it got when each field went through `_name` and
+    `_int`, from each command that reads a CFK file."""
+    edit, message = MALFORMED_CFK[case]
+    path = _fixture_with(tmp_path, "cfk_trefoil_right", edit)
+    for argv in (["check", path], ["cfd-from-cfk", path], ["cfd-from-cfk", path, "--json"],
+                 ["satellite", fixture_path("cfa_with_ops"), path]):
+        assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv

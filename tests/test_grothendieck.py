@@ -167,3 +167,50 @@ def test_triangle_class_is_single_monomial():
     cls = class_of(triangle)
     assert set(cls.coeffs) == {frozenset({1})}
     assert cls.coefficient({1}) == t2(1, -1)
+
+
+def test_the_value_types_print_compare_and_hash_as_the_dataclasses_did():
+    import copy
+    import pickle
+
+    from bdecat.grothendieck import ExteriorClass
+    p = LaurentHalf(((-1, 2), (4, -1)))
+    assert repr(p) == "LaurentHalf(coeffs=((-1, 2), (4, -1)))"
+    assert repr(LaurentHalf()) == "LaurentHalf(coeffs=())"
+    # a frozen dataclass hashed the tuple of its fields
+    assert hash(p) == hash((((-1, 2), (4, -1)),))
+    assert p == LaurentHalf(((-1, 2), (4, -1))) and p != LaurentHalf() and p != p.coeffs
+    cls = ExteriorClass(1, {frozenset({1}): p, frozenset({2}): LaurentHalf()})
+    assert repr(cls) == ("ExteriorClass(genus=1, coeffs={frozenset({1}): "
+                         "LaurentHalf(coeffs=((-1, 2), (4, -1)))})")
+    assert cls == ExteriorClass(1, {frozenset({1}): p}) != ExteriorClass(2, {frozenset({1}): p})
+    assert ExteriorClass(3).coeffs == {} and not ExteriorClass(3)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cls)
+    for value, field in ((p, "coeffs"), (cls, "coeffs"), (cls, "genus")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    for value in (p, cls):
+        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+def test_zero_sums_are_dropped_from_classes():
+    # one subset whose exponents cancel, as the a2 component of a CFD does
+    cls = class_from_terms(1, [({2}, 0, 1), ({2}, 2, -1), ({2}, 2, 1), ({2}, 0, -1),
+                               ({1}, 4, 3)])
+    assert list(cls.coeffs) == [frozenset({1})] and cls.coefficient({2}) == LaurentHalf()
+    assert not cls.scale(0) and not (cls + -cls)
+
+
+def test_the_value_types_load_no_dataclasses():
+    import os
+    import subprocess
+    import sys
+
+    import bdecat
+    src = os.path.dirname(os.path.dirname(bdecat.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bdecat.grothendieck; "
+         "print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

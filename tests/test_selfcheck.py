@@ -104,3 +104,47 @@ def test_the_f_pairs_are_the_randint_draws_for_seeds_0_to_4(monkeypatch):
         want = [_randint_gz_element(pmc, rng) for pmc in (torus_pmc(), split_pmc(2))
                 for _ in range(2 * selfcheck.HOM_PAIRS)]
         assert drawn == want
+
+
+def _idempotent_line(name):
+    return f"{name}: products and differentials respect idempotents"
+
+
+def test_a_forged_product_that_keeps_the_idempotents_fails_associativity(monkeypatch):
+    # a zero product of a composable pair made nonzero, with a value of the
+    # right idempotents: only the associativity sums can catch it
+    def forge(basis, table):
+        idem, n = basis.idempotents, len(basis)
+        a, b, r = next((a, b, r) for a in range(n) for b in range(n) for r in range(n)
+                       if idem[a][1] == idem[b][0] and (a, b) not in table
+                       and idem[r] == (idem[a][0], idem[b][1]))
+        table[a, b] = (r,)
+
+    _forge_products(monkeypatch, torus_pmc(), forge)
+    failures = run_selfcheck(verbose=False)
+    assert any(f.startswith("torus: associativity on every triple") for f in failures)
+    assert _idempotent_line("torus") not in failures
+    assert not any(f.startswith("split2") for f in failures)
+
+
+def test_a_forged_differential_that_keeps_the_idempotents_fails_leibniz(monkeypatch):
+    # one more summand in the differential of a split2 element, of the same
+    # idempotents as the element
+    build = AZBasis.__dict__["differentials"].func
+    pmc = split_pmc(2)
+
+    def forged(self):
+        diffs = list(build(self))
+        if self.pmc == pmc and self.i == 0:
+            idem, n = self.idempotents, len(self)
+            a, r = next((a, r) for a in range(n) for r in range(n)
+                        if r != a and r not in diffs[a] and diffs[a] and idem[r] == idem[a])
+            diffs[a] += (r,)
+        return tuple(diffs)
+
+    monkeypatch.setattr(AZBasis, "differentials", property(forged))
+    monkeypatch.setattr(AZBasis, "d_preimages", property(AZBasis.__dict__["d_preimages"].func))
+    failures = run_selfcheck(verbose=False)
+    assert "split2: Leibniz rule on all composable basis pairs (5286 pairs)" in failures
+    assert _idempotent_line("split2") not in failures
+    assert not any(f.startswith("torus") for f in failures)
