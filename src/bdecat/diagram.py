@@ -265,8 +265,8 @@ def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
     circle moves.  A state that survives all g betas then holds g curves,
     at most k of them arcs, so it holds every circle and needs no final
     filter.  Its k free arcs s name the coefficient, and sigma_o has
-    sum(occupied) - k(k+1)/2 = k(3k+1)/2 - sum(s) inversions.
-    """
+    sum(occupied) - k(k+1)/2 = k(3k+1)/2 - sum(s) inversions.  A state whose
+    count cancels to 0 is skipped where it is read."""
     k, arcs = d.k, 2 * d.k
     arc_bits = (1 << arcs) - 1
     counts = {0: 1}
@@ -276,14 +276,17 @@ def enumerated_class(d: BorderedDiagram) -> ExteriorClass:
         moves = [(1 << pos, -2 << pos, c) for pos, c in row.items() if c]
         circle_moves = [m for m in moves if m[0] > arc_bits]
         nxt: dict[int, int] = {}
+        get = nxt.get
         for mask, n in counts.items():
+            if not n:
+                continue
             full = (mask & arc_bits).bit_count() == k
             for bit, after, c in circle_moves if full else moves:
                 if not mask & bit:
                     term = -n * c if (mask & after).bit_count() & 1 else n * c
                     key = mask | bit
-                    nxt[key] = nxt.get(key, 0) + term
-        counts = {mask: n for mask, n in nxt.items() if n}
+                    nxt[key] = get(key, 0) + term
+        counts = nxt
     base = k * (3 * k + 1) // 2
     terms = []
     for mask, n in counts.items():

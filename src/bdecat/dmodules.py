@@ -74,6 +74,9 @@ class ModuleGenerator(_GeneratorFields):
     def __new__(cls, name: str, idempotent, m: int, *, a2: int | None = None):
         return tuple.__new__(cls, (name, frozenset(idempotent), m % 2, a2))
 
+    def __getnewargs_ex__(self):  # for copy and pickle, as a2 is keyword-only
+        return self[:3], {"a2": self.a2}
+
 
 def _check_generators(pmc, generators):
     """name -> generator.  Each distinct idempotent is checked once, and

@@ -92,6 +92,7 @@ class GradingElement(_GradingFields):
     to satisfy it, or for a test that needs one that does not."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, j4: int, alpha: tuple[int, ...]):
         if (j4 - _odd_jumps(alpha)) % 4:

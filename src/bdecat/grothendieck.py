@@ -26,7 +26,8 @@ class ZeroPolynomial(ValueError):
 
 class LaurentHalf:
     """Sparse Laurent polynomial in t^(1/2): coeffs holds (doubled exponent,
-    nonzero coefficient) pairs, exponents ascending; immutable."""
+    nonzero coefficient) pairs, exponents ascending; immutable.  Only
+    `from_dict` sorts and drops zeros; the constructor checks nothing."""
 
     __slots__ = ("coeffs",)
 
@@ -87,7 +88,9 @@ class LaurentHalf:
         return LaurentHalf.from_dict(d)
 
     def scale(self, c: int) -> "LaurentHalf":
-        """c times this; c != 0 keeps the order and every entry nonzero."""
+        """c times this (itself if c = 1); c != 0 keeps order and nonzeros."""
+        if c == 1:
+            return self
         if not c:
             return LaurentHalf()
         return LaurentHalf(tuple((e, c * v) for e, v in self.coeffs))
@@ -169,12 +172,12 @@ _ZERO = LaurentHalf()  # immutable, so every missing coefficient can share it
 class ExteriorClass:
     """Element of Lambda* H_1(F; Z) tensor Z[t^(1/2), t^(-1/2)].
 
-    The keys of coeffs are frozenset subsets of [2k]; construction only
-    drops the zero coefficients and checks no subset.  Subsets are validated
-    where they enter: a module's idempotents by `dmodules._check_generators`
-    as the module is built, and a diagram's by construction, since its
-    classes draw their subsets from range(1, 2k + 1) or from bit masks of
-    the 2k arcs.  Immutable, and unhashable as coeffs is a dict."""
+    The keys of coeffs are frozenset subsets of [2k]; construction drops the
+    zero coefficients (`_make` keeps coeffs as given) and checks no subset.
+    Subsets are validated where they enter: a module's idempotents by
+    `dmodules._check_generators` as the module is built, and a diagram's by
+    construction, since its classes draw their subsets from range(1, 2k + 1)
+    or from bit masks of the 2k arcs.  Immutable, and unhashable (a dict)."""
 
     __slots__ = ("genus", "coeffs")
     __hash__ = None
@@ -182,6 +185,13 @@ class ExteriorClass:
     def __init__(self, genus: int, coeffs: dict | None = None):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "coeffs", {s: c for s, c in (coeffs or {}).items() if c})
+
+    @staticmethod
+    def _make(genus: int, coeffs: dict) -> "ExteriorClass":
+        x = object.__new__(ExteriorClass)
+        object.__setattr__(x, "genus", genus)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -236,7 +246,7 @@ def class_from_terms(genus: int, terms) -> ExteriorClass:
     read (`class_of`).  A subset with a single exponent, as in every diagram
     class, becomes its one monomial directly (or nothing, when the count is
     0).  One with several may still sum to zero, as the a2 component of
-    every CFD does; the class's constructor drops it."""
+    every CFD does; dropped here, so `ExteriorClass._make` needs no filter."""
     acc: dict[frozenset, dict[int, int]] = {}
     for s, e, c in terms:
         s = frozenset(s)
@@ -248,12 +258,13 @@ def class_from_terms(genus: int, terms) -> ExteriorClass:
     out = {}
     for s, d in acc.items():
         if len(d) > 1:
-            out[s] = LaurentHalf.from_dict(d)
+            if coeffs := tuple(sorted((e, c) for e, c in d.items() if c)):
+                out[s] = LaurentHalf(coeffs)
         else:
             (e, c), = d.items()
             if c:
                 out[s] = LaurentHalf(((e, c),))
-    return ExteriorClass(genus, out)
+    return ExteriorClass._make(genus, out)
 
 
 def class_of(module) -> ExteriorClass:

@@ -21,6 +21,7 @@ On a split circle J pairs a_{2i-1} with a_{2i} by +1.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 
@@ -55,6 +56,9 @@ class PointedMatchedCircle:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return PointedMatchedCircle, (self.matching,)
 
     def __eq__(self, other):
         return (self.matching == other.matching if other.__class__ is self.__class__
@@ -110,6 +114,7 @@ class ReebChord(_ChordFields):
     it is for callers that know start < end."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, start: int, end: int):
         chord = tuple.__new__(cls, (start, end))
@@ -161,10 +166,12 @@ def reverse(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
     return PointedMatchedCircle(tuple(pmc.matching[n - p] for p in range(1, n + 1)))
 
 
+@cache  # a named circle is a constant: built once, the one instance shared
 def torus_pmc() -> PointedMatchedCircle:
     return PointedMatchedCircle((1, 2, 1, 2))
 
 
+@cache
 def split_pmc(genus: int) -> PointedMatchedCircle:
     """The split pointed matched circle: genus-1 blocks side by side."""
     matching = []

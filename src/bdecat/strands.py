@@ -22,7 +22,7 @@ alone, and its product table builds no strand diagram.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -50,6 +50,7 @@ class StrandsGenerator(_StrandFields):
     """
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, n: int, S, T, phi):
         if not (len(S) == len(T) == len(phi)):
@@ -102,6 +103,9 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.n, self.terms)
 
     def __eq__(self, other):
         return ((self.n, self.terms) == (other.n, other.terms)
@@ -208,26 +212,20 @@ def _basis_element(pmc: PointedMatchedCircle, rho, s) -> AlgebraElement:
     return AlgebraElement(n, frozenset(acc))
 
 
-def _chord_sets(pmc: PointedMatchedCircle, max_size: int):
-    """Chord sets with distinct starts, distinct ends, and M injective on both."""
-    n = pmc.num_points
-    chords = [ReebChord._make((s, e)) for s in range(1, n + 1) for e in range(s + 1, n + 1)]
-    out = [()]
-    def extend(prefix, used_starts, used_ends, start_pairs, end_pairs, begin):
-        if len(prefix) == max_size:
-            return
-        for idx in range(begin, len(chords)):
-            c = chords[idx]
-            sp, ep = pmc.pair_of(c.start), pmc.pair_of(c.end)
-            if (c.start in used_starts or c.end in used_ends
-                    or sp in start_pairs or ep in end_pairs):
-                continue
-            new = prefix + (c,)
-            out.append(new)
-            extend(new, used_starts | {c.start}, used_ends | {c.end},
-                   start_pairs | {sp}, end_pairs | {ep}, idx + 1)
-    extend((), set(), set(), set(), set(), 0)
-    return out
+@cache
+def _chord_sets(pmc: PointedMatchedCircle, size: int) -> tuple:
+    """The chord sets of this size with M injective on the starts and on the
+    ends, chords by ascending start; each extends a set one smaller, so each
+    size is listed once per circle, whichever summands ask for it."""
+    if not size:
+        return ((),)
+    n, pair_of, make, out = pmc.num_points, pmc.pair_of, ReebChord._make, []
+    for rho in _chord_sets(pmc, size - 1):
+        starts = {pair_of(c.start) for c in rho}
+        ends = {pair_of(c.end) for c in rho}
+        out += [rho + (make((a, b)),) for a in range(rho[-1].start + 1 if rho else 1, n + 1)
+                if pair_of(a) not in starts for b in range(a + 1, n + 1) if pair_of(b) not in ends]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -239,9 +237,7 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
         return ()
     all_pairs = set(range(1, 2 * k + 1))
     basis = []
-    for rho in _chord_sets(pmc, count):
-        if len(rho) > count:
-            continue
+    for rho in itertools.chain.from_iterable(_chord_sets(pmc, m) for m in range(count + 1)):
         start_pairs = {pmc.pair_of(c.start) for c in rho}
         end_pairs = {pmc.pair_of(c.end) for c in rho}
         candidates = sorted(all_pairs - start_pairs - end_pairs)
@@ -270,6 +266,9 @@ class AZBasis:
 
     def __len__(self):
         return len(self.elements)
+
+    def __reduce__(self):  # a copy builds its own tables, on first use
+        return AZBasis, (self.pmc, self.i)
 
     def decompose(self, x: AlgebraElement) -> tuple[int, ...]:
         """Indices of the basis elements whose F2-sum is x."""
