@@ -39,9 +39,10 @@ chain and the source of another; each generator touches at most one
 horizontal arrow and xi_h touches none.  Through an iota1 generator, only
 rho1*rho2 and rho1*rho23 are nonzero, and rho1 enters only the first
 generator of an inward chain, which has no outgoing edge.  So build_cfd
-checks nothing, and builds with `TypeDStructure.built`: its names are unique
-(a chain's prefix gains "'" until they are) and each coefficient fits its
-ends by the table above.  The tests run every check on many complexes.
+checks nothing, and builds with `TypeDStructure.built`, as the type D reader
+does once it has checked each record and edge: its names are unique (a
+chain's prefix gains "'" until they are) and each coefficient fits its ends
+by the table above.  The tests run every check on many complexes.
 """
 
 from __future__ import annotations

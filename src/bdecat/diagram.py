@@ -26,11 +26,16 @@ fill, and every state that survives the last beta is a generator class.
 the tests compare the sweep with.
 
 The sweep and M(H) below see the points only through their net signs.  A
-diagram checks its points and folds them once, as it is built, into
+diagram checks its points and folds them in one pass, as it is built, into
 `net_signs`: per beta b, a dict from curve to the sum of the signs of the
 points on (that curve, b), the curves numbered as the sweep's bits (arc i
 is i - 1, circle j is 2k + j - 1).  A curve whose points cancel keeps the
-entry 0, which the sweep skips.
+entry 0, which the sweep skips.  `DiagramPoint` itself checks nothing.  The
+fault-order rule: the genus and the alpha-circle count are checked first,
+then the points in file order, each point's sign, alpha kind and index, and
+beta in turn; the first fault is the one raised.  The file reader has by
+then rejected any field of the wrong type and any alpha text it cannot
+read.
 
 The signed intersection matrix M(H) has a row per alpha-circle followed by a
 row per alpha-arc and a column per beta-circle.  Deleting the arc rows named
@@ -76,27 +81,14 @@ class TheoremViolation(AssertionError):
 # diagrams
 
 
-class _PointFields(NamedTuple):
+class DiagramPoint(NamedTuple):
+    """Intersection point record (alpha, beta, sign, id), a plain tuple; the
+    diagram checks its fields, in the one pass it makes over its points."""
+
     alpha: tuple[str, int]  # ("arc", i) with i in [2k], or ("circle", i)
     beta: int
     sign: int
-    id: int
-
-
-class DiagramPoint(_PointFields):
-    """Intersection point record (alpha, beta, sign, id), a tuple whose sign
-    and alpha kind are checked as it is made; the diagram checks the
-    indices against its own genus."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: tuple[str, int], beta: int, sign: int, id: int = 0):
-        if sign not in (1, -1):
-            raise ValueError("point sign must be +1 or -1")
-        kind, _ = alpha
-        if kind not in ("arc", "circle"):
-            raise ValueError(f"bad alpha kind {kind}")
-        return tuple.__new__(cls, (alpha, beta, sign, id))
+    id: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,10 @@ class BorderedDiagram:
     net_signs: list[dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check each point's indices, in order, and fold the points into
-        `net_signs` in the same pass.  The points are kept as a tuple, since
+        """Check the genus and the alpha-circle count, then each point in
+        order (its sign, its alpha kind and index, its beta), and fold the
+        points into `net_signs` in the same pass; the first fault in that
+        order is the one raised.  The points are kept as a tuple, since
         everything read from them is computed once."""
         k, h, g = self.pmc.genus, self.alpha_circles, self.genus
         if g < k:
@@ -128,10 +122,14 @@ class BorderedDiagram:
         self.points = tuple(self.points)
         self.net_signs = table = [{} for _ in range(g)]
         for (kind, idx), beta, sign, _ in self.points:
+            if sign not in (1, -1):
+                raise ValueError("point sign must be +1 or -1")
             if kind == "arc":
                 if not 1 <= idx <= arcs:
                     raise ValueError(f"arc index {idx} outside [2k]")
                 pos = idx - 1
+            elif kind != "circle":
+                raise ValueError(f"bad alpha kind {kind}")
             elif 1 <= idx <= h:
                 pos = arcs + idx - 1
             else:

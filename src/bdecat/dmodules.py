@@ -12,8 +12,9 @@ m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
 take coefficients in that form, check each index's idempotents and reject a
 repeated delta edge or operation; a type D structure checks each distinct
 idempotent and each distinct (index, source idempotent, target idempotent)
-once, however many generators and edges share it.  The checkers read the
-basis tables and `m_table` by index.
+once, however many generators and edges share it; the type D reader checks
+them as it reads them, and builds with `TypeDStructure.built`.  The checkers
+read the basis tables and `m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -101,6 +102,17 @@ def _check_generators(pmc, generators):
         seen.add(g.name)
 
 
+def _check_repeated_edges(delta) -> None:
+    """Reject the first delta edge (src, index, dst) listed twice: two
+    copies would cancel over F2."""
+    if len(set(delta)) != len(delta):
+        seen = set()
+        for src, i, dst in delta:
+            if (src, i, dst) in seen:
+                raise ValueError(f"repeated delta edge {src}->{dst} (basis index {i})")
+            seen.add((src, i, dst))
+
+
 class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
         """delta entries are (src_name, index, dst_name), the index one
@@ -108,16 +120,19 @@ class TypeDStructure:
         would cancel over F2.  Each distinct (index, source idempotent,
         target idempotent) is checked once, and repeats by count; on a
         failure the edges are walked in order for the first offender's
-        message.  Construction is a build step and a check step (the
-        generators, then the edges); `built` runs the build step alone."""
+        message, a coefficient that does not fit before any repeat, as the
+        type D reader reports them.  Construction is a build step and a
+        check step (the generators, then the edges); `built` runs the build
+        step alone."""
         self._build(pmc, _check_generators(pmc, generators), list(map(tuple, delta)))
         self._check_delta()
 
     @classmethod
     def built(cls, pmc: PointedMatchedCircle, generators: dict, delta: list):
         """The build step alone, for a caller whose construction guarantees
-        what the checks find (`cfk2cfd.build_cfd`): normal-form records, tuple
-        edges."""
+        what the checks find, normal-form records and tuple edges:
+        `cfk2cfd.build_cfd`, and `serialize.type_d_from_json`, which checks
+        each generator and edge as it reads them."""
         N = cls.__new__(cls)
         N._build(pmc, generators, delta)
         return N
@@ -134,19 +149,14 @@ class TypeDStructure:
         idempotents, delta = self.basis.idempotents, self.delta
         idem = {name: g.idempotent for name, g in self.generators.items()}
         shapes = {(i, idem.get(src), idem.get(dst)) for src, i, dst in delta}
-        if len(set(delta)) == len(delta) and all(
-                0 <= i < len(idempotents) and idempotents[i] == (s, t)
-                for i, s, t in shapes):
-            return
-        seen = set()
-        for src, i, dst in delta:
-            pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
-            if not (0 <= i < len(idempotents) and idempotents[i] == pair):
-                raise ValueError(
-                    f"coefficient on {src}->{dst} not compatible with idempotents")
-            if (src, i, dst) in seen:
-                raise ValueError(f"repeated delta edge {src}->{dst} (basis index {i})")
-            seen.add((src, i, dst))
+        if not all(0 <= i < len(idempotents) and idempotents[i] == (s, t)
+                   for i, s, t in shapes):
+            for src, i, dst in delta:
+                pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
+                if not (0 <= i < len(idempotents) and idempotents[i] == pair):
+                    raise ValueError(
+                        f"coefficient on {src}->{dst} not compatible with idempotents")
+        _check_repeated_edges(delta)
 
     def delta_map(self) -> dict[str, list[tuple[int, str]]]:
         out: dict[str, list] = {name: [] for name in self.generators}

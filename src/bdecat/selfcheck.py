@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from collections import defaultdict
 
 from .grading import (GradingElement, _pair_chord_data, f_s, gmul, gpow,
@@ -129,7 +128,6 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
             failures.append(label)
 
     for name, pmc in (("torus", torus_pmc()), ("split2", split_pmc(2))):
-        t0 = time.monotonic()
         k = pmc.genus
         basis = az_basis(pmc)
         n = len(basis)
@@ -182,9 +180,6 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
 
         ok = all((m[r] - m[a] - 1) % 2 == 0 for a, d in enumerate(diffs) for r in d)
         report(f"{name}: m(da) = m(a) + 1", ok)
-
-        if verbose:
-            print(f"      ({name} done in {time.monotonic() - t0:.2f}s)")
 
     return failures
 

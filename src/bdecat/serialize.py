@@ -9,8 +9,11 @@ each resolves by its label to one index of `az_basis(pmc)`, whose
 idempotents are then checked against the generators'.  A file resolves each
 distinct (coefficient text, source idempotent, target idempotent) once, and
 validates and freezes each distinct idem list once, however many delta
-edges and generators repeat it.  A faulty generator is reported before any
-edge or op that meets it, and an edge or op naming no generator says so.
+edges and generators repeat it.  The generators are checked before any
+edge or op is read, and an edge or op naming no generator says so.  The
+type D reader checks each fact once: each coefficient against its edge's
+idempotents as it is parsed, then repeated edges; `TypeDStructure.built`
+checks nothing again.
 A diagram point's alpha is "arc:N" or "circle:N" with N in ASCII digits.
 All dumps are canonical: sorted keys, no floats anywhere.  A type D file is
 written by `dump_type_d`, one f-string per generator and delta record,
@@ -26,7 +29,8 @@ from fractions import Fraction
 
 from .cfk2cfd import Arrow, CFKComplex, CFKGenerator
 from .diagram import BorderedDiagram, DiagramPoint
-from .dmodules import AInfModule, ModuleGenerator, TypeDStructure, _check_generators
+from .dmodules import (AInfModule, ModuleGenerator, TypeDStructure, _check_generators,
+                       _check_repeated_edges)
 from .grothendieck import ExteriorClass, LaurentHalf
 from .pmc import NAMED_PMCS, PointedMatchedCircle, ReebChord
 from .satellite import PatternClass
@@ -196,41 +200,26 @@ def _generators_to_json(table):
     return out
 
 
-@contextlib.contextmanager
-def _generators_first(pmc, gens):
-    """Run the reading of a module's edges or ops so that a faulty
-    generator is reported before them.  The module's constructor checks
-    the generators once the edges are read; when reading one fails first,
-    often because it meets a faulty generator, the generators are checked
-    here, and their fault, if any, is the one raised."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError):
-        # the errors `read` reports as bad input
-        _check_generators(pmc, gens)
-        raise
-
-
 def type_d_from_json(data) -> TypeDStructure:
     pmc = pmc_from_json(data["pmc"])
-    gens = _generators_from_json(data["generators"])
-    idem = {g.name: g.idempotent for g in gens}
+    table = _check_generators(pmc, _generators_from_json(data["generators"]))
+    idem = {name: g.idempotent for name, g in table.items()}
     basis, delta, resolved = az_basis(pmc), [], {}
-    with _generators_first(pmc, gens):
-        for entry in data.get("delta", []):
-            src, dst, expr = entry["src"], entry["dst"], entry["coeff"]
-            try:
-                left, right = idem[src], idem[dst]
-            except KeyError as exc:
-                raise FixtureError(f"delta edge {src}->{dst}: unknown generator "
-                                   f"{exc.args[0]}") from None
-            # Only text is ever stored: parse_coefficient rejects anything else.
-            key = (expr, left, right)
-            i = resolved.get(key) if type(expr) is str else None
-            if i is None:
-                i = resolved[key] = parse_coefficient(basis, expr, left, right)
-            delta.append((src, i, dst))
-    return TypeDStructure(pmc, gens, delta)
+    for entry in data.get("delta", []):
+        src, dst, expr = entry["src"], entry["dst"], entry["coeff"]
+        try:
+            left, right = idem[src], idem[dst]
+        except KeyError as exc:
+            raise FixtureError(f"delta edge {src}->{dst}: unknown generator "
+                               f"{exc.args[0]}") from None
+        # Only text is ever stored: parse_coefficient rejects anything else.
+        key = (expr, left, right)
+        i = resolved.get(key) if type(expr) is str else None
+        if i is None:
+            i = resolved[key] = parse_coefficient(basis, expr, left, right)
+        delta.append((src, i, dst))
+    _check_repeated_edges(delta)
+    return TypeDStructure.built(pmc, table, delta)
 
 
 def type_d_to_json(N: TypeDStructure) -> dict:
@@ -246,21 +235,20 @@ def type_d_to_json(N: TypeDStructure) -> dict:
 def ainf_from_json(data) -> AInfModule:
     pmc = pmc_from_json(data["pmc"])
     gens = _generators_from_json(data["generators"])
-    idem = {g.name: g.idempotent for g in gens}
+    idem = {name: g.idempotent for name, g in _check_generators(pmc, gens).items()}
     basis = az_basis(pmc)
     ops = []
-    with _generators_first(pmc, gens):
-        for entry in data.get("ops", []):
-            x, y = entry["x"], entry["y"]
-            for name in (x, y):
-                if name not in idem:
-                    raise FixtureError(f"op {x} -> {y}: unknown generator {name}")
-            ids = []
-            left = idem[x]
-            for expr in entry.get("algs", []):
-                ids.append(parse_coefficient(basis, expr, left))
-                left = basis.idempotents[ids[-1]][1]
-            ops.append((x, ids, y))
+    for entry in data.get("ops", []):
+        x, y = entry["x"], entry["y"]
+        for name in (x, y):
+            if name not in idem:
+                raise FixtureError(f"op {x} -> {y}: unknown generator {name}")
+        ids = []
+        left = idem[x]
+        for expr in entry.get("algs", []):
+            ids.append(parse_coefficient(basis, expr, left))
+            left = basis.idempotents[ids[-1]][1]
+        ops.append((x, ids, y))
     return AInfModule(pmc, gens, ops)
 
 
@@ -401,10 +389,10 @@ def dump_type_d(N: TypeDStructure, extra: dict) -> str:
 
 
 def load_file(path: str) -> dict:
-    """The parsed JSON at path; bytes that are not text, text that is not
-    JSON, or JSON nested too deeply for the parser raise FixtureError naming
-    the file."""
-    with open(path) as fh:
+    """The parsed JSON at path, read as UTF-8 whatever the locale, as JSON
+    requires; bytes that are not UTF-8, text that is not JSON, or JSON nested
+    too deeply for the parser raise FixtureError naming the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

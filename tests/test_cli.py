@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -325,6 +327,19 @@ def _set(index, **fields):
     return lambda d: d["generators"][index].update(fields)
 
 
+def _repeat(key):
+    """An edit appending a copy of the first delta edge or op."""
+    return lambda d: d[key].append(dict(d[key][0]))
+
+
+def _edits(*edits):
+    """An edit making each of edits in turn."""
+    def edit(d):
+        for e in edits:
+            e(d)
+    return edit
+
+
 # typed_triangle has x1 at [2], x2 at [1] and x3 at [2], and the edges
 # x1 -rho2-> x2, x1 -1-> x3, x2 -rho1-> x3.
 MALFORMED_CFD = {
@@ -360,6 +375,20 @@ MALFORMED_CFD = {
     "delta edge to an unknown generator": (
         lambda d: d["delta"].append({"coeff": "1", "dst": "nope", "src": "x1"}),
         "delta edge x1->nope: unknown generator nope"),
+    # two faults: a generator first, then edges in file order, then repeats
+    "x1 outside [2k] with a repeated edge": (
+        _edits(_set(0, idem=[3]), _repeat("delta")), "x1: idempotent outside [2k]"),
+    "duplicate generator name with a repeated edge": (
+        _edits(lambda d: d["generators"].append(dict(d["generators"][0])), _repeat("delta")),
+        "duplicate generator name x1"),
+    "repeated edge followed by an unknown generator": (
+        _edits(_repeat("delta"),
+               lambda d: d["delta"].append({"coeff": "1", "dst": "nope", "src": "x1"})),
+        "delta edge x1->nope: unknown generator nope"),
+    "repeated edge followed by a coefficient that does not fit": (
+        _edits(_repeat("delta"),
+               lambda d: d["delta"].append({"coeff": "rho1", "dst": "x2", "src": "x1"})),
+        "coefficient 'rho1' vanishes between {2} and {1}"),
 }
 
 
@@ -387,6 +416,17 @@ MALFORMED_CFA = {
     "op to an unknown generator": (
         lambda d: d["ops"].append({"algs": ["rho2"], "x": "w", "y": "nope"}),
         "op w -> nope: unknown generator nope"),
+    # two faults: a generator first, then ops in file order, then repeats
+    "w outside [2k] with a repeated op": (
+        _edits(_set(1, idem=[3]), _repeat("ops")), "w: idempotent outside [2k]"),
+    "repeated op followed by an unknown generator": (
+        _edits(_repeat("ops"),
+               lambda d: d["ops"].append({"algs": ["rho2"], "x": "nope", "y": "u"})),
+        "op nope -> u: unknown generator nope"),
+    "repeated op followed by an input that does not chain": (
+        _edits(_repeat("ops"),
+               lambda d: d["ops"].append({"algs": ["rho1"], "x": "w", "y": "u"})),
+        "operation input 'rho1' incompatible with idempotent chain"),
 }
 
 
@@ -435,15 +475,42 @@ MALFORMED_DIAGRAM = {
     "full-width digit": ({"alpha": "arc:\uff11"},
                          "alpha must be 'arc:N' or 'circle:N', got 'arc:\uff11'"),
     "non-string alpha": ({"alpha": 1}, "alpha must be 'arc:N' or 'circle:N', got 1"),
+    # two faults: the genus and the alpha-circle count before any point
+    "genus 0 and sign 0": ({"sign": 0}, "genus 0 is below the boundary genus 1",
+                           {"genus": 0}),
+    "genus 2 and kind curve": ({"alpha": "curve:1"}, "need g - k = 1 alpha-circles, got 0",
+                               {"genus": 2}),
+    "one alpha-circle and sign -2": ({"sign": -2}, "need g - k = 0 alpha-circles, got 1",
+                                     {"alpha_circles": 1}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DIAGRAM))
 def test_malformed_diagram_messages(capsys, tmp_path, case):
-    fields, message = MALFORMED_DIAGRAM[case]
-    path = _fixture_with(tmp_path, "diag_solid_torus", lambda d: d["points"][0].update(fields))
+    """The first point's fields are set, and the diagram's when a third
+    entry is given."""
+    fields, message, *diagram_fields = MALFORMED_DIAGRAM[case]
+
+    def edit(d):
+        d["points"][0].update(fields)
+        d.update(*diagram_fields)
+    path = _fixture_with(tmp_path, "diag_solid_torus", edit)
     for argv in (["check", path], ["diagram-kernel", path]):
         assert invoke(capsys, *argv) == (2, "", f"error: {path}: {message}\n"), argv
+
+
+@pytest.mark.parametrize("name", ["typed_triangle", "cfa_with_ops", "cfk_trefoil_right",
+                                  "diag_solid_torus"])
+def test_files_are_read_as_utf8_whatever_the_locale(name):
+    """JSON is UTF-8, so no file is opened with the locale's default
+    encoding, which this interpreter turns into an error."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "bdecat.cli", "check", fixture_path(name)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    assert out.stdout.startswith(f"{fixture_path(name)}: valid ")
 
 
 def test_check_validates_pattern_alexander_weights(capsys, tmp_path):

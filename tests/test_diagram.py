@@ -138,6 +138,18 @@ def test_beta_meeting_no_alpha_gives_no_generators():
     assert intersection_matrix(d) == [[0], [0]]
 
 
+@pytest.mark.parametrize("point, message", [
+    (arc(1, 1, sign=0), "point sign must be +1 or -1"),
+    (DiagramPoint(("curve", 1), 1, 1), "bad alpha kind curve"),
+])
+def test_the_diagram_checks_each_point_sign_and_kind(point, message):
+    """A DiagramPoint is a plain record; the diagram rejects a bad sign or
+    alpha kind, after a good point, with the same message the reader gives."""
+    with pytest.raises(ValueError) as info:
+        BorderedDiagram(torus_pmc(), 1, 0, [arc(2, 1), point])
+    assert str(info.value) == message
+
+
 def test_triangle_diagram_has_three_generators():
     # two points on arc 1 and one on arc 2, one beta circle
     d = BorderedDiagram(torus_pmc(), 1, 0,

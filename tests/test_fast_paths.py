@@ -8,7 +8,10 @@ inline and builds tuple records.  These tests hold each to the checked or
 former path: on the shipped CFK fixtures and their mirrors, on generated
 staircases, and on the edge cases of the file formats."""
 
+import glob
 import json
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,9 @@ from hypothesis import given, settings
 from bdecat import serialize as ser
 from bdecat.cfk2cfd import Arrow, CFKGenerator, build_cfd
 from bdecat.dmodules import ModuleGenerator, TypeDStructure, check_type_d
-from tests.conftest import CFK_NAMES, load_fixture
+from tests.conftest import CFK_NAMES, FIXTURES, load_fixture
 from tests.helpers import cfk_from_json_oracle, cfk_to_json, generators_from_json_oracle
-from tests.test_cfk2cfd import _mirror, reduced_cfk
+from tests.test_cfk2cfd import _mirror, _random_staircase, reduced_cfk
 
 
 def _assert_built_as_checked(cfk):
@@ -47,6 +50,41 @@ def test_built_cfd_passes_the_constructor_checks_on_the_fixtures(name):
 @given(reduced_cfk())
 def test_built_cfd_passes_the_constructor_checks_on_staircases(cfk):
     _assert_built_as_checked(cfk)
+
+
+def test_reading_a_type_d_file_checks_nothing_twice(monkeypatch):
+    """The reader checks each generator and edge as it reads it and builds
+    with `built`: with the constructor and its edge check made to fail,
+    every shipped type D fixture and a generated staircase CFD still read
+    as the structures they hold."""
+    cfd = build_cfd(_random_staircase(random.Random(5), 12))
+    data = json.loads(ser.dump_type_d(cfd, {}))
+
+    def refuse(*args):
+        raise AssertionError("checked twice")
+    monkeypatch.setattr(TypeDStructure, "__init__", refuse)
+    monkeypatch.setattr(TypeDStructure, "_check_delta", refuse)
+    read = ser.type_d_from_json(data)
+    assert read.generators == cfd.generators and read.delta == cfd.delta
+    typed = [p for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+             if ser.sniff_kind(ser.load_file(p)) == "typed"]
+    assert typed
+    for path in typed:
+        assert ser.read(path, "typed")[1].delta
+
+
+def test_the_constructor_still_checks_every_edge():
+    """`TypeDStructure(...)` keeps its checks for direct callers: a
+    coefficient that does not fit its edge, and a repeated edge."""
+    N = load_fixture("typed_triangle")
+    gens = list(N.generators.values())
+    src, i, dst = N.delta[0]
+    with pytest.raises(ValueError) as info:
+        TypeDStructure(N.pmc, gens, [(dst, i, src)])
+    assert str(info.value) == f"coefficient on {dst}->{src} not compatible with idempotents"
+    with pytest.raises(ValueError) as info:
+        TypeDStructure(N.pmc, gens, N.delta + [N.delta[0]])
+    assert str(info.value) == f"repeated delta edge {src}->{dst} (basis index {i})"
 
 
 def _outcome(read, data):

@@ -17,6 +17,16 @@ def test_selfcheck_passes_every_line(capsys):
     assert "PASS  split2: Leibniz rule on all composable basis pairs (5286 pairs)" in out
 
 
+def test_selfcheck_prints_the_same_lines_on_every_run(capsys):
+    """Only PASS and FAIL lines, no timings, so two runs print the same text."""
+    outs = []
+    for _ in range(2):
+        run_selfcheck(verbose=True)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert all(line.startswith("PASS  ") for line in outs[0].splitlines())
+
+
 def test_a_product_across_mismatched_idempotents_fails_the_idempotent_line(
         capsys, monkeypatch):
     # Leibniz skips pairs whose idempotents do not compose; an entry there is
