@@ -355,8 +355,7 @@ MALFORMED_CFD = {
                                  "duplicate generator name x1"),
     "list as coeff": (lambda d: d["delta"][0].update(coeff=["rho2"]),
                       "coefficient must be a string, got ['rho2']"),
-    "repeated delta edge": (lambda d: d["delta"].append(dict(d["delta"][0])),
-                            "repeated delta edge x1->x2 (basis index 5)"),
+    "repeated delta edge": (_repeat("delta"), "repeated delta edge x1->x2 (basis index 5)"),
     "coefficient that does not fit the idempotents": (
         lambda d: d["delta"][0].update(coeff="rho1"),
         "coefficient 'rho1' vanishes between {2} and {1}"),
