@@ -13,6 +13,16 @@ in and on that checkout's `src`, on:
   with the CFD that `cfd-from-cfk --json` builds from each CFK fixture;
 - `satellite` for every pattern with every CFK fixture;
 - `check --selftest`;
+and then every flag:
+- `algebra --summand i` for every i from -k to k on the torus and split2,
+  with and without `--gradings`;
+- `pair --box --weight w` for w in 0, 2 and -1, on the pairs above;
+- `satellite` with `--winding 0`, `--winding 3` and `--report`;
+- `check --framing n` for n = 1 and -1 on every type D file, the built CFDs
+  among them;
+- `check --kind` with every kind on every shipped fixture, its own kind and
+  each wrong one;
+- `check --sign-report --pmc` on the torus and split2;
 each in text and with `--json`.  Paths are printed relative to the root,
 and the directory holding the built CFDs as <tmp>, in the argv and in the
 hashed output alike.  So running a copy of this script in two checkouts and
@@ -74,6 +84,19 @@ def argvs(tmp: str) -> list[list[str]]:
              for cfd in fixtures("typed_") + cfds for box in ([], ["--box"])]
     runs += [["satellite", cfa, cfk] for cfa in fixtures("cfa_") for cfk in fixtures("cfk_")]
     runs.append(["check", "--selftest"])
+    runs += [["algebra", "--pmc", pmc, "--summand", str(i), *gradings]
+             for pmc, k in (("torus", 1), ("split2", 2)) for i in range(-k, k + 1)
+             for gradings in ([], ["--gradings"])]
+    runs += [["pair", cfa, cfd, "--box", "--weight", w] for cfa in fixtures("cfa_")
+             for cfd in fixtures("typed_") + cfds for w in ("0", "2", "-1")]
+    runs += [["satellite", cfa, cfk, *flags] for cfa in fixtures("cfa_")
+             for cfk in fixtures("cfk_")
+             for flags in (["--winding", "0"], ["--winding", "3"], ["--report"])]
+    runs += [["check", typed, "--framing", n] for typed in fixtures("typed_") + cfds
+             for n in ("1", "-1")]
+    runs += [["check", path, "--kind", kind] for path in fixtures()
+             for kind in ("ainf", "cfk", "diagram", "pattern", "pmc", "typed")]
+    runs += [["check", "--sign-report", "--pmc", pmc] for pmc in ("torus", "split2")]
     return [argv + json for argv in runs for json in ([], ["--json"])]
 
 

@@ -64,12 +64,13 @@ column operations, so the conversion needs no second reduction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
 
 from .grothendieck import ExteriorClass, class_from_terms
-from .linalg import column_echelon, det_int, inverse_unimodular, smith_normal_form
+from .linalg import column_echelon, det_int, inverse_unimodular
 from .pmc import PointedMatchedCircle
 
 
@@ -350,18 +351,13 @@ def homology_kernel(d: BorderedDiagram) -> HomologyKernel:
 
 
 def h1_rel_order_oracle(d: BorderedDiagram) -> int | None:
-    """|Z^{g-k} / im(C)| by Smith normal form, C the alpha-circle rows of
-    M(H); None when infinite."""
+    """|Z^{g-k} / im(C)|, C the alpha-circle rows of M(H), as the gcd of the
+    maximal minors of C, each by `det_int`; None when every minor vanishes
+    (the order is infinite).  It shares no code with `circle_reduction`."""
     top = intersection_matrix(d)[: d.alpha_circles]
-    if not top:
-        return 1
-    diag = smith_normal_form(top)
-    if len(diag) < len(top) or any(v == 0 for v in diag):
-        return None
-    order = 1
-    for v in diag:
-        order *= v
-    return order
+    order = math.gcd(*(det_int([[row[c] for c in cols] for row in top])
+                       for cols in itertools.combinations(range(d.genus), len(top))))
+    return order or None
 
 
 def verify_cfdker(d: BorderedDiagram) -> tuple[HomologyKernel, ExteriorClass]:

@@ -9,12 +9,11 @@ stored as the integer a2 = 2a.  Coefficients are indices into the basis
 (src, index, dst), a sum of basis elements being parallel edges over F2; an
 A-infinity module records its nonzero operations
 m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
-take coefficients in that form, check each index's idempotents and reject a
-repeated delta edge or operation; a type D structure checks each distinct
-idempotent and each distinct (index, source idempotent, target idempotent)
-once, however many generators and edges share it; the type D reader checks
-them as it reads them, and builds with `TypeDStructure.built`.  The checkers
-read the basis tables and `m_table` by index.
+take coefficients in that form, check each generator's idempotent and each
+index's idempotents in one in-order pass, and reject a repeated delta edge
+or operation; the type D reader checks them as it reads them, and builds
+with `TypeDStructure.built`.  The checkers read the basis tables and
+`m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -80,26 +79,23 @@ class ModuleGenerator(_GeneratorFields):
 
 
 def _check_generators(pmc, generators):
-    """name -> generator.  Each distinct idempotent is checked once, and
-    names by count; on a failure the generators are walked in order for the
-    first offender's message, a repeated name before its idempotent.  This
-    is where every idempotent a module's class is summed over gets checked
-    against [2k]."""
+    """name -> generator, checked in order: the first repeated name, or
+    idempotent that is not a k-element subset of [2k], raises, a repeated
+    name before its idempotent.  This is where every idempotent a module's
+    class is summed over gets checked against [2k]."""
     k = pmc.genus
     pairs = frozenset(range(1, 2 * k + 1))
-    table = {g.name: g for g in generators}
-    if len(table) == len(generators) and all(
-            len(s) == k and s <= pairs for s in {g.idempotent for g in generators}):
-        return table
-    seen = set()
+    table = {}
     for g in generators:
-        if g.name in seen:
-            raise ValueError(f"duplicate generator name {g.name}")
-        if len(g.idempotent) != k:
-            raise ValueError(f"{g.name}: idempotent must have {k} elements")
-        if not g.idempotent <= pairs:
-            raise ValueError(f"{g.name}: idempotent outside [2k]")
-        seen.add(g.name)
+        name, s = g.name, g.idempotent
+        if name in table:
+            raise ValueError(f"duplicate generator name {name}")
+        if len(s) != k:
+            raise ValueError(f"{name}: idempotent must have {k} elements")
+        if not s <= pairs:
+            raise ValueError(f"{name}: idempotent outside [2k]")
+        table[name] = g
+    return table
 
 
 def _check_repeated_edges(delta) -> None:
@@ -117,13 +113,11 @@ class TypeDStructure:
     def __init__(self, pmc: PointedMatchedCircle, generators, delta):
         """delta entries are (src_name, index, dst_name), the index one
         element of `az_basis(pmc)`; no edge may appear twice, as two copies
-        would cancel over F2.  Each distinct (index, source idempotent,
-        target idempotent) is checked once, and repeats by count; on a
-        failure the edges are walked in order for the first offender's
-        message, a coefficient that does not fit before any repeat, as the
-        type D reader reports them.  Construction is a build step and a
-        check step (the generators, then the edges); `built` runs the build
-        step alone."""
+        would cancel over F2.  The edges are checked in order, every
+        coefficient against its endpoints' idempotents before any repeat,
+        as the type D reader reports them.  Construction is a build step and
+        a check step (the generators, then the edges); `built` runs the
+        build step alone."""
         self._build(pmc, _check_generators(pmc, generators), list(map(tuple, delta)))
         self._check_delta()
 
@@ -146,17 +140,13 @@ class TypeDStructure:
         self.delta = delta
 
     def _check_delta(self):
-        idempotents, delta = self.basis.idempotents, self.delta
-        idem = {name: g.idempotent for name, g in self.generators.items()}
-        shapes = {(i, idem.get(src), idem.get(dst)) for src, i, dst in delta}
-        if not all(0 <= i < len(idempotents) and idempotents[i] == (s, t)
-                   for i, s, t in shapes):
-            for src, i, dst in delta:
-                pair = (self.generators[src].idempotent, self.generators[dst].idempotent)
-                if not (0 <= i < len(idempotents) and idempotents[i] == pair):
-                    raise ValueError(
-                        f"coefficient on {src}->{dst} not compatible with idempotents")
-        _check_repeated_edges(delta)
+        idempotents, generators = self.basis.idempotents, self.generators
+        for src, i, dst in self.delta:
+            pair = (generators[src].idempotent, generators[dst].idempotent)
+            if not (0 <= i < len(idempotents) and idempotents[i] == pair):
+                raise ValueError(
+                    f"coefficient on {src}->{dst} not compatible with idempotents")
+        _check_repeated_edges(self.delta)
 
     def delta_map(self) -> dict[str, list[tuple[int, str]]]:
         out: dict[str, list] = {name: [] for name in self.generators}
@@ -386,8 +376,9 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
     out: each recorded m_k(x, b_1..b_{k-1}) follows, from each y, only the
     delta chains labelled b_1..b_{k-1} (an F2 set of ends, as paths count
     mod 2), so an x with no operation costs nothing and m_1(x, ()) is one
-    table read per x.  Once an operation has an input, unitality adds
-    m_2(x, I) = x as one more operation of each x; the differential sum
+    table read per x.  Strict unitality, m_2(x, I) = x, is one more
+    operation of x when the unit I of x's idempotent is a coefficient of N:
+    an edge y -> y' labelled I gives x*y -> x*y'.  The differential sum
     stops at the largest arity, so a finite operation list bounds it even
     when N has delta cycles.
     """
@@ -407,10 +398,12 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
     ops: dict[str, list] = {}
     for (xn, ids), outs in M._table.items():
         ops.setdefault(xn, []).append((ids, outs))
+    coefficients = {i for _, i, _ in N.delta}
+    for xn, s, _, _ in M.generators.values():
+        if (unit := N.basis.by_label[(), s]) in coefficients:
+            ops.setdefault(xn, []).append(((unit,), (xn,)))
     step: dict[tuple[str, int], list[str]] = {}
-    if M.max_arity() > 1:
-        for xn, s, _, _ in M.generators.values():
-            ops.setdefault(xn, []).append(((N.basis.by_label[(), s],), (xn,)))
+    if ops:
         for src, i, dst in N.delta:
             step.setdefault((src, i), []).append(dst)
     diff: set[tuple] = set()

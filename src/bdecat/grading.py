@@ -133,14 +133,6 @@ def ginv(x: GradingElement) -> GradingElement:
     return GradingElement(-x.j4 + 2 * _link2(x.alpha, x.alpha), alpha)
 
 
-def gpow(x: GradingElement, n: int) -> GradingElement:
-    out = identity_grading(len(x.alpha) + 1)
-    step = x if n >= 0 else ginv(x)
-    for _ in range(abs(n)):
-        out = gmul(out, step)
-    return out
-
-
 def gr_prime_generator(g: StrandsGenerator) -> GradingElement:
     """gr'(a) = (inv(a) - m([a], S); [a])."""
     padded = [0] * (g.n + 1)
@@ -203,18 +195,6 @@ def _pair_chord_data(pmc: PointedMatchedCircle):
     return ends, pmc.core_intersection
 
 
-def h_coordinates(pmc: PointedMatchedCircle, alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """Write alpha as an integer combination of the pair-chord classes."""
-    if len(alpha) != pmc.num_points - 1:
-        raise ValueError(f"alpha={alpha} does not live on {pmc.num_points} points")
-    ends, _ = _pair_chord_data(pmc)
-    padded = (0,) + tuple(alpha) + (0,)
-    h = tuple(padded[lo] - padded[lo - 1] for lo, _ in ends)
-    if any(padded[hi] - padded[hi - 1] != -c for c, (_, hi) in zip(h, ends)):
-        raise NotInGZ(f"alpha={alpha} is not in the span of pair chords")
-    return h
-
-
 @lru_cache(maxsize=None)
 def _f_tables(pmc: PointedMatchedCircle, s0: frozenset[int] | None):
     """The integer data of f_s: the point count, each pair chord's (lo, hi)
@@ -234,7 +214,9 @@ def f_s(x: GradingElement, pmc: PointedMatchedCircle, s0=None) -> int:
     f(j; h) = j - (1/2) sum_{i in s} h_i + (1/2) sum_{i not in s} h_i
               + sum_{i<j} h_i h_j delta_{ij},  reduced mod 2,
 
-    with h read off the jumps of alpha as in `h_coordinates`.
+    with h_i the jump of alpha at the lower end of pair chord i.  Alpha lies
+    in the span of the pair chords exactly when every upper end jumps by
+    -h_i; `NotInGZ` is raised otherwise.
     """
     n, pairs, cross = _f_tables(pmc, None if s0 is None else frozenset(s0))
     alpha = x.alpha

@@ -1,10 +1,8 @@
 """Exact integer linear algebra: determinants (closed forms up to 3 x 3,
-Bareiss above), the inverse of a unimodular matrix, Smith normal form and
-unimodular column reduction.  Every entry stays a Python int."""
+Bareiss above), the inverse of a unimodular matrix and unimodular column
+reduction.  Every entry stays a Python int."""
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def det_int(rows: list[list[int]] | tuple[list[int], ...]) -> int:
@@ -53,78 +51,6 @@ def inverse_unimodular(rows: list[list[int]]) -> list[list[int]]:
 
     return [[det * minor(j, i) * (-1 if (i + j) % 2 else 1) for j in range(n)]
             for i in range(n)]
-
-
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form, nonnegative with divisibility."""
-    a = [row[:] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot
-        piv = next(((r, c) for r in range(top, m) for c in range(top, n)
-                    if a[r][c] != 0), None)
-        if piv is None:
-            break
-        r0, c0 = piv
-        a[top], a[r0] = a[r0], a[top]
-        for row in a:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            # clear the pivot column with row operations
-            for r in range(m):
-                if r != top and a[r][top] != 0:
-                    if a[r][top] % a[top][top] == 0:
-                        q = a[r][top] // a[top][top]
-                        a[r] = [x - q * y for x, y in zip(a[r], a[top])]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[r][top])
-                        p, q = a[top][top] // g, a[r][top] // g
-                        rt, rr = a[top], a[r]
-                        a[top] = [x * u + y * v for u, v in zip(rt, rr)]
-                        a[r] = [-q * u + p * v for u, v in zip(rt, rr)]
-            if any(a[r][top] != 0 for r in range(m) if r != top):
-                continue
-            # clear the pivot row with column operations
-            for c in range(n):
-                if c != top and a[top][c] != 0:
-                    if a[top][c] % a[top][top] == 0:
-                        q = a[top][c] // a[top][top]
-                        for row in a:
-                            row[c] -= q * row[top]
-                    else:
-                        g, x, y = _xgcd(a[top][top], a[top][c])
-                        p, q = a[top][top] // g, a[top][c] // g
-                        for row in a:
-                            u, v = row[top], row[c]
-                            row[top] = x * u + y * v
-                            row[c] = -q * u + p * v
-            if all(a[r][top] == 0 for r in range(m) if r != top) and \
-               all(a[top][c] == 0 for c in range(n) if c != top):
-                break
-        diag.append(abs(a[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[i] and diag[j] % diag[i] != 0:
-                g = gcd(diag[i], diag[j])
-                diag[j] = diag[i] * diag[j] // g
-                diag[i] = g
-    return diag
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def column_echelon(rows: list[list[int]], top_rows: int):

@@ -22,7 +22,7 @@ import itertools
 import random
 from collections import defaultdict
 
-from .grading import (GradingElement, _pair_chord_data, f_s, gmul, gpow,
+from .grading import (GradingElement, _pair_chord_data, f_s, ginv, gmul,
                       gr_prime, lam, m_table)
 from .pmc import PointedMatchedCircle, split_pmc, torus_pmc
 from .strands import AZBasis, az_basis
@@ -160,7 +160,7 @@ def run_selfcheck(verbose: bool = True, seed: int = 0) -> list[str]:
         ok = all(gr[r] == gmul(gr[a], gr[b]) for (a, b), ab in products.items() for r in ab)
         report(f"{name}: gr'(ab) = gr'(a) gr'(b)", ok)
 
-        lam_inv = gpow(lam(pmc.num_points), -1)
+        lam_inv = ginv(lam(pmc.num_points))
         ok = all(gr[r] == gmul(lam_inv, gr[a]) for a, d in enumerate(diffs) for r in d)
         report(f"{name}: gr'(da) = lambda^-1 gr'(a)", ok)
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bdecat import serialize
-from bdecat.dmodules import AInfModule, ModuleGenerator, TypeDStructure
+from bdecat.dmodules import (AInfModule, ModuleGenerator, StructureEquationFails,
+                             TypeDStructure, check_type_d)
 from bdecat.grading import m_table
 from bdecat.pmc import split_pmc, torus_pmc
 from bdecat.torus import torus_algebra
@@ -66,24 +67,31 @@ def edge_choices():
 
 def random_type_d(rng: random.Random, n_gens=None, with_a=True) -> TypeDStructure:
     """A random bounded type D structure over the torus algebra with
-    m-consistent coefficients."""
+    m-consistent coefficients: edges are drawn afresh until the structure
+    equation holds."""
     pmc = torus_pmc()
     n = n_gens or rng.randint(1, 5)
     gens = [ModuleGenerator(f"y{i}", frozenset({rng.choice([1, 2])}),
                             rng.randint(0, 1),
                             a2=rng.randint(-4, 4) if with_a else None)
             for i in range(n)]
-    delta = []
-    for i in range(n):
-        for j in range(i + 1, n):  # edges i -> j keep the digraph acyclic
-            if rng.random() < 0.4:
-                key = (gens[i].idempotent, gens[j].idempotent,
-                       (gens[i].m - gens[j].m - 1) % 2)
-                options = edge_choices().get(key, [])
-                if options:
-                    delta.append((gens[i].name, rng.choice(options),
-                                  gens[j].name))
-    return TypeDStructure(pmc, gens, delta)
+    while True:
+        delta = []
+        for i in range(n):
+            for j in range(i + 1, n):  # edges i -> j keep the digraph acyclic
+                if rng.random() < 0.4:
+                    key = (gens[i].idempotent, gens[j].idempotent,
+                           (gens[i].m - gens[j].m - 1) % 2)
+                    options = edge_choices().get(key, [])
+                    if options:
+                        delta.append((gens[i].name, rng.choice(options),
+                                      gens[j].name))
+        N = TypeDStructure(pmc, gens, delta)
+        try:
+            check_type_d(N)
+        except StructureEquationFails:
+            continue
+        return N
 
 
 def random_ainf(rng: random.Random, n_gens=None, with_a=True) -> AInfModule:

@@ -260,10 +260,12 @@ def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
 def box_tensor_oracle(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComplex:
     """M box N over every pair of generators: each (x, y) with equal
     idempotents walks every delta chain from y, of up to the largest
-    recorded arity minus one edges, and asks `eval_m` for m_k(x, chain)."""
+    recorded arity minus one edges and of at least one edge, since the
+    unit gives m_2(x, I) = x whatever M records, and asks `eval_m` for
+    m_k(x, chain)."""
     if M.pmc != N.pmc:
         raise PmcMismatch("modules over different pointed matched circles")
-    max_chain = M.max_arity() - 1
+    max_chain = max(M.max_arity(), 2) - 1
 
     gens = {}
     for xm in M.generators.values():

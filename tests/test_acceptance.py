@@ -106,16 +106,21 @@ def test_criterion_3_pairing_theorem():
         assert chi == pair(class_of(M), substitute(class_of(N), w))
         count += 1
     rng = random.Random(3)
-    randomized = 0
+    randomized = with_differential = 0
     while randomized < 110:
         M = random_ainf(rng)
         N = random_type_d(rng)
         w = rng.choice([1, 1, 2, 3])
-        chi = euler_of_complex(box_tensor(M, N, weight=w))
+        box = box_tensor(M, N, weight=w)
+        chi = euler_of_complex(box)
         assert chi == pair(class_of(M), substitute(class_of(N), w))
         randomized += 1
+        with_differential += bool(box.differential)
+    # the randomized half must not become vacuous: some boxes have arrows
+    assert with_differential >= randomized // 10
     report(3, f"chi(M box N) = [M].[N] on {count} shipped and "
-              f"{randomized} randomized pairs")
+              f"{randomized} randomized pairs, {with_differential} of them "
+              f"with a nonempty differential")
 
 
 FROZEN_DELTAS = {

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest  # noqa: F401  (fixtures)
@@ -11,7 +12,7 @@ from bdecat.diagram import (BorderedDiagram, DiagramPoint, TheoremViolation,
                             h1_rel_order_oracle, homology_kernel,
                             intersection_matrix, verify_cfdker)
 from bdecat.grothendieck import LaurentHalf, class_from_terms
-from bdecat.linalg import column_echelon, det_int, smith_normal_form
+from bdecat.linalg import column_echelon, det_int
 from bdecat.pmc import PointedMatchedCircle, split_pmc, torus_pmc
 from scripts.duality_experiment import random_diagram
 from tests.conftest import DIAGRAM_NAMES, load_fixture
@@ -54,26 +55,14 @@ def test_det_against_permutation_expansion():
         assert det_int(m) == expected
 
 
-def test_smith_normal_form_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[2, 4], [0, 2]]) == [2, 2]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([[6]]) == [6]
-
-
-def test_smith_normal_form_preserves_cokernel_order():
-    rng = random.Random(2)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        diag = smith_normal_form(m)
-        order = 1
-        for v in diag:
-            order *= v
-        if len(diag) == n and all(diag):
-            assert order == abs(det_int(m))
-        else:
-            assert det_int(m) == 0
+def determinantal_divisors(m):
+    """The gcd of all j x j minors of m, for j = 1 .. min(rows, cols), each
+    minor by `det_int`: they fix the Smith normal form of m."""
+    rows, cols = len(m), len(m[0])
+    return [math.gcd(*(det_int([[m[r][c] for c in cs] for r in rs])
+                       for rs in itertools.combinations(range(rows), j)
+                       for cs in itertools.combinations(range(cols), j)))
+            for j in range(1, min(rows, cols) + 1)]
 
 
 def test_column_echelon_preserves_lattice_membership():
@@ -83,9 +72,8 @@ def test_column_echelon_preserves_lattice_membership():
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         reduced, pivots, eps = column_echelon(m, rows)
         # every reduced column is an integer combination of the originals
-        # and vice versa: compare the lattices via their Hermite invariants
-        assert smith_normal_form(m) == smith_normal_form(
-            [row[:] for row in reduced])
+        # and vice versa: compare their determinantal divisors
+        assert determinantal_divisors(m) == determinantal_divisors(reduced)
         assert eps in (1, -1)
         # the pivots come first and the other columns vanish on the top rows
         assert pivots == list(range(len(pivots)))
@@ -113,7 +101,7 @@ def test_column_echelon_sign_and_diagonal_give_the_determinant():
 
 
 def test_diagram_reexports_the_linear_algebra():
-    for name in ("det_int", "smith_normal_form", "column_echelon"):
+    for name in ("det_int", "column_echelon"):
         assert getattr(diagram, name) is getattr(linalg, name)
 
 
@@ -218,9 +206,31 @@ def test_verify_cfdker_on_fixtures(name):
 
 @pytest.mark.parametrize("name", DIAGRAM_NAMES)
 def test_order_agrees_with_snf_oracle(name):
+    """`h1_rel_order_oracle`, the gcd of the alpha-circle minors, against
+    the column reduction of `homology_kernel`."""
     d = load_fixture(name)
     hk = homology_kernel(d)
     assert hk.order == h1_rel_order_oracle(d)
+
+
+@pytest.mark.parametrize("rows,order", [
+    ([[2, 0, 0], [0, 3, 0]], 6),     # Z/2 + Z/3
+    ([[2, 4, 0], [0, 2, 0]], 4),     # Z/2 + Z/2
+    ([[2, 0, 3], [0, 3, 0]], 3),     # minors 6, 0, -9: gcd 3 divides each
+    ([[2, 4, 6], [1, 2, 3]], None),  # rank 1: every 2 x 2 minor vanishes
+])
+def test_order_oracle_is_the_gcd_of_the_circle_minors(rows, order):
+    """Genus 3 over the torus circle with two alpha-circles whose rows of
+    M(H) are the given counts; the arcs meet beta 1 and beta 3."""
+    pts, pid = [arc(1, 1, 1, 100), arc(2, 3, 1, 101)], 0
+    for i, row in enumerate(rows, start=1):
+        for b, count in enumerate(row, start=1):
+            for _ in range(count):
+                pts.append(circle(i, b, 1, pid))
+                pid += 1
+    d = BorderedDiagram(torus_pmc(), 3, 2, pts)
+    assert intersection_matrix(d)[:2] == rows
+    assert h1_rel_order_oracle(d) == order == homology_kernel(d).order
 
 
 def _oracle_diagrams():

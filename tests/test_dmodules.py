@@ -332,6 +332,28 @@ def test_box_tensor_differential_and_euler(triangle):
     assert C.differential  # m2(w, rho2) against the rho2 arrow of x1
 
 
+def test_box_tensor_is_strictly_unital(triangle):
+    """cfa_winding2 records no op with an input, yet m_2(w, 1) = w still
+    pairs with the triangle's x1 -1-> x3 edge."""
+    C = box_tensor(load_fixture("cfa_winding2").cfa, triangle)
+    arrows = {(C.generators[a].name, C.generators[b].name) for a, b in C.differential}
+    assert arrows == {("w1*x1", "w1*x3"), ("w2*x1", "w2*x3")}
+
+
+def test_random_type_d_draws_are_type_d_structures():
+    """`random_type_d` redraws edges until the structure equation holds;
+    many draws keep edges, and some a unit coefficient for the box."""
+    rng = random.Random(31)
+    with_edges = with_unit = 0
+    for _ in range(200):
+        N = random_type_d(rng)
+        check_type_d(N)
+        assert is_bounded(N)
+        with_edges += bool(N.delta)
+        with_unit += any(i in N.basis.idempotent_indices for _, i, _ in N.delta)
+    assert with_edges >= 100 and with_unit >= 20
+
+
 def test_box_tensor_weighted_euler(triangle):
     rng = random.Random(8)
     for _ in range(25):

@@ -9,7 +9,7 @@ import pytest
 from bdecat import grading
 from bdecat.grading import (GradingElement, NotHomogeneous, NotInGZ,
                             NotIntegral, NotMiddleSummand, f_s, ginv, gmul,
-                            gr_prime, h_coordinates, m_of)
+                            gr_prime, m_of)
 from bdecat.pmc import split_pmc
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import basis_of_AZ, left_right_pairs
@@ -46,15 +46,18 @@ def test_h_coordinates_match_oracle_in_and_out_of_span(torus, split2, split3):
                               for p in range(n1))
             else:
                 alpha = tuple(rng.randint(-2, 2) for _ in range(n1))
+            # f_s reads h off the jumps of alpha; it must raise NotInGZ
+            # exactly where the Fraction elimination finds no h
+            x = GradingElement(grading._odd_jumps(alpha), alpha)
             try:
-                want = oracle.h_coordinates(pmc, alpha)
+                oracle.h_coordinates(pmc, alpha)
             except NotInGZ:
                 outside += 1
                 with pytest.raises(NotInGZ):
-                    h_coordinates(pmc, alpha)
+                    f_s(x, pmc)
             else:
                 inside += 1
-                assert h_coordinates(pmc, alpha) == want
+                assert f_s(x, pmc) == oracle.f_s(_as_pair(x), pmc)
         assert inside >= 200 and outside >= 150
 
 
