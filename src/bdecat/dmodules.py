@@ -8,7 +8,10 @@ stored as the integer a2 = 2a.  Coefficients are indices into the basis
 `az_basis(pmc)` of A(Z, 0): a type D structure records delta as edges
 (src, index, dst), a sum of basis elements being parallel edges over F2; an
 A-infinity module records its nonzero operations
-m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index.  The constructors
+m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index and none an
+idempotent, and keeps them in one table by generator, x -> {inputs:
+outputs}, beside the unit m_2(x, I) = x that strict unitality gives every
+generator; `eval_m` and the box tensor both read that table.  The constructors
 take coefficients in that form, check each generator's idempotent and each
 index's idempotents in one in-order pass, and reject a repeated delta edge
 or operation; the type D reader checks them as it reads them, and builds
@@ -18,10 +21,11 @@ with `TypeDStructure.built`.  The checkers read the basis tables and
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
 complementarity condition) and assembles the differential from the finite
-sum of (m_k tensor id) o (id tensor delta_{k-1}).  The type D generators are
-bucketed by idempotent once, so each A-side generator meets only its own
-bucket, and the complex is keyed by (x, y) name pairs: the "x*y" names of
-two pairs can coincide.
+sum of (m_k tensor id) o (id tensor delta_{k-1}), one term per entry of the
+operation table, the unit included.  The type D generators are bucketed by
+idempotent once, so each A-side generator meets only its own bucket, and
+the complex is keyed by (x, y) name pairs: the "x*y" names of two pairs can
+coincide.
 """
 
 from __future__ import annotations
@@ -158,15 +162,19 @@ class TypeDStructure:
 class AInfModule:
     def __init__(self, pmc: PointedMatchedCircle, generators, ops):
         """ops entries are (x_name, [index, ...], y_name) for m_i, each index
-        one element of `az_basis(pmc)`; no op may appear twice, as two copies
-        would cancel over F2."""
+        one element of `az_basis(pmc)` and none an idempotent; no op may
+        appear twice, as two copies would cancel over F2.  `ops` keeps them
+        in order; `operations`, x -> {inputs: F2 set of outputs}, holds them
+        and, for every x, the unit m_2(x, I(s)) = x, s the idempotent of x:
+        the one place strict unitality is written."""
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
         self.generators = _check_generators(pmc, generators)
         self._k0_class = None
         self.basis = basis = az_basis(pmc)
+        self.operations = {x: {(basis.by_label[(), g.idempotent],): frozenset((x,))}
+                           for x, g in self.generators.items()}
         self.ops = []
-        table: dict[tuple[str, tuple[int, ...]], set[str]] = {}
         for x, ids, y in ops:
             gx, gy = self.generators[x], self.generators[y]
             ids = tuple(ids)
@@ -179,30 +187,18 @@ class AInfModule:
                 left = basis.idempotents[i][1]
             if left != gy.idempotent:
                 raise ValueError(f"op ({x}; ...; {y}) output idempotent mismatch")
-            outputs = table.setdefault((x, ids), set())
+            outputs = self.operations[x].get(ids, frozenset())
             if y in outputs:
                 raise ValueError(
                     f"repeated op m{len(ids) + 1}: {x} -> {y} (basis indices {ids})")
-            outputs.add(y)
+            self.operations[x][ids] = outputs | {y}
             self.ops.append((x, ids, y))
-        self._table = {key: frozenset(ys) for key, ys in table.items()}
-
-    def max_arity(self) -> int:
-        return max((len(ids) + 1 for _, ids, _ in self.ops), default=1)
 
     def eval_m(self, x: str, input_indices: tuple[int, ...]) -> frozenset[str]:
-        """m_{1+len(inputs)}(x, ...) as an F2 set of generator names.
-
-        Unitality is built in: m_2(x, I(o(x))) = x, and higher operations
-        with an idempotent input vanish.
-        """
-        units = self.basis.idempotent_indices
-        if units.isdisjoint(input_indices):
-            return self._table.get((x, input_indices), frozenset())
-        if len(input_indices) == 1 and \
-                self.basis.idempotents[input_indices[0]][0] == self.generators[x].idempotent:
-            return frozenset((x,))
-        return frozenset()
+        """m_{1+len(inputs)}(x, ...) as an F2 set of generator names: the
+        entry of `operations`, so m_2(x, I(o(x))) = x, and every other
+        operation with an idempotent input vanishes."""
+        return self.operations[x].get(input_indices, frozenset())
 
 
 @dataclass
@@ -216,15 +212,14 @@ class ChainComplex:
 
     def __post_init__(self):
         gens = self.generators
+        adj: dict = {}
         for src, dst in self.differential:
             gs, gd = gens[src], gens[dst]
             if (gs.m - gd.m) % 2 != 1:
                 raise GradingIncompatible(
                     f"differential {gs.name}->{gd.name} does not lower m by 1")
-        sq: set[tuple] = set()
-        adj: dict = {}
-        for src, dst in self.differential:
             adj.setdefault(src, set()).add(dst)
+        sq: set[tuple] = set()
         for src, dst in self.differential:
             for dst2 in adj.get(dst, ()):
                 key = (src, dst2)
@@ -373,14 +368,14 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
 
     N's generators are bucketed by idempotent once, and each x meets only
     the y of its bucket.  The differential is read from the operations
-    out: each recorded m_k(x, b_1..b_{k-1}) follows, from each y, only the
-    delta chains labelled b_1..b_{k-1} (an F2 set of ends, as paths count
-    mod 2), so an x with no operation costs nothing and m_1(x, ()) is one
-    table read per x.  Strict unitality, m_2(x, I) = x, is one more
-    operation of x when the unit I of x's idempotent is a coefficient of N:
-    an edge y -> y' labelled I gives x*y -> x*y'.  The differential sum
-    stops at the largest arity, so a finite operation list bounds it even
-    when N has delta cycles.
+    out: each m_k(x, b_1..b_{k-1}) in `M.operations`, the unit
+    m_2(x, I) = x among them, follows, from each y, only the delta chains
+    labelled b_1..b_{k-1} (an F2 set of ends, as paths count mod 2), so
+    m_1(x, ()) is one table read per x.  One pass over N's delta indexes
+    the edges by label, keeping only the labels some operation reads; an
+    operation with an input that labels no edge of N is skipped before any
+    y is tried.  The differential sum stops at the largest arity, so a
+    finite operation list bounds it even when N has delta cycles.
     """
     if M.pmc != N.pmc:
         raise PmcMismatch("modules over different pointed matched circles")
@@ -395,26 +390,23 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
             a2 = None if xa2 is None and ya2 is None else (xa2 or 0) + weight * (ya2 or 0)
             gens[xn, yn] = make((f"{xn}*{yn}", s, (xm + ym) & 1, a2))
 
-    ops: dict[str, list] = {}
-    for (xn, ids), outs in M._table.items():
-        ops.setdefault(xn, []).append((ids, outs))
-    coefficients = {i for _, i, _ in N.delta}
-    for xn, s, _, _ in M.generators.values():
-        if (unit := N.basis.by_label[(), s]) in coefficients:
-            ops.setdefault(xn, []).append(((unit,), (xn,)))
-    step: dict[tuple[str, int], list[str]] = {}
-    if ops:
-        for src, i, dst in N.delta:
-            step.setdefault((src, i), []).append(dst)
+    read = {b for table in M.operations.values() for ids in table for b in ids}
+    edges: dict[int, dict[str, list[str]]] = {}  # label -> src -> its dsts
+    for src, i, dst in N.delta:
+        if i in read:
+            edges.setdefault(i, {}).setdefault(src, []).append(dst)
     diff: set[tuple] = set()
     for xn, s, _, _ in M.generators.values():
-        for ids, outs in ops.get(xn, ()):
+        for ids, outs in M.operations[xn].items():
+            steps = [edges.get(b) for b in ids]
+            if None in steps:
+                continue
             for y in bucket.get(s, ()):
                 ends = {y.name}
-                for b in ids:
+                for step in steps:
                     nxt: set[str] = set()
                     for e in ends:
-                        nxt.symmetric_difference_update(step.get((e, b), ()))
+                        nxt.symmetric_difference_update(step.get(e, ()))
                     ends = nxt
                 for z in ends:
                     for out in outs:

@@ -105,10 +105,6 @@ class GradingElement(_GradingFields):
         return f"({ratio_str(self.j4, 4)}; {','.join(map(str, self.alpha))})"
 
 
-def identity_grading(n: int) -> GradingElement:
-    return GradingElement(0, (0,) * (n - 1))
-
-
 def lam(n: int) -> GradingElement:
     """The central element lambda = (1; 0)."""
     return GradingElement(4, (0,) * (n - 1))

@@ -160,12 +160,6 @@ def validate(pmc: PointedMatchedCircle) -> None:
         raise DisconnectedSurgery(f"surgery yields {circles} circles")
 
 
-def reverse(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
-    """Relabel points by p -> 4k+1-p (the orientation-reversing identity)."""
-    n = pmc.num_points
-    return PointedMatchedCircle(tuple(pmc.matching[n - p] for p in range(1, n + 1)))
-
-
 @cache  # a named circle is a constant: built once, the one instance shared
 def torus_pmc() -> PointedMatchedCircle:
     return PointedMatchedCircle((1, 2, 1, 2))

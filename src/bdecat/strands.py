@@ -248,7 +248,7 @@ def basis_of_AZ(pmc: PointedMatchedCircle, i: int) -> tuple[AlgebraElement, ...]
 
 
 class AZBasis:
-    """Indexed basis of A(Z, i) with signature-based decomposition, the label
+    """Indexed basis of A(Z, i) with label-based decomposition, the label
     and idempotents of each element, and the product and differential tables
     by index, each built once on first use.  Modules store coefficients as
     indices.  `is_torus` says once per basis whether its circle is the torus
@@ -259,10 +259,6 @@ class AZBasis:
         self.i = i
         self.is_torus = pmc == torus_pmc()
         self.elements = basis_of_AZ(pmc, i)
-        self._by_signature = {}
-        for idx, el in enumerate(self.elements):
-            for g in el.terms:
-                self._by_signature[g] = idx
 
     def __len__(self):
         return len(self.elements)
@@ -271,12 +267,16 @@ class AZBasis:
         return AZBasis, (self.pmc, self.i)
 
     def decompose(self, x: AlgebraElement) -> tuple[int, ...]:
-        """Indices of the basis elements whose F2-sum is x."""
+        """Indices of the basis elements whose F2-sum is x.  A term on this
+        circle is in the element `by_label` gives for its `_label`, as every
+        completion of a label is a term of its element, and in no element
+        when it has no label there."""
+        n = self.pmc.num_points
         remaining = set(x.terms)
         indices = set()
         while remaining:
             g = next(iter(remaining))
-            idx = self._by_signature.get(g)
+            idx = self.by_label.get(self._label(g)) if g.n == n else None
             if idx is None:
                 raise ValueError(f"term {g} is not in A(Z, {self.i})")
             el = self.elements[idx].terms
@@ -291,14 +291,21 @@ class AZBasis:
         """The (left, right) pair sets of each element, by `left_right_pairs`."""
         return tuple(left_right_pairs(self.pmc, el) for el in self.elements)
 
+    def _label(self, g: StrandsGenerator):
+        """The label (rho, s) of which the term g, on this circle, is a
+        completion: its moving strands as ascending (start, end) pairs and
+        the pair set of its start points; None when two of them share a pair."""
+        s = frozenset(map(self.pmc.pair_of, g.S))
+        if len(s) == len(g.S):
+            return tuple((a, b) for a, b in zip(g.S, g.phi) if a != b), s
+        return None
+
     @cached_property
     def labels(self) -> tuple[tuple[tuple[tuple[int, int], ...], frozenset[int]], ...]:
-        """The label (rho, s) of each a(rho, s) in integers: its chords as
-        ascending (start, end) pairs, which every term shares, and its left
-        pair set."""
-        return tuple((tuple((a, b) for a, b in zip(g.S, g.phi) if a != b), s)
-                     for g, (s, _) in zip((next(iter(el.terms)) for el in self.elements),
-                                          self.idempotents))
+        """The label (rho, s) of each a(rho, s), the `_label` every term
+        shares: its chords as ascending (start, end) pairs and its left pair
+        set."""
+        return tuple(self._label(next(iter(el.terms))) for el in self.elements)
 
     @cached_property
     def by_label(self) -> dict:
@@ -308,8 +315,7 @@ class AZBasis:
     @cached_property
     def idempotent_indices(self) -> frozenset[int]:
         """The indices of the idempotents I(s), the elements with no moving strand."""
-        return frozenset(i for i, el in enumerate(self.elements)
-                         if all(g.is_idempotent() for g in el.terms))
+        return frozenset(i for i, (rho, _) in enumerate(self.labels) if not rho)
 
     @cached_property
     def by_left(self) -> MappingProxyType:

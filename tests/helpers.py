@@ -1,23 +1,24 @@
 """Helpers that only the tests use: algebra elements built from generators,
 an A(n, k) generator enumeration, the chord elements a0(rho) and a(rho)
 built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
-reference the coefficient parser is tested against), the orientation
-reversal of gradings and refinement data, arc-slide row operations on
-intersection matrices, iterated type D deltas, K0 monomials and basis
-classes, a module's class summed generator by generator (the reference for
-`class_of`, which sums the signs per key first), the exhaustive A-infinity
-check over every idempotent chain (the reference for the candidate tuples
-of `check_ainf`), the box tensor over every pair of generators (the
-reference for the bucketed `box_tensor`), and the diagram classes
-computed without the shared circle reduction (full determinants, and a
-column reduction of the swapped matrix), a sampler of diagrams whose betas are isotropic in homology,
-the chords and interval triples of the eight named torus elements, written
-out by hand, the interval vector of a chord and the (rho, s) label of a
-generator, the JSON writers of the formats that only the tests write
-(A-infinity modules, patterns, CFK complexes and diagrams), and the type D
-generator and CFK readers as they were before their per-record fast paths
-(the references for `serialize._generators_from_json` and
-`serialize.cfk_from_json`)."""
+reference the coefficient parser is tested against), the unit of the
+grading group, the orientation reversal of circles, gradings and
+refinement data, arc-slide row operations on intersection matrices,
+iterated type D deltas, K0 monomials and basis classes, a module's class
+summed generator by generator (the reference for `class_of`, which sums the
+signs per key first), a module's largest recorded arity, the exhaustive
+A-infinity check over every idempotent chain (the reference for the
+candidate tuples of `check_ainf`), the box tensor over every pair of
+generators (the reference for the bucketed `box_tensor`), and the diagram
+classes computed without the shared circle reduction (full determinants,
+and a column reduction of the swapped matrix), a sampler of diagrams whose
+betas are isotropic in homology, the chords and interval triples of the
+eight named torus elements, written out by hand, the interval vector of a
+chord and the (rho, s) label of a generator, the JSON writers of the
+formats that only the tests write (A-infinity modules, patterns, CFK
+complexes and diagrams), and the type D generator and CFK readers as they
+were before their per-record fast paths (the references for
+`serialize._generators_from_json` and `serialize.cfk_from_json`)."""
 
 from __future__ import annotations
 
@@ -175,6 +176,17 @@ def pinch_coefficient(pmc: PointedMatchedCircle, el: AlgebraElement, left,
     return pinch(pmc, left, el, right) or None
 
 
+def identity_grading(n: int) -> GradingElement:
+    """The unit (0; 0) of the grading group G' of 4k = n points."""
+    return GradingElement(0, (0,) * (n - 1))
+
+
+def reverse(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
+    """Relabel points by p -> 4k+1-p (the orientation-reversing identity)."""
+    n = pmc.num_points
+    return PointedMatchedCircle(tuple(pmc.matching[n - p] for p in range(1, n + 1)))
+
+
 def reverse_grading(x: GradingElement) -> GradingElement:
     """R(j; alpha): the map induced by the orientation-reversing identity.
 
@@ -244,13 +256,18 @@ def chains(basis: AZBasis, start: frozenset[int], length: int):
             yield (j,) + rest
 
 
+def max_arity(M: AInfModule) -> int:
+    """The largest arity of a recorded op of M, 1 when it records none."""
+    return max((len(ids) + 1 for _, ids, _ in M.ops), default=1)
+
+
 def ainf_failures(M: AInfModule) -> list[tuple[int, str, tuple[int, ...]]]:
     """(arity, x, inputs) of every failing A-infinity relation on every
     idempotent chain through arity max(2A - 1, A + 1), A the largest
     recorded arity, by arity, then generator order, then inputs.  Every
     other input tuple has a zero residual, since recorded ops, the unit,
     products and differentials all keep the idempotents."""
-    arity = M.max_arity()
+    arity = max_arity(M)
     return [(n, x, ids) for n in range(1, max(2 * arity - 1, arity + 1) + 1)
             for x, gx in M.generators.items()
             for ids in chains(M.basis, gx.idempotent, n - 1)
@@ -265,7 +282,7 @@ def box_tensor_oracle(M: AInfModule, N: TypeDStructure, weight: int = 1) -> Chai
     m_k(x, chain)."""
     if M.pmc != N.pmc:
         raise PmcMismatch("modules over different pointed matched circles")
-    max_chain = max(M.max_arity(), 2) - 1
+    max_chain = max(max_arity(M), 2) - 1
 
     gens = {}
     for xm in M.generators.values():

@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 import random
 import sys
@@ -17,7 +18,7 @@ from bdecat.strands import AZBasis, az_basis
 from tests.conftest import (CFK_NAMES, FIXTURES, PATTERN_NAMES, load_fixture,
                             random_ainf, random_type_d)
 from tests.helpers import (Unbounded, ainf_failures, box_tensor_oracle, chains,
-                           delta_k, element, idempotent)
+                           delta_k, element, idempotent, max_arity)
 from tests.test_cfk2cfd import reduced_cfk
 
 
@@ -207,7 +208,7 @@ def test_check_ainf_reaches_arity_2a_minus_1(talg, torus):
     # m3(m3(x; rho2, rho1); rho2, rho1) = z is an arity-5 composite of two
     # arity-3 operations; nothing cancels it, so the relation fails there
     M = _chained_m3(talg, torus, [("x", "y"), ("y", "z")])
-    assert M.max_arity() == 3
+    assert max_arity(M) == 3
     with pytest.raises(AInfRelationFails, match=r"arity 5 .*residual \['z'\]"):
         check_ainf(M)
 
@@ -294,6 +295,64 @@ def test_candidates_find_every_failing_relation_in_order(torus, split2):
         assert [(len(ids) + 1, x, ids) for x, ids, _ in dmodules._failures(M)] == want
         failing += bool(want)
     assert 0 < failing < len(modules), failing
+
+
+def _shipped_and_random_modules(torus, split2):
+    """Every shipped pattern, and 100 random torus and 100 random split2
+    modules."""
+    rng = random.Random(32)
+    return ([load_fixture(name).cfa for name in PATTERN_NAMES]
+            + [_random_module(rng, torus, 3) for _ in range(100)]
+            + [_random_module(rng, split2, 1) for _ in range(100)])
+
+
+def _recorded(M):
+    """(x, inputs) -> the F2 set of outputs of M's recorded ops."""
+    table = {}
+    for x, ids, y in M.ops:
+        table[x, ids] = table.get((x, ids), frozenset()) ^ {y}
+    return table
+
+
+def test_the_operation_table_holds_the_recorded_ops_and_every_unit(torus, split2):
+    """Each generator's entry holds m_2(x, I) = x, I the idempotent of x's
+    idempotent, and besides it exactly the recorded ops."""
+    for M in _shipped_and_random_modules(torus, split2):
+        basis = M.basis
+        assert M.operations.keys() == M.generators.keys()
+        table = {}
+        for x, gx in M.generators.items():
+            unit, = [i for i in basis.idempotent_indices
+                     if basis.idempotents[i] == (gx.idempotent, gx.idempotent)]
+            entry = dict(M.operations[x])
+            assert entry.pop((unit,)) == {x}
+            table.update(((x, ids), outs) for ids, outs in entry.items())
+        assert table == _recorded(M)
+
+
+def _unit_aware_eval_m(M, recorded, x, input_indices):
+    """The unit rule as a branch of its own beside a flat table of the
+    recorded ops: the oracle for `eval_m`'s single table lookup."""
+    units = M.basis.idempotent_indices
+    if units.isdisjoint(input_indices):
+        return recorded.get((x, input_indices), frozenset())
+    if len(input_indices) == 1 and \
+            M.basis.idempotents[input_indices[0]][0] == M.generators[x].idempotent:
+        return frozenset((x,))
+    return frozenset()
+
+
+def test_eval_m_is_the_unit_aware_rule_on_every_chain_to_arity_3(torus, split2):
+    reads = units = 0
+    for M in _shipped_and_random_modules(torus, split2):
+        recorded = _recorded(M)
+        for x, gx in M.generators.items():
+            for ids in itertools.chain.from_iterable(
+                    chains(M.basis, gx.idempotent, n) for n in range(3)):
+                assert M.eval_m(x, ids) == _unit_aware_eval_m(M, recorded, x, ids), (x, ids)
+                reads += 1
+                units += not M.basis.idempotent_indices.isdisjoint(ids)
+    assert reads > 10_000 and units > 1_000, (reads, units)
 
 
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):
@@ -437,6 +496,25 @@ def test_box_tensor_is_the_oracle_on_generated_staircases(cfk):
     N = build_cfd(cfk)
     for M in _patterns():
         _assert_box_is_the_oracle(M, N)
+
+
+class _CountingDelta(list):
+    """A delta list that counts the passes over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_box_tensor_reads_the_delta_of_n_once():
+    N = build_cfd(load_fixture("cfk_torus34"))
+    M = load_fixture("cfa_with_ops").cfa
+    want = box_tensor(M, N)
+    assert want.differential
+    N.delta = _CountingDelta(N.delta)
+    assert box_tensor(M, N).differential == want.differential
+    assert N.delta.passes == 1
 
 
 def test_pmc_mismatch(split2, triangle):

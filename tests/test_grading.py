@@ -11,14 +11,15 @@ from bdecat import grading
 from bdecat.grading import (GradingElement, NotInGZ, NotMiddleSummand, _link2,
                             default_refinement, f_s,
                             ginv, gmul, gr_prime, gr_prime_generator,
-                            identity_grading, lam,
+                            lam,
                             m_of, m_table, ratio_str, refine)
 from bdecat.pmc import ReebChord
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import (basis_of_AZ, left_right_pairs, multiply,
                             differential)
 from tests import grading_oracle as oracle
-from tests.helpers import a_of, chord_vector, element, idempotent, reverse_refinement
+from tests.helpers import (a_of, chord_vector, element, identity_grading, idempotent,
+                           reverse_refinement)
 
 
 def test_ratio_str_writes_what_fraction_writes():
@@ -279,7 +280,7 @@ def test_reverse_refinement_property(torus, split2):
 
     Pair names on the reversed circle are the raw values kept by reverse().
     """
-    from bdecat.pmc import reverse as reverse_pmc
+    from tests.helpers import reverse as reverse_pmc
     for pmc in (torus, split2):
         ref = default_refinement(pmc)
         rev_ref = reverse_refinement(pmc, ref)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from bdecat.diagram import core_coordinates
 from bdecat.linalg import det_int
 from bdecat.pmc import (DisconnectedSurgery, MalformedMatching,
-                        PointedMatchedCircle, reverse, split_pmc, torus_pmc,
+                        PointedMatchedCircle, split_pmc, torus_pmc,
                         validate)
-from tests.helpers import plus_point
+from tests.helpers import plus_point, reverse
 from tests.test_grading import GENUS2_CLASSES
 
 

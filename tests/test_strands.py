@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -186,6 +187,17 @@ def test_a_product_label_missing_from_the_basis_raises(torus, monkeypatch):
     monkeypatch.setattr(basis, "by_label", {})
     with pytest.raises(ValueError, match="is not in A"):
         basis.product(i, j)
+
+
+@pytest.mark.parametrize("term", [
+    gen(4, [(1, 1), (2, 2)]),  # two strands: a term of A(Z, 1)
+    gen(4, [(1, 2), (3, 3)]),  # rho1 with both points of pair 1 occupied
+    gen(8, [(1, 2)]),  # rho1's strand on another ambient circle
+    gen(8, [(5, 7)]),  # a strand off the torus circle's points
+])
+def test_decompose_names_a_term_outside_every_element(torus, term):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'term {term} is not in A(Z, 0)')}$"):
+        AZBasis(torus, 0).decompose(element([term]))
 
 
 def test_unique_idempotent_pair_per_basis_element(torus, split2):
