@@ -150,9 +150,9 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
     rho = alg.index
     drop = [(m + 1, alexander_weight2_cfd(r, 0))
             for m, r in zip(m_table(alg.pmc), alg.intervals)]
-    make = ModuleGenerator._make
+    new = tuple.__new__
     # every generator made so far: the CFK generators, then the chains'
-    table = {g.name: make((g.name, IOTA0, g.maslov & 1, 2 * g.alexander))
+    table = {g.name: new(ModuleGenerator, (g.name, IOTA0, g.maslov & 1, 2 * g.alexander))
              for g in cfk.generators}
     delta: list[tuple] = []
     r23 = rho["rho23"]
@@ -174,7 +174,7 @@ def build_cfd(cfk: CFKComplex) -> TypeDStructure:
             sm, sa2 = -sm, -sa2
         m, a2 = m - dm, a2 - da2
         for name in c:
-            table[name] = make((name, IOTA1, m & 1, a2))
+            table[name] = new(ModuleGenerator, (name, IOTA1, m & 1, a2))
             m, a2 = m + sm, a2 + sa2
         delta.append((x, first, c[0]))
         if inward:

@@ -1,8 +1,8 @@
 """Type D structures, A-infinity modules, and the box tensor product.
 
 Both module types are finitely generated over the idempotent ring of a
-pointed matched circle.  Generators are `ModuleGenerator` records, tuples
-(name, idempotent, m, a2): a k-element idempotent subset (the middle
+pointed matched circle.  Generators are `ModuleGenerator` records, plain
+tuples (name, idempotent, m, a2): a k-element idempotent subset (the middle
 summand), a Z/2 grading m, and an optional half-integer Alexander grading a,
 stored as the integer a2 = 2a.  Coefficients are indices into the basis
 `az_basis(pmc)` of A(Z, 0): a type D structure records delta as edges
@@ -12,11 +12,11 @@ m_i(x, a_1, ..., a_{i-1}) = y with every a_j one index and none an
 idempotent, and keeps them in one table by generator, x -> {inputs:
 outputs}, beside the unit m_2(x, I) = x that strict unitality gives every
 generator; `eval_m` and the box tensor both read that table.  The constructors
-take coefficients in that form, check each generator's idempotent and each
-index's idempotents in one in-order pass, and reject a repeated delta edge
-or operation; the type D reader checks them as it reads them, and builds
-with `TypeDStructure.built`.  The checkers read the basis tables and
-`m_table` by index.
+take coefficients in that form, check each generator's normal form and
+idempotent and each index's idempotents in one in-order pass, and reject a
+repeated delta edge or operation; the type D reader checks them as it reads
+them, and builds with `TypeDStructure.built`.  The checkers read the basis
+tables and `m_table` by index.
 
 The box tensor product pairs generators with equal idempotent subsets (the
 type D idempotent already records the unoccupied arcs, so equality is the
@@ -54,32 +54,29 @@ class PmcMismatch(ValueError):
     pass
 
 
-class _GeneratorFields(NamedTuple):
+class ModuleGenerator(NamedTuple):
+    """Generator record (name, idempotent, m, a2), a plain tuple in normal
+    form: the idempotent a frozenset, m 0 or 1, and the Alexander grading a
+    stored as the integer a2 = 2a (None for none), as GradingElement stores
+    4j.  Nothing normalises a record as it is made: the file reader, the CFD
+    build and the box tensor make normal records with `tuple.__new__`, and
+    the checked `TypeDStructure(...)` and `AInfModule(...)` reject others."""
+
     name: str
     idempotent: frozenset[int]
     m: int
-    a2: int | None
+    a2: int | None = None
 
 
-class ModuleGenerator(_GeneratorFields):
-    """Generator record (name, idempotent, m, a2), a tuple: the idempotent
-    frozen, m reduced mod 2, and the Alexander grading a stored as the
-    integer a2 = 2a, as GradingElement stores 4j; a2 is keyword-only, so no
-    call can pass a where a2 belongs.
-
-    A record whose fields are already in this normal form (a frozenset
-    idempotent, m 0 or 1, a2 an int or None) may be built with the C-level
-    `ModuleGenerator._make((name, idempotent, m, a2))`, `tuple.__new__`, which
-    checks nothing; the CFD build, the box tensor and the file reader do."""
-
-    __slots__ = ()
-    _make = classmethod(tuple.__new__)
-
-    def __new__(cls, name: str, idempotent, m: int, *, a2: int | None = None):
-        return tuple.__new__(cls, (name, frozenset(idempotent), m % 2, a2))
-
-    def __getnewargs_ex__(self):  # for copy and pickle, as a2 is keyword-only
-        return self[:3], {"a2": self.a2}
+def _normal(g: ModuleGenerator) -> ModuleGenerator:
+    """g, when it is in normal form; the checked constructors pass each
+    record through this, so a set idempotent or an m of 2 raises here, not
+    as a wrong sign in `class_of`."""
+    if type(g.idempotent) is not frozenset:
+        raise ValueError(f"{g.name}: idempotent must be a frozenset")
+    if type(g.m) is not int or g.m not in (0, 1):
+        raise ValueError(f"{g.name}: m must be 0 or 1")
+    return g
 
 
 def _check_generators(pmc, generators):
@@ -120,9 +117,10 @@ class TypeDStructure:
         would cancel over F2.  The edges are checked in order, every
         coefficient against its endpoints' idempotents before any repeat,
         as the type D reader reports them.  Construction is a build step and
-        a check step (the generators, then the edges); `built` runs the
-        build step alone."""
-        self._build(pmc, _check_generators(pmc, generators), list(map(tuple, delta)))
+        a check step (the generators, each in normal form, then the edges);
+        `built` runs the build step alone."""
+        self._build(pmc, _check_generators(pmc, map(_normal, generators)),
+                    list(map(tuple, delta)))
         self._check_delta()
 
     @classmethod
@@ -166,10 +164,11 @@ class AInfModule:
         appear twice, as two copies would cancel over F2.  `ops` keeps them
         in order; `operations`, x -> {inputs: F2 set of outputs}, holds them
         and, for every x, the unit m_2(x, I(s)) = x, s the idempotent of x:
-        the one place strict unitality is written."""
+        the one place strict unitality is written.  Each generator must be
+        in normal form."""
         self.pmc = pmc
         # fixed once built: grothendieck.class_of keeps their class here
-        self.generators = _check_generators(pmc, generators)
+        self.generators = _check_generators(pmc, map(_normal, generators))
         self._k0_class = None
         self.basis = basis = az_basis(pmc)
         self.operations = {x: {(basis.by_label[(), g.idempotent],): frozenset((x,))}
@@ -383,12 +382,12 @@ def box_tensor(M: AInfModule, N: TypeDStructure, weight: int = 1) -> ChainComple
     for y in N.generators.values():
         bucket.setdefault(y.idempotent, []).append(y)
 
-    make = ModuleGenerator._make
+    new = tuple.__new__
     gens = {}
     for xn, s, xm, xa2 in M.generators.values():
         for yn, _, ym, ya2 in bucket.get(s, ()):
             a2 = None if xa2 is None and ya2 is None else (xa2 or 0) + weight * (ya2 or 0)
-            gens[xn, yn] = make((f"{xn}*{yn}", s, (xm + ym) & 1, a2))
+            gens[xn, yn] = new(ModuleGenerator, (f"{xn}*{yn}", s, (xm + ym) & 1, a2))
 
     read = {b for table in M.operations.values() for ids in table for b in ids}
     edges: dict[int, dict[str, list[str]]] = {}  # label -> src -> its dsts

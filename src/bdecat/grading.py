@@ -10,20 +10,24 @@ to the point p.  The central element lambda = (1; 0) generates the kernel of
 the projection to homology.
 
 All arithmetic is on integers: an element stores 4j (as LaurentHalf stores
-t^(1/2) exponents doubled) and linkings are summed as 2L.  Every element is
-checked against the constraint 4j = #(odd jumps of alpha) mod 4.
+t^(1/2) exponents doubled) and linkings are summed as 2L.  Every element
+meets the constraint 4j = #(odd jumps of alpha) mod 4: gr' of a generator
+does, and the group law and the inverse keep it, so no element is checked
+as it is made.
 
-Refinement data for the middle summand consists of the base pair set
-s0 = {1..k} and, for every k-element pair set t, the group element
-psi(t) = gr'(a(rho^t)) where rho^t is the chord set joining the minus
-endpoint of pair i to the minus endpoint of the i-th element of t.  The Z/2
-grading is m = f o gr, where f is the homomorphism sending lambda and every
-refined pair-chord grading g_i to 1; `m_table` holds it under the default
-refinement for every basis index of A(Z, 0), computed once per circle.  The
-class of g_i is the indicator of the intervals [lo_i, hi_i), so
-alpha = sum h_i g_i is read off the jumps c_p = alpha_p - alpha_{p-1}:
-h_i = c_{lo_i}, and alpha lies in the span exactly when c_{hi_i} = -h_i for
-every pair.
+Refinement data for the middle summand consists of the base pair set s0,
+the k pairs whose minus endpoints come first along the circle, and, for
+every k-element pair set t, the group element psi(t) = gr'(a(rho^t)) where
+rho^t is the chord set joining the minus endpoint of the i-th pair of s0 to
+the minus endpoint of the i-th pair of t, both in circle order; every such
+chord runs upward, and s0 = {1..k} when pairs are numbered by their first
+endpoints.  The Z/2 grading is m = f o gr, where f is the homomorphism
+sending lambda and every refined pair-chord grading g_i to 1; `m_table`
+holds it under the default refinement for every basis index of A(Z, 0),
+computed once per circle.  The class of g_i is the indicator of the
+intervals [lo_i, hi_i), so alpha = sum h_i g_i is read off the jumps
+c_p = alpha_p - alpha_{p-1}: h_i = c_{lo_i}, and alpha lies in the span
+exactly when c_{hi_i} = -h_i for every pair.
 """
 
 from __future__ import annotations
@@ -61,15 +65,6 @@ class NotIntegral(ValueError):
     """A grading quantity that must be an integer is not."""
 
 
-def _odd_jumps(alpha: tuple[int, ...]) -> int:
-    """The number of points where alpha has half-integer multiplicity."""
-    count = prev = 0
-    for a in alpha:
-        count += (a - prev) & 1
-        prev = a
-    return count + (prev & 1)
-
-
 def _link2(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """2 L(alpha, beta): sum over points of (d alpha)_q (beta_{q-1} + beta_q)."""
     if len(alpha) != len(beta):
@@ -81,25 +76,12 @@ def _link2(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return total + a_prev * b_prev
 
 
-class _GradingFields(NamedTuple):
+class GradingElement(NamedTuple):
+    """(j; alpha) in G'(4k), a plain tuple (j4 = 4j, alpha) that meets the
+    quarter-integer constraint of the module docstring by construction."""
+
     j4: int
     alpha: tuple[int, ...]
-
-
-class GradingElement(_GradingFields):
-    """(j; alpha) in G'(4k), a tuple (j4 = 4j, alpha) checked as it is made.
-    `GradingElement._make((j4, alpha))` skips the check: only for values known
-    to satisfy it, or for a test that needs one that does not."""
-
-    __slots__ = ()
-    _make = classmethod(tuple.__new__)
-
-    def __new__(cls, j4: int, alpha: tuple[int, ...]):
-        if (j4 - _odd_jumps(alpha)) % 4:
-            raise ValueError(
-                f"Maslov component {ratio_str(j4, 4)} violates the "
-                f"quarter-integer constraint for alpha={alpha}")
-        return tuple.__new__(cls, (j4, alpha))
 
     def __str__(self):
         return f"({ratio_str(self.j4, 4)}; {','.join(map(str, self.alpha))})"
@@ -160,18 +142,26 @@ class RefinementData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def default_refinement(pmc: PointedMatchedCircle) -> RefinementData:
-    """s0 = {1..k}; psi(t) = gr'(a(rho^t)) for each k-element pair set t,
-    taken on the chords alone (homogeneity makes all completions agree)."""
+    """s0 = the k pairs whose minus points come first; psi(t) = gr'(a(rho^t))
+    for each k-element pair set t, taken on the chords alone (homogeneity
+    makes all completions agree).  rho^t joins the i-th pair of s0 to the
+    i-th pair of t by their minus points, both in circle order.  The i-th
+    minus point of s0 is the i-th smallest of all, so no chord runs
+    downward, and the boundary of psi(t) is t - s0, as refinement data
+    asks.  On a circle whose pairs are numbered by their first endpoints,
+    s0 = {1..k} and pair i joins the i-th pair of t."""
     k = pmc.genus
+    order = sorted(range(1, 2 * k + 1), key=pmc.minus_point)
+    base = order[:k]
     psi = {}
-    for t in itertools.combinations(range(1, 2 * k + 1), k):
-        strands = sorted((pmc.minus_point(i), pmc.minus_point(ti))
-                         for i, ti in enumerate(t, start=1) if i != ti)
+    for t in itertools.combinations(order, k):
+        strands = sorted((pmc.minus_point(s), pmc.minus_point(u))
+                         for s, u in zip(base, t) if s != u)
         S = tuple(s for s, _ in strands)
         phi = tuple(e for _, e in strands)
         g = StrandsGenerator(pmc.num_points, S, tuple(sorted(phi)), phi)
         psi[frozenset(t)] = gr_prime_generator(g)
-    return RefinementData(frozenset(range(1, k + 1)), psi)
+    return RefinementData(frozenset(base), psi)
 
 
 def refine(x: GradingElement, t1, t2, ref: RefinementData) -> GradingElement:

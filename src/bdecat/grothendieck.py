@@ -142,23 +142,20 @@ class NormalizedPolynomial(NamedTuple):
 def normalize_symmetric(p: LaurentHalf) -> NormalizedPolynomial:
     """Center the exponents and fix the sign so q(t) = q(1/t) and q(1) >= 0.
 
-    When no monomial shift makes the polynomial symmetric, return the
-    centered representative (if the centering shift is integral in t^(1/2))
-    flagged as not symmetrizable.
+    Centering shifts the doubled exponents by -(span // 2), span the sum of
+    the lowest and highest; at odd span the lowest and highest then sum to
+    1, and no shift makes the polynomial symmetric.  When it is not
+    symmetric, return the centered representative flagged as not
+    symmetrizable.
     """
     if not p:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
     exps = [e for e, _ in p.coeffs]
     span = min(exps) + max(exps)
-    if span % 2 != 0:
-        shift = -(span // 2)  # best-effort centering; symmetry is impossible
-        centered = LaurentHalf.from_dict({e + shift: c for e, c in p.coeffs})
-        return NormalizedPolynomial(centered, False)
-    shift = -span // 2
+    shift = -(span // 2)
     centered = LaurentHalf.from_dict({e + shift: c for e, c in p.coeffs})
     d = centered.as_dict()
-    symmetric = all(d.get(-e) == c for e, c in d.items())
-    if not symmetric:
+    if not all(d.get(-e) == c for e, c in d.items()):
         return NormalizedPolynomial(centered, False)
     total = centered.evaluate_at_one()
     if total < 0 or (total == 0 and d[max(d)] < 0):

@@ -103,24 +103,13 @@ class PointedMatchedCircle:
         return self.points_of_pair(pair)[0]
 
 
-class _ChordFields(NamedTuple):
+class ReebChord(NamedTuple):
+    """The oriented interval [start, end] in Z minus the basepoint, a plain
+    tuple with start < end: `strands._chord_sets` makes only such chords,
+    and `serialize.parse_coefficient` checks the ones a file gives."""
+
     start: int
     end: int
-
-
-class ReebChord(_ChordFields):
-    """The oriented interval [start, end] in Z minus the basepoint, a tuple
-    checked as it is made.  `ReebChord._make((start, end))` skips the check;
-    it is for callers that know start < end."""
-
-    __slots__ = ()
-    _make = classmethod(tuple.__new__)
-
-    def __new__(cls, start: int, end: int):
-        chord = tuple.__new__(cls, (start, end))
-        if not start < end:
-            raise ValueError(f"chord must run with the orientation: {chord}")
-        return chord
 
 
 def validate(pmc: PointedMatchedCircle) -> None:

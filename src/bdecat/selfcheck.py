@@ -40,7 +40,7 @@ def _random_gz_element(pmc, rng) -> GradingElement:
     test_the_f_pairs_are_the_randint_draws_for_seeds_0_to_4 checks.  Every
     point lies in one matched pair, so the half-integer points come in
     pairs, j lands in (1/2)Z, and 4j, their number mod 4, meets the
-    quarter-integer constraint: the element is built unchecked."""
+    quarter-integer constraint."""
     ends, _ = _pair_chord_data(pmc)
     bits = rng.getrandbits
     jumps = [0] * (pmc.num_points + 1)  # alpha_p - alpha_{p-1} at each point p
@@ -55,8 +55,8 @@ def _random_gz_element(pmc, rng) -> GradingElement:
     j = bits(3)
     while j >= 7:
         j = bits(3)
-    return GradingElement._make((half_pts % 4 + 4 * (j - 3),
-                                 tuple(itertools.accumulate(jumps[1:-1]))))
+    return GradingElement(half_pts % 4 + 4 * (j - 3),
+                          tuple(itertools.accumulate(jumps[1:-1])))
 
 
 def _sum(parts) -> set[int]:

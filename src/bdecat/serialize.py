@@ -118,8 +118,12 @@ def parse_coefficient(basis: AZBasis, expr: str,
             ends = _CHORD.fullmatch(part)
             if not ends:
                 raise FixtureError(f"bad chord {part!r} in {expr!r}")
-            chords.append(ReebChord(int(ends[1]), int(ends[2])))
-        i = basis.by_label.get((tuple(sorted((c.start, c.end) for c in chords)), left))
+            start, end = int(ends[1]), int(ends[2])
+            if not start < end:
+                raise FixtureError(f"chord must run with the orientation: "
+                                   f"{ReebChord(start, end)}")
+            chords.append((start, end))
+        i = basis.by_label.get((tuple(sorted(chords)), left))
     s, t = (None, None) if i is None else basis.idempotents[i]
     if right is None:
         if s != left:
@@ -154,7 +158,7 @@ def _generators_from_json(items):
     list of integers validated and frozen once, keyed by its one entry or its
     tuple; any other list (true reads as equal to 1) is validated where it is."""
     gens, frozen, halves = [], {}, {}
-    make = ModuleGenerator._make
+    new = tuple.__new__
     for item in items:
         a = item["a"] if "a" in item else None
         if type(a) is str:
@@ -179,7 +183,8 @@ def _generators_from_json(items):
             if key is not None:
                 frozen[key] = idempotent
         m = item["m"]
-        gens.append(make((name, idempotent, (m if type(m) is int else _int(m, "m")) & 1, a2)))
+        gens.append(new(ModuleGenerator,
+                        (name, idempotent, (m if type(m) is int else _int(m, "m")) & 1, a2)))
     return gens
 
 

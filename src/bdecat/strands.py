@@ -33,38 +33,17 @@ class AmbientMismatch(ValueError):
     """Operands live in strands algebras with different point counts."""
 
 
-class _StrandFields(NamedTuple):
+class StrandsGenerator(NamedTuple):
+    """A basis element (S, T, phi) of A(n, k), a plain tuple: S and T
+    sorted, and phi, the images of S in order, an upward bijection S -> T
+    inside [n].  Nothing checks this as a record is made: no file gives
+    one, and every maker builds only such records, the basis of A(Z) and
+    the differential with `tuple.__new__`."""
+
     n: int
     S: tuple[int, ...]
     T: tuple[int, ...]
     phi: tuple[int, ...]
-
-
-class StrandsGenerator(_StrandFields):
-    """A basis element (S, T, phi) of A(n, k), a tuple checked as it is made.
-
-    phi is stored as the tuple of images of the sorted source S.  A record
-    known to be valid (S and T sorted, phi an upward bijection S -> T inside
-    [n]) may be built with `StrandsGenerator._make((n, S, T, phi))`, which
-    skips the checks; the basis of A(Z) and the differential do.
-    """
-
-    __slots__ = ()
-    _make = classmethod(tuple.__new__)
-
-    def __new__(cls, n: int, S, T, phi):
-        if not (len(S) == len(T) == len(phi)):
-            raise ValueError("S, T, phi size mismatch")
-        if tuple(sorted(S)) != S or tuple(sorted(T)) != T:
-            raise ValueError("S and T must be sorted")
-        if tuple(sorted(phi)) != T:
-            raise ValueError("phi must be a bijection onto T")
-        for s, t in zip(S, phi):
-            if t < s:
-                raise ValueError(f"downward strand {s}->{t}")
-            if not (1 <= s <= n and 1 <= t <= n):
-                raise ValueError("strand endpoint out of range")
-        return tuple.__new__(cls, (n, S, T, phi))
 
     @property
     def strands(self) -> tuple[tuple[int, int], ...]:
@@ -74,9 +53,6 @@ class StrandsGenerator(_StrandFields):
         phi = self.phi
         return sum(1 for i in range(len(phi)) for j in range(i + 1, len(phi))
                    if phi[j] < phi[i])
-
-    def is_idempotent(self) -> bool:
-        return self.S == self.phi
 
     def __str__(self):
         src = "{" + ",".join(map(str, self.S)) + "}"
@@ -132,7 +108,8 @@ class AlgebraElement:
 
 
 def multiply_generators(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
-    """Compose two generators; None when the product is zero."""
+    """Compose two generators; None when the product is zero.  The
+    composite of two upward bijections is one, so it needs no check."""
     if a.n != b.n:
         raise AmbientMismatch(f"{a.n} vs {b.n}")
     if a.T != b.S:
@@ -161,19 +138,19 @@ def differential_generator(a: StrandsGenerator) -> set[StrandsGenerator]:
     """Resolutions of single crossings that drop inv by exactly one.  Swapping
     the images of a crossing i < j keeps S, T and the bijection, and both new
     strands run upward (phi[j] >= S[j] > S[i], phi[i] > phi[j] >= S[j]), so
-    every resolution is a generator and is built unchecked."""
+    every resolution is a generator, built with `tuple.__new__`."""
     out: set[StrandsGenerator] = set()
     inv = a.inversions()
     n, S, T, _ = a
     phi = list(a.phi)
-    make = StrandsGenerator._make
+    new = tuple.__new__
     m = len(phi)
     for i in range(m):
         for j in range(i + 1, m):
             if phi[j] < phi[i]:
                 swapped = phi[:]
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                res = make((n, S, T, tuple(swapped)))
+                res = new(StrandsGenerator, (n, S, T, tuple(swapped)))
                 if res.inversions() == inv - 1:
                     out ^= {res}
     return out
@@ -199,8 +176,8 @@ def left_right_pairs(pmc: PointedMatchedCircle, x: AlgebraElement) -> tuple[froz
 
 def _basis_element(pmc: PointedMatchedCircle, rho, s) -> AlgebraElement:
     """a(rho, s): all completions of rho by sections of the leftover pairs,
-    each a valid generator by construction, so built unchecked."""
-    n, make = pmc.num_points, StrandsGenerator._make
+    each a valid generator by construction, built with `tuple.__new__`."""
+    n, new = pmc.num_points, tuple.__new__
     extra = sorted(s - {pmc.pair_of(c.start) for c in rho})
     choices = [pmc.points_of_pair(p) for p in extra]
     acc = set()
@@ -208,7 +185,7 @@ def _basis_element(pmc: PointedMatchedCircle, rho, s) -> AlgebraElement:
         strands = sorted([(c.start, c.end) for c in rho] + [(p, p) for p in pick])
         S = tuple(x for x, _ in strands)
         phi = tuple(y for _, y in strands)
-        acc.add(make((n, S, tuple(sorted(phi)), phi)))
+        acc.add(new(StrandsGenerator, (n, S, tuple(sorted(phi)), phi)))
     return AlgebraElement(n, frozenset(acc))
 
 
@@ -219,11 +196,11 @@ def _chord_sets(pmc: PointedMatchedCircle, size: int) -> tuple:
     size is listed once per circle, whichever summands ask for it."""
     if not size:
         return ((),)
-    n, pair_of, make, out = pmc.num_points, pmc.pair_of, ReebChord._make, []
+    n, pair_of, new, out = pmc.num_points, pmc.pair_of, tuple.__new__, []
     for rho in _chord_sets(pmc, size - 1):
         starts = {pair_of(c.start) for c in rho}
         ends = {pair_of(c.end) for c in rho}
-        out += [rho + (make((a, b)),) for a in range(rho[-1].start + 1 if rho else 1, n + 1)
+        out += [rho + (new(ReebChord, (a, b)),) for a in range(rho[-1].start + 1 if rho else 1, n + 1)
                 if pair_of(a) not in starts for b in range(a + 1, n + 1) if pair_of(b) not in ends]
     return tuple(out)
 

@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 
 from bdecat.grading import NotHomogeneous, NotInGZ, NotMiddleSummand
-from bdecat.strands import StrandsGenerator, left_right_pairs
+from bdecat.strands import left_right_pairs
+from tests.helpers import checked_strands_generator
 
 
 def multiplicity(alpha, p) -> Fraction:
@@ -117,26 +118,31 @@ def f_s(x, pmc, s0=None) -> int:
 
 
 def refinement(pmc):
-    """psi(t) = gr' of the chords joining minus endpoints of i and t_i."""
+    """(s0, psi): s0 the k pairs with the first minus endpoints, and psi(t)
+    gr' of the chords joining the minus endpoints of the i-th pairs of s0
+    and of t, pairs in the order of their minus endpoints; each chord is
+    checked to run upward."""
     k = pmc.genus
+    s0 = sorted(range(1, 2 * k + 1), key=pmc.minus_point)[:k]
     psi = {}
     for t in itertools.combinations(range(1, 2 * k + 1), k):
+        ts = sorted(t, key=pmc.minus_point)
         strands = sorted((pmc.minus_point(i), pmc.minus_point(ti))
-                         for i, ti in enumerate(t, start=1) if i != ti)
+                         for i, ti in zip(s0, ts) if i != ti)
         if not strands:
             psi[frozenset(t)] = (Fraction(0), (0,) * (pmc.num_points - 1))
             continue
         S = tuple(s for s, _ in strands)
         phi = tuple(e for _, e in strands)
-        g = StrandsGenerator(pmc.num_points, S, tuple(sorted(phi)), phi)
+        g = checked_strands_generator(pmc.num_points, S, tuple(sorted(phi)), phi)
         psi[frozenset(t)] = gr_prime_generator(g)
-    return psi
+    return frozenset(s0), psi
 
 
 def m_of(x, pmc) -> int:
-    psi = refinement(pmc)
+    s0, psi = refinement(pmc)
     s, t = left_right_pairs(pmc, x)
     if len(s) != pmc.genus or len(t) != pmc.genus:
         raise NotMiddleSummand(f"idempotent weights {len(s)}, {len(t)}")
     refined = gmul(gmul(psi[s], gr_prime(x)), ginv(psi[t]))
-    return f_s(refined, pmc)
+    return f_s(refined, pmc, s0)

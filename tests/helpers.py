@@ -2,8 +2,10 @@
 an A(n, k) generator enumeration, the chord elements a0(rho) and a(rho)
 built term by term with the idempotents I(s) and the pinch I(s) x I(t) (the
 reference the coefficient parser is tested against), the unit of the
-grading group, the orientation reversal of circles, gradings and
-refinement data, arc-slide row operations on intersection matrices,
+grading group, the checking constructors that the chord, strand, grading
+and module generator records had (the references for the records the
+package builds unchecked), the orientation reversal of circles, gradings
+and refinement data, arc-slide row operations on intersection matrices,
 iterated type D deltas, K0 monomials and basis classes, a module's class
 summed generator by generator (the reference for `class_of`, which sums the
 signs per key first), a module's largest recorded arity, the exhaustive
@@ -29,7 +31,7 @@ from bdecat.diagram import (BorderedDiagram, DiagramPoint, HomologyKernel,
                             core_coordinates, intersection_matrix)
 from bdecat.dmodules import (AInfModule, ChainComplex, ModuleGenerator, PmcMismatch,
                              TypeDStructure, _residual, is_bounded)
-from bdecat.grading import GradingElement, RefinementData, ginv
+from bdecat.grading import GradingElement, RefinementData, ginv, ratio_str
 from bdecat.grothendieck import ExteriorClass, LaurentHalf, class_from_terms
 from bdecat.linalg import column_echelon, det_int
 from bdecat.pmc import PointedMatchedCircle, ReebChord
@@ -71,7 +73,7 @@ def element(gens) -> AlgebraElement:
 
 def idempotent(n: int, S) -> StrandsGenerator:
     S = tuple(sorted(S))
-    return StrandsGenerator(n, S, S, S)
+    return checked_strands_generator(n, S, S, S)
 
 
 def plus_point(pmc: PointedMatchedCircle, pair: int) -> int:
@@ -101,7 +103,7 @@ def generators_of_ank(n: int, k: int):
     for S in itertools.combinations(range(1, n + 1), k):
         for images in itertools.permutations(range(1, n + 1), k):
             if all(t >= s for s, t in zip(S, images)):
-                yield StrandsGenerator(n, S, tuple(sorted(images)), images)
+                yield checked_strands_generator(n, S, tuple(sorted(images)), images)
 
 
 class EndpointClash(ValueError):
@@ -129,7 +131,7 @@ def a0(n: int, rho, num_strands: int) -> AlgebraElement:
         strands = sorted([(c.start, c.end) for c in rho] + [(p, p) for p in H])
         S = tuple(s for s, _ in strands)
         phi = tuple(t for _, t in strands)
-        acc.add(StrandsGenerator(n, S, tuple(sorted(phi)), phi))
+        acc.add(checked_strands_generator(n, S, tuple(sorted(phi)), phi))
     return AlgebraElement(n, frozenset(acc))
 
 
@@ -179,6 +181,56 @@ def pinch_coefficient(pmc: PointedMatchedCircle, el: AlgebraElement, left,
 def identity_grading(n: int) -> GradingElement:
     """The unit (0; 0) of the grading group G' of 4k = n points."""
     return GradingElement(0, (0,) * (n - 1))
+
+
+def odd_jumps(alpha: tuple[int, ...]) -> int:
+    """The number of points where alpha has half-integer multiplicity."""
+    count = prev = 0
+    for a in alpha:
+        count += (a - prev) & 1
+        prev = a
+    return count + (prev & 1)
+
+
+def checked_grading(j4: int, alpha: tuple[int, ...]) -> GradingElement:
+    """(j4; alpha), checked as `GradingElement` was: 4j must equal the
+    number of odd jumps of alpha mod 4."""
+    if (j4 - odd_jumps(alpha)) % 4:
+        raise ValueError(
+            f"Maslov component {ratio_str(j4, 4)} violates the "
+            f"quarter-integer constraint for alpha={alpha}")
+    return GradingElement(j4, alpha)
+
+
+def checked_strands_generator(n: int, S, T, phi) -> StrandsGenerator:
+    """(S, T, phi), checked as `StrandsGenerator` was: S and T sorted, phi an
+    upward bijection S -> T inside [n]."""
+    if not (len(S) == len(T) == len(phi)):
+        raise ValueError("S, T, phi size mismatch")
+    if tuple(sorted(S)) != S or tuple(sorted(T)) != T:
+        raise ValueError("S and T must be sorted")
+    if tuple(sorted(phi)) != T:
+        raise ValueError("phi must be a bijection onto T")
+    for s, t in zip(S, phi):
+        if t < s:
+            raise ValueError(f"downward strand {s}->{t}")
+        if not (1 <= s <= n and 1 <= t <= n):
+            raise ValueError("strand endpoint out of range")
+    return StrandsGenerator(n, S, T, phi)
+
+
+def checked_chord(start: int, end: int) -> ReebChord:
+    """[start, end], checked as `ReebChord` was: it must run upward."""
+    chord = ReebChord(start, end)
+    if not start < end:
+        raise ValueError(f"chord must run with the orientation: {chord}")
+    return chord
+
+
+def normal_generator(name: str, idempotent, m: int, *, a2: int | None = None) -> ModuleGenerator:
+    """The record in normal form, as `ModuleGenerator` built it: the
+    idempotent frozen and m reduced mod 2, with a2 keyword-only."""
+    return ModuleGenerator(name, frozenset(idempotent), m % 2, a2)
 
 
 def reverse(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
@@ -291,7 +343,7 @@ def box_tensor_oracle(M: AInfModule, N: TypeDStructure, weight: int = 1) -> Chai
                 a2 = None
                 if xm.a2 is not None or yn.a2 is not None:
                     a2 = (xm.a2 or 0) + weight * (yn.a2 or 0)
-                gens[(xm.name, yn.name)] = ModuleGenerator(
+                gens[(xm.name, yn.name)] = normal_generator(
                     f"{xm.name}*{yn.name}", xm.idempotent, xm.m + yn.m, a2=a2)
 
     dmap = N.delta_map()
@@ -497,8 +549,8 @@ def generators_from_json_oracle(items):
             if key is not None:
                 frozen[key] = idempotent
         m = item["m"]
-        gens.append(ModuleGenerator(name, idempotent, m if type(m) is int else _int(m, "m"),
-                                    a2=a2))
+        gens.append(normal_generator(name, idempotent, m if type(m) is int else _int(m, "m"),
+                                     a2=a2))
     return gens
 
 

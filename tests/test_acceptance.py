@@ -13,7 +13,7 @@ import pytest
 from bdecat.cfk2cfd import IOTA1, build_cfd, verify_a1, verify_a2_zero
 from bdecat.diagram import (cfd_class_from_determinants, duality_sign,
                             enumerated_class, h1_rel_order_oracle, verify_cfdker)
-from bdecat.dmodules import (AInfModule, ModuleGenerator, TypeDStructure,
+from bdecat.dmodules import (AInfModule, TypeDStructure,
                              box_tensor, check_type_d, is_bounded)
 from bdecat.grading import default_refinement, f_s, gmul, lam, m_of
 from bdecat.grothendieck import (LaurentHalf, class_of, euler_of_complex,
@@ -25,7 +25,7 @@ from bdecat.torus import check_bigrading, torus_algebra
 from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, PATTERN_NAMES,
                             load_fixture, random_ainf, random_type_d)
 from scripts.duality_experiment import random_diagram
-from tests.helpers import a_of, delta_k, element
+from tests.helpers import a_of, delta_k, element, normal_generator
 
 PMCS = [("torus", torus_pmc()), ("split2", split_pmc(2))]
 
@@ -173,9 +173,9 @@ def test_criterion_5_satellite_formula():
         reference = satellite_polynomial(base, companion)
         for _ in range(5):
             gens = list(base.cfa.generators.values())
-            gens.append(ModuleGenerator(f"pert{rng.randint(0, 10**6)}",
-                                        {2}, rng.randint(0, 1),
-                                        a2=rng.randint(-4, 4)))
+            gens.append(normal_generator(f"pert{rng.randint(0, 10**6)}",
+                                         {2}, rng.randint(0, 1),
+                                         a2=rng.randint(-4, 4)))
             perturbed = PatternClass(AInfModule(torus_pmc(), gens, []),
                                      base.winding)
             assert satellite_polynomial(perturbed, companion) == reference
@@ -224,7 +224,7 @@ def _triangle_mutations(rng):
     def build(gens, delta):
         coeffs = {"1": None}
         resolved = []
-        mg = [ModuleGenerator(n, i, m, a2=a2) for n, i, m, a2 in gens]
+        mg = [normal_generator(n, i, m, a2=a2) for n, i, m, a2 in gens]
         by_name = {g.name: g for g in mg}
         for src, cname, dst in delta:
             coeff = (talg.basis.by_label[((), by_name[src].idempotent)]
@@ -292,7 +292,7 @@ def test_criterion_8_structural_properties():
             N = random_type_d(rng)
         else:  # allow cycles: arbitrary edges, plus rho12/rho23 self-loops
             n = rng.randint(1, 5)
-            gens = [ModuleGenerator(f"z{i}", {rng.choice([1, 2])}, 0, a2=0)
+            gens = [normal_generator(f"z{i}", {rng.choice([1, 2])}, 0, a2=0)
                     for i in range(n)]
             delta = []
             for src in gens:

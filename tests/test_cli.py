@@ -274,6 +274,19 @@ def test_loader_errors_name_the_file(capsys, tmp_path):
     assert err.startswith(f"error: {cfd}: bad chord '1'"), err
 
 
+@pytest.mark.parametrize("kind", ["typed", "ainf"])
+def test_a_downward_chord_is_rejected_where_the_file_is_read(capsys, tmp_path, kind):
+    """The coefficient parser checks each chord's orientation itself: rho(3,1)
+    as a split2 delta coefficient, or as an op input, is bad input, named
+    with its file."""
+    fields = ({"delta": [{"src": "x", "dst": "x", "coeff": "rho(3,1)"}]} if kind == "typed"
+              else {"ops": [{"x": "x", "algs": ["rho(3,1)"], "y": "x"}]})
+    path = _one_generator(tmp_path, kind, "split2", [1, 2], **fields)
+    line = f"error: {path}: chord must run with the orientation: ReebChord(start=3, end=1)\n"
+    for argv in (["check", path], ["k0", path]):
+        assert invoke(capsys, *argv) == (2, "", line), argv
+
+
 def test_mis_graded_ainf_op_is_rejected(capsys, tmp_path):
     """m(u) flipped in cfa_with_ops breaks m2(w, rho2) = u's grading: both
     commands name the file, where the box complex used to be blamed."""

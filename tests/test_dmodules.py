@@ -18,7 +18,7 @@ from bdecat.strands import AZBasis, az_basis
 from tests.conftest import (CFK_NAMES, FIXTURES, PATTERN_NAMES, load_fixture,
                             random_ainf, random_type_d)
 from tests.helpers import (Unbounded, ainf_failures, box_tensor_oracle, chains,
-                           delta_k, element, idempotent, max_arity)
+                           delta_k, element, idempotent, max_arity, normal_generator)
 from tests.test_cfk2cfd import reduced_cfk
 
 
@@ -33,20 +33,43 @@ def test_triangle_passes(triangle):
 
 
 def test_alexander_grading_is_stored_doubled():
-    g = ModuleGenerator("x", {1}, 3, a2=-3)
+    g = ModuleGenerator("x", frozenset({1}), 1, -3)
     assert (g.name, g.idempotent, g.m, g.a2) == ("x", frozenset({1}), 1, -3)
-    assert g == ModuleGenerator("x", [1], 1, a2=-3)
-    assert ModuleGenerator("y", {1}, 1).a2 is None
+    assert g == normal_generator("x", [1], 3, a2=-3)
+    assert ModuleGenerator("y", frozenset({1}), 1).a2 is None
 
 
-def test_alexander_grading_is_keyword_only():
-    """A call that passes the grading a positionally cannot halve it."""
-    with pytest.raises(TypeError):
-        ModuleGenerator("x", {1}, 0, 1)
+@pytest.mark.parametrize("idem, m, message", [
+    ({1}, 0, "x: idempotent must be a frozenset"),
+    ([1], 0, "x: idempotent must be a frozenset"),
+    (frozenset({1}), 2, "x: m must be 0 or 1"),
+    (frozenset({1}), -1, "x: m must be 0 or 1"),
+    (frozenset({1}), True, "x: m must be 0 or 1"),
+])
+def test_the_checked_constructors_reject_a_record_not_in_normal_form(torus, idem, m, message):
+    """A hand-built m = 2 would reach class_of as sign -1, and a set
+    idempotent would miss every frozenset key; both raise, for the second
+    generator too, before any edge or op is read."""
+    ok = ModuleGenerator("w", frozenset({2}), 0)
+    for gens in ([ModuleGenerator("x", idem, m)], [ok, ModuleGenerator("x", idem, m)]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TypeDStructure(torus, gens, [("x", 99, "x")])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AInfModule(torus, gens, [("x", [99], "x")])
+
+
+def test_the_reader_and_build_cfd_skip_the_normal_form_check(monkeypatch):
+    """The normal-form check is the checked constructors' alone: the type D
+    reader and build_cfd make normal records and build with `built`."""
+    def fail(g):
+        raise AssertionError(f"normal-form check on {g.name}")
+    monkeypatch.setattr(dmodules, "_normal", fail)
+    assert len(load_fixture("typed_triangle").generators) == 3
+    assert build_cfd(load_fixture("cfk_torus34")).generators
 
 
 def test_rho12_self_loop_is_a_valid_unbounded_structure(talg, torus):
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
+    N = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)],
                        [("x", talg.index["rho12"], "x")])
     check_type_d(N)
     assert not is_bounded(N)
@@ -54,12 +77,12 @@ def test_rho12_self_loop_is_a_valid_unbounded_structure(talg, torus):
 
 def test_rho1_self_loop_is_rejected(talg, torus):
     with pytest.raises(ValueError):
-        TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
+        TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)],
                        [("x", talg.index["rho1"], "x")])
 
 
 def test_two_cycle_fails_structure_equation(talg, torus):
-    gens = [ModuleGenerator("x", {1}, 0, a2=0), ModuleGenerator("y", {2}, 1, a2=0)]
+    gens = [normal_generator("x", {1}, 0, a2=0), normal_generator("y", {2}, 1, a2=0)]
     N = TypeDStructure(torus, gens, [("x", talg.index["rho1"], "y"),
                                      ("y", talg.index["rho2"], "x")])
     with pytest.raises(StructureEquationFails):
@@ -67,14 +90,14 @@ def test_two_cycle_fails_structure_equation(talg, torus):
 
 
 def test_grading_violation_reported(talg, torus):
-    gens = [ModuleGenerator("x", {1}, 0, a2=0), ModuleGenerator("y", {2}, 0, a2=0)]
+    gens = [normal_generator("x", {1}, 0, a2=0), normal_generator("y", {2}, 0, a2=0)]
     N = TypeDStructure(torus, gens, [("x", talg.index["rho1"], "y")])
     with pytest.raises(GradingIncompatible):
         check_type_d(N)
 
 
 def test_empty_delta_is_bounded(torus):
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)], [])
+    N = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)], [])
     assert is_bounded(N)
 
 
@@ -91,7 +114,7 @@ def test_delta_k_iterates(triangle, talg):
 
 
 def test_delta_k_guards_unbounded(talg, torus):
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
+    N = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)],
                        [("x", talg.index["rho12"], "x")])
     with pytest.raises(Unbounded):
         delta_k(N, "x", 5)
@@ -191,7 +214,7 @@ def test_check_ainf_rejects_a_mis_graded_op(talg, torus, split2):
 def test_check_ainf_rejects_broken_square(talg, torus):
     # m2(u, rho12) = u cannot satisfy the n = 3 relation: the composite
     # m2(m2(u, rho12), rho12) = u survives while mu(rho12, rho12) = 0
-    M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, a2=0)],
+    M = AInfModule(torus, [normal_generator("u", {1}, 0, a2=0)],
                    [("u", [talg.index["rho12"]], "u")])
     with pytest.raises(AInfRelationFails):
         check_ainf(M)
@@ -199,7 +222,7 @@ def test_check_ainf_rejects_broken_square(talg, torus):
 
 def _chained_m3(talg, torus, ops):
     """A torus module on x, y, z at idempotent {2} with m3 ops (rho2, rho1)."""
-    gens = [ModuleGenerator(g, {2}, 0, a2=0) for g in "xyz"]
+    gens = [normal_generator(g, {2}, 0, a2=0) for g in "xyz"]
     rho = [talg.index["rho2"], talg.index["rho1"]]
     return AInfModule(torus, gens, [(x, rho, y) for x, y in ops])
 
@@ -222,10 +245,10 @@ def _split2_m3(split2):
     elements chaining from {1, 2}."""
     basis = AZBasis(split2, 0)
     moving = [i for i, el in enumerate(basis.elements)
-              if not all(g.is_idempotent() for g in el.terms)]
+              if not all(g.S == g.phi for g in el.terms)]
     a = next(i for i in moving if basis.idempotents[i][0] == frozenset({1, 2}))
     b = next(i for i in moving if basis.idempotents[i][0] == basis.idempotents[a][1])
-    gens = [ModuleGenerator("x", {1, 2}, 0, a2=0),
+    gens = [normal_generator("x", {1, 2}, 0, a2=0),
             ModuleGenerator("y", basis.idempotents[b][1], 1, a2=0)]
     return AInfModule(split2, gens, [("x", [a, b], "y")])
 
@@ -251,7 +274,7 @@ def test_check_ainf_checks_a_split2_m3_in_full(split2):
     (_, (a, b), y), = M.ops
     assert M.generators[y].idempotent == frozenset({1, 2})
     check_ainf(M)
-    z = ModuleGenerator("z", {1, 2}, 0, a2=0)
+    z = normal_generator("z", {1, 2}, 0, a2=0)
     M = AInfModule(split2, [*M.generators.values(), z], [*M.ops, (y, [a, b], "z")])
     with pytest.raises(AInfRelationFails,
                        match=rf"^arity 5 at x=x, inputs \({a}, {b}, {a}, {b}\): residual \['z'\]$"):
@@ -357,7 +380,7 @@ def test_eval_m_is_the_unit_aware_rule_on_every_chain_to_arity_3(torus, split2):
 
 def test_check_ainf_idempotent_inputs_are_rejected(talg, torus):
     with pytest.raises(ValueError):
-        AInfModule(torus, [ModuleGenerator("u", {1}, 0, a2=0)],
+        AInfModule(torus, [normal_generator("u", {1}, 0, a2=0)],
                    [("u", [talg.index["iota0"]], "u")])
 
 
@@ -466,7 +489,7 @@ def _diamond(talg, torus):
     """y -rho1-> p -rho2-> z and y -rho1-> q -rho2-> z: two chains with the
     same labels and ends, which cancel over F2."""
     rho = talg.index
-    return TypeDStructure(torus, [ModuleGenerator(n, {i}, 0, a2=0)
+    return TypeDStructure(torus, [normal_generator(n, {i}, 0, a2=0)
                                   for n, i in (("y", 1), ("p", 2), ("q", 2), ("z", 1))],
                           [("y", rho["rho1"], "p"), ("y", rho["rho1"], "q"),
                            ("p", rho["rho2"], "z"), ("q", rho["rho2"], "z")])
@@ -519,7 +542,7 @@ def test_box_tensor_reads_the_delta_of_n_once():
 
 def test_pmc_mismatch(split2, triangle):
     from bdecat.dmodules import PmcMismatch
-    M = AInfModule(split2, [ModuleGenerator("u", {1, 3}, 0, a2=0)], [])
+    M = AInfModule(split2, [normal_generator("u", {1, 3}, 0, a2=0)], [])
     with pytest.raises(PmcMismatch):
         box_tensor(M, triangle)
 
@@ -579,7 +602,7 @@ def test_eval_m_reads_idempotents_by_index(talg, monkeypatch):
 
 def test_is_bounded_on_a_3000_generator_chain(talg, torus):
     """Deeper than the recursion limit: y0 -rho23-> y1 -rho23-> ... y2999."""
-    gens = [ModuleGenerator(f"y{i}", {2}, i, a2=0) for i in range(3000)]
+    gens = [normal_generator(f"y{i}", {2}, i, a2=0) for i in range(3000)]
     chain = [(f"y{i}", talg.index["rho23"], f"y{i + 1}") for i in range(2999)]
     assert is_bounded(TypeDStructure(torus, gens, chain)) is True
     closed = chain + [("y2999", talg.index["rho23"], "y0")]
@@ -592,14 +615,14 @@ def test_type_d_rejects_bad_indices(talg, torus, i):
     iota0 to iota1, the edge from iota0 to iota0."""
     i = talg.index.get(i, i)
     with pytest.raises(ValueError):
-        TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)], [("x", i, "x")])
+        TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)], [("x", i, "x")])
 
 
 @pytest.mark.parametrize("ids", [(8,), (-1,), ("rho2",), ("rho1", "rho1")])
 def test_ainf_rejects_bad_index_tuples(talg, torus, ids):
     """Out of range, or not chaining from x at iota0 to y at iota1."""
     ids = tuple(talg.index[i] if isinstance(i, str) else i for i in ids)
-    gens = [ModuleGenerator("x", {1}, 0, a2=0), ModuleGenerator("y", {2}, 1, a2=0)]
+    gens = [normal_generator("x", {1}, 0, a2=0), normal_generator("y", {2}, 1, a2=0)]
     with pytest.raises(ValueError):
         AInfModule(torus, gens, [("x", ids, "y")])
 

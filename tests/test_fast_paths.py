@@ -20,7 +20,8 @@ from bdecat import serialize as ser
 from bdecat.cfk2cfd import Arrow, CFKGenerator, build_cfd
 from bdecat.dmodules import ModuleGenerator, TypeDStructure, check_type_d
 from tests.conftest import CFK_NAMES, FIXTURES, load_fixture
-from tests.helpers import cfk_from_json_oracle, cfk_to_json, generators_from_json_oracle
+from tests.helpers import (cfk_from_json_oracle, cfk_to_json, generators_from_json_oracle,
+                           normal_generator)
 from tests.test_cfk2cfd import _mirror, _random_staircase, reduced_cfk
 
 
@@ -34,7 +35,7 @@ def _assert_built_as_checked(cfk):
     assert list(checked.generators.items()) == list(cfd.generators.items())
     assert checked.delta == cfd.delta and all(type(e) is tuple for e in cfd.delta)
     for g in cfd.generators.values():
-        assert g == ModuleGenerator(g.name, g.idempotent, g.m, a2=g.a2)
+        assert g == normal_generator(g.name, g.idempotent, g.m, a2=g.a2)
         assert type(g) is ModuleGenerator and type(g.idempotent) is frozenset
     check_type_d(cfd)
 

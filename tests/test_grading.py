@@ -18,8 +18,8 @@ from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import (basis_of_AZ, left_right_pairs, multiply,
                             differential)
 from tests import grading_oracle as oracle
-from tests.helpers import (a_of, chord_vector, element, identity_grading, idempotent,
-                           reverse_refinement)
+from tests.helpers import (a_of, checked_grading, chord_vector, element, identity_grading,
+                           idempotent, reverse_refinement)
 
 
 def test_ratio_str_writes_what_fraction_writes():
@@ -81,8 +81,9 @@ def test_group_law_and_lambda(torus):
 
 
 def test_grading_element_constraint_rejected():
-    with pytest.raises(ValueError):
-        GradingElement(0, (1, 0, 0))  # needs half-integer j
+    with pytest.raises(ValueError, match="violates the quarter-integer constraint"):
+        checked_grading(0, (1, 0, 0))  # needs half-integer j
+    assert checked_grading(2, (1, 0, 0)) == GradingElement(2, (1, 0, 0))
 
 
 def test_gr_prime_idempotent_and_rho1(torus):

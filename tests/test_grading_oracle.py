@@ -10,11 +10,11 @@ from bdecat import grading
 from bdecat.grading import (GradingElement, NotHomogeneous, NotInGZ,
                             NotIntegral, NotMiddleSummand, f_s, ginv, gmul,
                             gr_prime, m_of)
-from bdecat.pmc import split_pmc
+from bdecat.pmc import PointedMatchedCircle, split_pmc
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import basis_of_AZ, left_right_pairs
 from tests import grading_oracle as oracle
-from tests.helpers import element, idempotent
+from tests.helpers import checked_grading, element, idempotent, odd_jumps
 
 
 def _as_pair(x: GradingElement):
@@ -27,7 +27,11 @@ def split3():
 
 
 def test_gr_prime_and_m_match_oracle_on_every_basis_element(torus, split2):
-    for pmc in (torus, split2):
+    # the split circles, and relabelings whose pairs are not numbered by
+    # their first endpoints
+    relabeled = [PointedMatchedCircle(m) for m in
+                 ((2, 1, 2, 1), (2, 1, 2, 1, 3, 4, 3, 4), (4, 3, 1, 4, 3, 2, 1, 2))]
+    for pmc in (torus, split2, *relabeled):
         for el in basis_of_AZ(pmc, 0):
             assert _as_pair(gr_prime(el)) == oracle.gr_prime(el)
             assert m_of(el, pmc) == oracle.m_of(el, pmc)
@@ -48,7 +52,7 @@ def test_h_coordinates_match_oracle_in_and_out_of_span(torus, split2, split3):
                 alpha = tuple(rng.randint(-2, 2) for _ in range(n1))
             # f_s reads h off the jumps of alpha; it must raise NotInGZ
             # exactly where the Fraction elimination finds no h
-            x = GradingElement(grading._odd_jumps(alpha), alpha)
+            x = checked_grading(odd_jumps(alpha), alpha)
             try:
                 oracle.h_coordinates(pmc, alpha)
             except NotInGZ:
@@ -76,7 +80,7 @@ def test_group_law_matches_oracle_off_gz():
     rng = random.Random(3)
     for _ in range(300):
         alphas = [tuple(rng.randint(-3, 3) for _ in range(7)) for _ in range(2)]
-        x, y = (GradingElement(grading._odd_jumps(a) + 4 * rng.randint(-2, 2), a)
+        x, y = (checked_grading(odd_jumps(a) + 4 * rng.randint(-2, 2), a)
                 for a in alphas)
         assert _as_pair(gmul(x, y)) == oracle.gmul(_as_pair(x), _as_pair(y))
         assert _as_pair(ginv(x)) == oracle.ginv(_as_pair(x))
@@ -104,12 +108,6 @@ def test_m_raises_on_every_call_for_rejected_elements(torus):
             m_of(mixed, torus)
 
 
-def _unchecked(j4, alpha) -> GradingElement:
-    """A GradingElement that skips the quarter-integer check, so that f_s
-    meets a non-integral value."""
-    return GradingElement._make((j4, alpha))
-
-
 def test_f_s_matches_oracle_for_every_base_pair_set(torus, split2, split3):
     for pmc in (torus, split2, split3):
         k, n1 = pmc.genus, pmc.num_points - 1
@@ -123,7 +121,7 @@ def test_f_s_matches_oracle_for_every_base_pair_set(torus, split2, split3):
             outside = 0
             for _ in range(20):
                 alpha = tuple(rng.randint(-2, 2) for _ in range(n1))
-                x = GradingElement(grading._odd_jumps(alpha), alpha)
+                x = checked_grading(odd_jumps(alpha), alpha)
                 try:
                     want = oracle.f_s(_as_pair(x), pmc, frozenset(s0))
                 except NotInGZ:
@@ -138,7 +136,7 @@ def test_f_s_matches_oracle_for_every_base_pair_set(torus, split2, split3):
                 f_s(GradingElement(x.j4, x.alpha + (0, 0)), pmc, base)
             with pytest.raises(ValueError, match="does not live on"):
                 f_s(GradingElement(0, (0,) * (n1 - 1)), pmc, base)
-            odd = _unchecked(x.j4 + 2, x.alpha)
+            odd = GradingElement(x.j4 + 2, x.alpha)  # off the quarter-integer constraint
             with pytest.raises(NotIntegral):
                 f_s(odd, pmc, base)
             with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdecat.dmodules import ChainComplex, ModuleGenerator
-from bdecat.grothendieck import (GenusMismatch, LaurentHalf,
+from bdecat.dmodules import ChainComplex
+from bdecat.grothendieck import (GenusMismatch, LaurentHalf, NormalizedPolynomial,
                                  ZeroPolynomial, class_from_terms, class_of,
                                  euler_of_complex, normalize_symmetric, pair,
                                  substitute)
-from tests.helpers import basis_class, t2
+from tests.helpers import basis_class, normal_generator, t2
 
 
 def poly(*pairs) -> LaurentHalf:
@@ -90,6 +92,51 @@ def test_normalize_is_idempotent(d):
     assert again.poly == first.poly and again.symmetric == first.symmetric
 
 
+def normalize_symmetric_two_branch(p: LaurentHalf) -> NormalizedPolynomial:
+    """normalize_symmetric as it was, with its own branch for odd span."""
+    if not p:
+        raise ZeroPolynomial("cannot normalize the zero polynomial")
+    exps = [e for e, _ in p.coeffs]
+    span = min(exps) + max(exps)
+    if span % 2 != 0:
+        shift = -(span // 2)  # best-effort centering; symmetry is impossible
+        centered = LaurentHalf.from_dict({e + shift: c for e, c in p.coeffs})
+        return NormalizedPolynomial(centered, False)
+    shift = -span // 2
+    centered = LaurentHalf.from_dict({e + shift: c for e, c in p.coeffs})
+    d = centered.as_dict()
+    symmetric = all(d.get(-e) == c for e, c in d.items())
+    if not symmetric:
+        return NormalizedPolynomial(centered, False)
+    total = centered.evaluate_at_one()
+    if total < 0 or (total == 0 and d[max(d)] < 0):
+        centered = -centered
+    return NormalizedPolynomial(centered, True)
+
+
+def test_one_centering_path_is_the_two_branch_normalization():
+    """Symmetric, antisymmetric and odd-span polynomials, drawn so that
+    many are symmetric about some centre, normalise as before."""
+    rng = random.Random(3)
+    odd = symmetric = 0
+    for _ in range(3000):
+        half = {rng.randint(0, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+        centre, sign = rng.randint(-7, 7), rng.choice([0, 1, -1])
+        d = {centre + e: c for e, c in half.items()}
+        if sign:
+            for e, c in half.items():
+                d[centre - e] = d.get(centre - e, 0) + sign * c if e else c
+        p = from_dict(d)
+        if not p:
+            continue
+        got = normalize_symmetric(p)
+        assert got == normalize_symmetric_two_branch(p), p
+        exps = [e for e, _ in p.coeffs]
+        odd += (min(exps) + max(exps)) % 2
+        symmetric += got.symmetric
+    assert odd > 250 and symmetric > 500
+
+
 def test_pair_orthonormality():
     a12 = basis_class(2, {1, 2})
     assert pair(a12, a12) == LaurentHalf.one()
@@ -120,16 +167,16 @@ def test_pair_symmetric_and_bilinear(a, b, c):
 
 def test_class_of_single_generator(torus):
     from bdecat.dmodules import TypeDStructure
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)], [])
+    N = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)], [])
     assert class_of(N) == basis_class(1, {1})
 
 
 def test_class_is_additive_over_disjoint_unions(torus):
     from bdecat.dmodules import TypeDStructure
-    a = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=2)], [])
-    b = TypeDStructure(torus, [ModuleGenerator("y", {2}, 1, a2=0)], [])
-    both = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=2),
-                                  ModuleGenerator("y", {2}, 1, a2=0)], [])
+    a = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=2)], [])
+    b = TypeDStructure(torus, [normal_generator("y", {2}, 1, a2=0)], [])
+    both = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=2),
+                                  normal_generator("y", {2}, 1, a2=0)], [])
     assert class_of(both) == class_of(a) + class_of(b)
 
 
@@ -156,8 +203,8 @@ def test_euler_examples():
     empty = ChainComplex(generators={}, differential=frozenset())
     assert not euler_of_complex(empty)
     two = ChainComplex(generators={
-        "a": ModuleGenerator("a", {1}, 0, a2=2),
-        "b": ModuleGenerator("b", {1}, 1, a2=2)}, differential=frozenset())
+        "a": normal_generator("a", {1}, 0, a2=2),
+        "b": normal_generator("b", {1}, 1, a2=2)}, differential=frozenset())
     assert not euler_of_complex(two)
 
 

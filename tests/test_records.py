@@ -1,13 +1,16 @@
-"""Records built without their checks equal the checked ones, and print as
-they always did.
+"""Records built without checks equal the checked ones, and print as they
+always did.
 
-The basis of A(Z) and the strand differential build their generators with
-`StrandsGenerator._make`, and `gmul` takes the sum and the linking in one
-pass.  These tests hold them to the checked constructor, and to the filter
-and the two-pass product they replaced, on every summand of the torus,
-split2 and split3 algebras.  They also pin the text of each record (error
-messages print it), the hashes that fix every set's order, and the bytes of
-`bdecat algebra --gradings`."""
+The records are plain NamedTuples that check nothing as they are made.  The
+basis of A(Z) and the strand differential build their generators with
+`tuple.__new__`, gr', `gmul` and `ginv` build gradings with the plain
+constructor, and `gmul` takes the sum and the linking in one pass.  These
+tests hold them to the checking constructors the records had (kept in
+`tests.helpers`), and to the filter and the two-pass product they replaced,
+on every summand of the torus, split2 and split3 algebras and on the
+selftest's random grading pairs.  They also pin the text of each record
+(error messages print it), the hashes that fix every set's order, and the
+bytes of `bdecat algebra --gradings`."""
 
 import hashlib
 import random
@@ -15,11 +18,12 @@ import re
 
 import pytest
 
-from bdecat.grading import GradingElement, RefinementData, _link2, gmul
+from bdecat.grading import GradingElement, RefinementData, _link2, ginv, gmul, gr_prime_generator
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc, torus_pmc
 from bdecat.selfcheck import HOM_PAIRS, _random_gz_element
 from bdecat.strands import (AlgebraElement, StrandsGenerator, basis_of_AZ,
                             differential_generator)
+from tests.helpers import checked_chord, checked_grading, checked_strands_generator
 from tests.test_cli import invoke
 
 CIRCLES = {"torus": torus_pmc(), "split2": split_pmc(2), "split3": split_pmc(3)}
@@ -47,7 +51,7 @@ def differential_generator_oracle(a: StrandsGenerator) -> set[StrandsGenerator]:
                 swapped = phi[:]
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 try:
-                    res = StrandsGenerator(a.n, a.S, a.T, tuple(swapped))
+                    res = checked_strands_generator(a.n, a.S, a.T, tuple(swapped))
                 except ValueError:
                     continue
                 if res.inversions() == inv - 1:
@@ -58,7 +62,7 @@ def differential_generator_oracle(a: StrandsGenerator) -> set[StrandsGenerator]:
 def gmul_oracle(x: GradingElement, y: GradingElement) -> GradingElement:
     """The group law in two passes: the sum vector, then 2L by `_link2`."""
     alpha = tuple(a + b for a, b in zip(x.alpha, y.alpha))
-    return GradingElement(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
+    return checked_grading(x.j4 + y.j4 + 2 * _link2(x.alpha, y.alpha), alpha)
 
 
 def _terms(pmc: PointedMatchedCircle):
@@ -72,7 +76,7 @@ def test_every_basis_term_equals_its_checked_record(name):
     terms = list(_terms(CIRCLES[name]))
     assert len(terms) == TERMS[name]
     for g in terms:
-        checked = StrandsGenerator(*g)
+        checked = checked_strands_generator(*g)
         assert checked == g and type(checked) is type(g) is StrandsGenerator
 
 
@@ -112,7 +116,8 @@ def test_records_print_and_hash_as_the_dataclasses_did():
         "RefinementData(base=frozenset({1}), psi={})"
     with pytest.raises(ValueError, match=re.escape(
             "chord must run with the orientation: ReebChord(start=2, end=1)")):
-        ReebChord(2, 1)
+        checked_chord(2, 1)
+    assert checked_chord(1, 2) == ReebChord(1, 2)
     # a frozen dataclass hashes the tuple of its fields, which fixes the
     # iteration order of every set of records
     assert hash(g) == hash((4, (1,), (2,), (2,)))
@@ -124,6 +129,29 @@ def test_records_print_and_hash_as_the_dataclasses_did():
     for record, field in ((pmc, "matching"), (el, "terms")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+@pytest.mark.parametrize("name", CIRCLES)
+def test_gr_prime_meets_the_quarter_integer_constraint_on_every_term(name):
+    """gr' builds its gradings unchecked; each meets 4j = #odd jumps mod 4."""
+    terms = list(_terms(CIRCLES[name]))
+    assert len(terms) == TERMS[name]
+    for g in terms:
+        x = gr_prime_generator(g)
+        assert checked_grading(*x) == x, g
+
+
+def test_gmul_and_ginv_keep_the_constraint_on_the_selftest_pairs():
+    """gmul and ginv no longer check their results; on the f(xy) pairs of
+    the selftest, seeds 0-4, every product and inverse meets the
+    constraint, and so do the pairs themselves."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        for pmc in (CIRCLES["torus"], CIRCLES["split2"]):
+            for _ in range(HOM_PAIRS):
+                x, y = _random_gz_element(pmc, rng), _random_gz_element(pmc, rng)
+                for z in (x, y, gmul(x, y), ginv(x), ginv(gmul(x, y))):
+                    assert checked_grading(*z) == z, (x, y)
 
 
 @pytest.mark.parametrize("name", CIRCLES)

@@ -6,14 +6,14 @@ import pytest
 
 from bdecat import serialize
 from bdecat.cfk2cfd import build_cfd
-from bdecat.dmodules import AInfModule, ModuleGenerator
+from bdecat.dmodules import AInfModule
 from bdecat.grothendieck import LaurentHalf, normalize_symmetric, substitute
 from bdecat.satellite import (PatternClass,
                               check_satellite_formula, decompose,
                               satellite_polynomial)
 from scripts import satellite_report
 from tests.conftest import CFK_NAMES, PATTERN_NAMES, fixture_path, load_fixture
-from tests.helpers import t2
+from tests.helpers import normal_generator, t2
 
 
 def test_core_pattern_decomposition():
@@ -23,14 +23,14 @@ def test_core_pattern_decomposition():
 
 
 def test_meridian_style_decomposition(torus):
-    pc = PatternClass(AInfModule(torus, [ModuleGenerator("w", {2}, 0, a2=0)], []), 1)
+    pc = PatternClass(AInfModule(torus, [normal_generator("w", {2}, 0, a2=0)], []), 1)
     q, p = decompose(pc)
     assert not q
     assert p == LaurentHalf.one()
 
 
 def test_two_generator_p_component(torus):
-    gens = [ModuleGenerator("w1", {2}, 0, a2=4), ModuleGenerator("w2", {2}, 1, a2=-2)]
+    gens = [normal_generator("w1", {2}, 0, a2=4), normal_generator("w2", {2}, 1, a2=-2)]
     pc = PatternClass(AInfModule(torus, gens, []), 1)
     q, p = decompose(pc)
     assert not q
@@ -80,7 +80,7 @@ def test_p_perturbation_invariance(torus):
     reference = satellite_polynomial(base, companion)
     for extra_m, extra_a2 in ((0, 1), (1, -3), (0, 4)):
         gens = list(base.cfa.generators.values()) + [
-            ModuleGenerator("pert", {2}, extra_m, a2=extra_a2)]
+            normal_generator("pert", {2}, extra_m, a2=extra_a2)]
         perturbed = PatternClass(AInfModule(torus, gens, []), base.winding)
         assert decompose(perturbed)[1] != decompose(base)[1]
         assert satellite_polynomial(perturbed, companion) == reference

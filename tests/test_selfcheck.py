@@ -2,11 +2,11 @@ import random
 from types import MappingProxyType
 
 from bdecat import selfcheck
-from bdecat.grading import GradingElement, _odd_jumps
 from bdecat.pmc import split_pmc, torus_pmc
 from bdecat.selfcheck import run_selfcheck
 from bdecat.strands import AZBasis
 from bdecat.torus import torus_algebra
+from tests.helpers import checked_grading, odd_jumps
 
 
 def test_selfcheck_passes_every_line(capsys):
@@ -99,7 +99,7 @@ def _randint_gz_element(pmc, rng):
         for p in range(lo, hi):
             alpha[p - 1] += c
     alpha = tuple(alpha)
-    return GradingElement(_odd_jumps(alpha) % 4 + 4 * rng.randint(-3, 3), alpha)
+    return checked_grading(odd_jumps(alpha) % 4 + 4 * rng.randint(-3, 3), alpha)
 
 
 def test_the_f_pairs_are_the_randint_draws_for_seeds_0_to_4(monkeypatch):

@@ -18,7 +18,7 @@ from tests.conftest import (CFK_NAMES, DIAGRAM_NAMES, FIXTURES, PATTERN_NAMES,
                             fixture_path, load_fixture)
 from tests.helpers import (TORUS_CHORDS, a_of, ainf_to_json, cfk_to_json,
                            class_by_generator, diagram_to_json, pair_idempotent,
-                           pattern_to_json, pinch_coefficient)
+                           normal_generator, pattern_to_json, pinch_coefficient)
 from tests.test_cfk2cfd import _rename, reduced_cfk
 
 ALL_FIXTURES = (CFK_NAMES + DIAGRAM_NAMES + PATTERN_NAMES + ["typed_triangle"])
@@ -301,12 +301,12 @@ def test_type_d_writer_escapes_names_as_dumps_does(case):
 def test_type_d_writer_on_typed_files_and_records_without_a(torus):
     _assert_writer_is_dumps(load_fixture("typed_triangle"))
     _assert_writer_is_dumps(TypeDStructure(torus, [
-        ModuleGenerator("x", {1}, 1), ModuleGenerator("y", {2}, 0, a2=-3)], []))
+        normal_generator("x", {1}, 1), normal_generator("y", {2}, 0, a2=-3)], []))
 
 
 def _assert_normal(g, name, idem, m, a2):
-    """g is the record the normalising constructor builds from the raw fields."""
-    assert type(g) is ModuleGenerator and g == ModuleGenerator(name, idem, m, a2=a2)
+    """g is the record the normalising constructor built from the raw fields."""
+    assert type(g) is ModuleGenerator and g == normal_generator(name, idem, m, a2=a2)
     assert type(g.idempotent) is frozenset and type(g.m) is int
     assert g.a2 is None or type(g.a2) is int
 

@@ -10,7 +10,6 @@ unnecessary; the tests here hold each of them to the checked path."""
 import ast
 import copy
 import importlib
-import inspect
 import itertools
 import json
 import pathlib
@@ -31,6 +30,7 @@ from bdecat.pmc import (NAMED_PMCS, MalformedMatching, PointedMatchedCircle,
                         ReebChord, split_pmc, torus_pmc)
 from bdecat.selfcheck import _random_gz_element
 from bdecat.strands import StrandsGenerator, _chord_sets, az_basis, basis_of_AZ
+from tests.helpers import checked_grading
 from tests.test_grading import GENUS2_CLASSES
 
 SOURCES = sorted(pathlib.Path(bdecat.__file__).parent.glob("*.py"))
@@ -51,8 +51,8 @@ VALUES = {
     "strands generator": StrandsGenerator(4, (1, 2), (2, 4), (4, 2)),
     "algebra element": basis_of_AZ(split_pmc(2), 0)[-1],
     "grading element": GradingElement(2, (1, 1, 1)),
-    "module generator": ModuleGenerator("x'", {1, 3}, 3, a2=-3),
-    "module generator without a2": ModuleGenerator("y", [2], 0),
+    "module generator": ModuleGenerator("x'", frozenset({1, 3}), 1, -3),
+    "module generator without a2": ModuleGenerator("y", frozenset({2}), 0),
     "diagram point": DiagramPoint(("circle", 2), 3, -1, 7),
     "polynomial": LaurentHalf(((-1, 2), (4, -1))),
 }
@@ -212,17 +212,86 @@ def _records():
     return out
 
 
-def test_every_record_make_the_package_calls_is_tuple_new():
-    called = {node.value.id for path in SOURCES
-              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-              if isinstance(node, ast.Attribute) and node.attr == "_make"
-              and isinstance(node.value, ast.Name)}
+# The functions that build one record per item of their input, by module,
+# with the records each builds: they make them with tuple.__new__, as the
+# NamedTuple's generated __new__ costs a Python call per record.
+PER_ITEM_BUILDERS = {
+    ("serialize", "_generators_from_json"): {"ModuleGenerator"},
+    ("serialize", "cfk_from_json"): {"CFKGenerator", "Arrow"},
+    ("cfk2cfd", "build_cfd"): {"ModuleGenerator"},
+    ("dmodules", "box_tensor"): {"ModuleGenerator"},
+    ("strands", "_basis_element"): {"StrandsGenerator"},
+    ("strands", "differential_generator"): {"StrandsGenerator"},
+    ("strands", "_chord_sets"): {"ReebChord"},
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _named_tuple_classes(trees) -> dict:
+    """name -> ClassDef of each class in the package that lists NamedTuple,
+    or another such class, among its bases."""
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    found: dict = {}
+    while True:
+        more = {name: node for name, node in classes.items() if name not in found
+                and any(isinstance(b, ast.Name) and (b.id == "NamedTuple" or b.id in found)
+                        for b in node.bases)}
+        if not more:
+            return found
+        found |= more
+
+
+def test_every_record_is_one_plain_named_tuple_class():
+    """No record class defines __new__, aliases _make or extends another
+    record: each record has one constructor, the one NamedTuple makes."""
+    trees = _trees()
+    classes = _named_tuple_classes(trees)
+    assert {"ModuleGenerator", "StrandsGenerator", "GradingElement", "ReebChord",
+            "DiagramPoint", "CFKGenerator", "Arrow"} <= set(classes)
+    for name, node in sorted(classes.items()):
+        assert [ast.unparse(b) for b in node.bases] == ["NamedTuple"], name
+        defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+        defined |= {t.id for n in node.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                    for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                    if isinstance(t, ast.Name)}
+        assert not defined & {"__new__", "_make", "__getnewargs_ex__"}, name
     records = _records()
-    used = called & set(records)
-    assert {"ModuleGenerator", "StrandsGenerator", "GradingElement", "ReebChord"} <= used
-    for name in sorted(used):
-        make = inspect.getattr_static(records[name], "_make")
-        assert isinstance(make, classmethod) and make.__func__ is tuple.__new__, name
+    for name in classes:
+        assert records[name].__bases__ == (tuple,), name
+    assert not hasattr(records["StrandsGenerator"], "is_idempotent")
+
+
+def _tuple_new_names(function) -> set[str]:
+    """The local names bound to tuple.__new__ in a function, by plain or
+    unpacking assignment."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and ast.unparse(v) == "tuple.__new__"}
+    return names
+
+
+def test_the_per_item_builders_make_their_records_with_tuple_new():
+    trees = _trees()
+    for (module, name), records in PER_ITEM_BUILDERS.items():
+        function, = [node for node in ast.walk(trees[module])
+                     if isinstance(node, ast.FunctionDef) and node.name == name]
+        new = _tuple_new_names(function) | {"tuple.__new__"}
+        calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+        built = {ast.unparse(c.args[0]) for c in calls
+                 if ast.unparse(c.func) in new and c.args}
+        assert built == records, (module, name, built)
+        direct = {ast.unparse(c.func) for c in calls} & records
+        assert not direct, (module, name, direct)
 
 
 @pytest.mark.parametrize("matching", [(1, 2, 1, 2)] + GENUS2_CLASSES)
@@ -257,6 +326,6 @@ def test_the_unchecked_random_gradings_pass_the_checked_constructor(matching):
     pmc, rng = PointedMatchedCircle(matching), random.Random(7)
     for _ in range(300):
         x = _random_gz_element(pmc, rng)
-        assert type(x) is GradingElement and GradingElement(*x) == x
+        assert type(x) is GradingElement and checked_grading(*x) == x
         assert len(x.alpha) == pmc.num_points - 1 and x.j4 % 2 == 0
 

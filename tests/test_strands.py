@@ -6,10 +6,11 @@ import pytest
 
 from bdecat import strands
 from bdecat.pmc import PointedMatchedCircle, ReebChord, split_pmc
-from bdecat.strands import (AZBasis, StrandsGenerator, basis_of_AZ,
-                            differential, left_right_pairs, multiply)
-from tests.helpers import (EndpointClash, a0, a_of, chord_signature, element,
-                           generators_of_ank, idempotent, pair_idempotent, zero)
+from bdecat.strands import (AZBasis, basis_of_AZ, differential, left_right_pairs,
+                            multiply)
+from tests.helpers import (EndpointClash, a0, a_of, checked_strands_generator,
+                           chord_signature, element, generators_of_ank, idempotent,
+                           pair_idempotent, zero)
 from tests.test_grading import GENUS2_CLASSES
 
 
@@ -17,7 +18,7 @@ def gen(n, strands):
     strands = sorted(strands)
     S = tuple(s for s, _ in strands)
     phi = tuple(t for _, t in strands)
-    return StrandsGenerator(n, S, tuple(sorted(phi)), phi)
+    return checked_strands_generator(n, S, tuple(sorted(phi)), phi)
 
 
 def test_idempotents_multiply():

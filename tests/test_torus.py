@@ -1,13 +1,14 @@
 import pytest
 
-from bdecat.dmodules import (GradingIncompatible, ModuleGenerator, TypeDStructure,
+from bdecat.dmodules import (GradingIncompatible, TypeDStructure,
                               check_type_d)
 from bdecat.grading import m_table
 from bdecat.strands import multiply
 from bdecat.torus import (BigradingViolation, alexander_weight2_cfa,
                           alexander_weight2_cfd, check_bigrading, check_cfa_weights)
 from tests.conftest import load_fixture
-from tests.helpers import TORUS_CHORDS, TORUS_INTERVALS, a_of, pair_idempotent
+from tests.helpers import (TORUS_CHORDS, TORUS_INTERVALS, a_of, normal_generator,
+                           pair_idempotent)
 
 EXPECTED_PRODUCTS = {
     ("rho1", "rho2"): "rho12",
@@ -132,7 +133,7 @@ def test_intervals_table_matches_grading(talg, elements):
 
 
 def test_check_bigrading_accepts_unknot_loop(talg, torus):
-    N = TypeDStructure(torus, [ModuleGenerator("x", {1}, 0, a2=0)],
+    N = TypeDStructure(torus, [normal_generator("x", {1}, 0, a2=0)],
                        [("x", talg.index["rho12"], "x")])
     check_bigrading(N, 0)
 
@@ -145,7 +146,7 @@ def test_check_bigrading_accepts_built_cfd():
 
 def test_check_bigrading_rejects_shifted_a(talg, torus):
     # a drop 1 across a rho12 arrow whose weight is 0
-    gens = [ModuleGenerator("x", {1}, 0, a2=4), ModuleGenerator("y", {1}, 0, a2=2)]
+    gens = [normal_generator("x", {1}, 0, a2=4), normal_generator("y", {1}, 0, a2=2)]
     N = TypeDStructure(torus, gens, [("x", talg.index["rho12"], "y")])
     with pytest.raises(BigradingViolation, match=r"^\(x, rho12, y\): a drop 1, expected 0$"):
         check_bigrading(N, 0)
@@ -154,8 +155,8 @@ def test_check_bigrading_rejects_shifted_a(talg, torus):
 def test_check_type_d_rejects_wrong_m(talg, torus):
     # rho1 has m = 0, so the edge needs m(x) = m(y) + 1; check_bigrading
     # checks only the Alexander drop, which is right here
-    gens = [ModuleGenerator("x", {1}, 0, a2=1),
-            ModuleGenerator("y", {2}, 0, a2=0)]
+    gens = [normal_generator("x", {1}, 0, a2=1),
+            normal_generator("y", {2}, 0, a2=0)]
     N = TypeDStructure(torus, gens, [("x", talg.index["rho1"], "y")])
     with pytest.raises(GradingIncompatible,
                        match=r"^x->y: m\(x\)=0 but m\(coeff\)\+m\(y\)\+1=1$"):
@@ -170,8 +171,8 @@ def test_check_cfa_weights_fixture():
 
 def test_check_cfa_weights_rejects_bad_a(torus, talg):
     from bdecat.dmodules import AInfModule
-    M = AInfModule(torus, [ModuleGenerator("u", {1}, 0, a2=0),
-                           ModuleGenerator("w", {2}, 1, a2=0)],
+    M = AInfModule(torus, [normal_generator("u", {1}, 0, a2=0),
+                           normal_generator("w", {2}, 1, a2=0)],
                    [("w", [talg.index["rho2"]], "u")])
     with pytest.raises(BigradingViolation,
                        match=r"^op \(w; \.\.\.; u\): a\(u\)=0, expected -1/2$"):
@@ -180,7 +181,7 @@ def test_check_cfa_weights_rejects_bad_a(torus, talg):
 
 def test_weight_checks_reject_a_module_over_another_circle(split2):
     from bdecat.dmodules import AInfModule
-    gens = [ModuleGenerator("x", {1, 2}, 0, a2=0)]
+    gens = [normal_generator("x", {1, 2}, 0, a2=0)]
     with pytest.raises(BigradingViolation, match="^module is not over the torus algebra$"):
         check_bigrading(TypeDStructure(split2, gens, []), 0)
     with pytest.raises(BigradingViolation, match="^module is not over the torus algebra$"):
